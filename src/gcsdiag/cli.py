@@ -1,15 +1,16 @@
 """Command-line surface: mutate, complete, theta, plot, check, companions.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 verification failure.  Completed outputs are cached by content hash in
-a .gcsdiag-cache directory (override with GCSDIAG_CACHE); cache writes are
-atomic renames, cache hits are byte-identical to fresh runs.
+4 verification failure.  Completed outputs are cached in a .gcsdiag-cache
+directory (override with GCSDIAG_CACHE) under a hash of the request and of
+the package sources; cache writes are atomic renames, cache hits are
+byte-identical to fresh runs.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import math
 import os
 import sys
 import tempfile
@@ -28,6 +29,7 @@ from .scatter import (
     initial_diagram_prin,
     project_to_A,
     slice_to_X,
+    tk_order_boost,
 )
 from .seed import (
     ClusterState,
@@ -39,11 +41,12 @@ from .seed import (
     left_companion,
     mutate_cluster,
     mutate_seed,
+    mutation_walk,
     parse_seed_file,
     right_companion,
     serialize_seed_file,
 )
-from .theta import sign_coherence_check, theta, theta_report
+from .theta import EndpointNotGeneric, generic_near, sign_coherence_check, theta, theta_report
 
 
 class CliError(click.ClickException):
@@ -93,10 +96,22 @@ def _cache_dir(out):
     return os.path.join(base, ".gcsdiag-cache")
 
 
+@functools.lru_cache(maxsize=1)
+def _code_digest():
+    """Digest of the package's own sources, so a code change misses the cache."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                h.update(name.encode("utf-8") + b"\x00" + fh.read())
+    return h.hexdigest()
+
+
 def _cached_text(key_parts, producer, no_cache, out):
     if no_cache:
         return producer()
-    key = hashlib.sha256("\x00".join(key_parts).encode("utf-8")).hexdigest()
+    key = hashlib.sha256("\x00".join([_code_digest()] + key_parts).encode("utf-8")).hexdigest()
     cdir = _cache_dir(out)
     path = os.path.join(cdir, key)
     if os.path.exists(path):
@@ -199,27 +214,26 @@ def complete(seed_file, order, variant, out, no_cache):
 def theta_cmd(seed_file, order, m0, q, out, no_cache):
     """Enumerate broken lines and print the theta report."""
     text, fixed, seed = _load_seed(seed_file)
-    m0v = tuple(int(x) for x in _parse_vec(m0, "m0"))
+    m0v = _parse_vec(m0, "m0")
+    if len(m0v) != fixed.n or any(x.denominator != 1 for x in m0v):
+        raise CliError("--m0 must be %d integers, got %r" % (fixed.n, m0), 2)
+    m0v = tuple(int(x) for x in m0v)
     qv = _parse_vec(q, "Q")
 
     def produce():
         diag = _build_diagram(fixed, seed, order, "A")
-        notice = ""
-        point = qv
-        if diag.on_support(point):
-            for K in (97, 101, 103, 107, 109, 113):
-                cand = (point[0] + Fraction(1, K), point[1] + Fraction(1, K * K))
-                if not diag.on_support(cand):
-                    point = cand
-                    notice = "note: endpoint perturbed off the support to (%s,%s)\n" % cand
-                    break
-            else:
-                raise CliError("could not perturb endpoint off the support", 3)
+        how = "off the support to" if diag.on_support(qv) else None
         try:
+            if how is None:
+                try:
+                    return theta_report(diag, theta(diag, qv, m0v, order))
+                except EndpointNotGeneric:
+                    how = "to a generic point"
+            point = generic_near(diag, qv)
             res = theta(diag, point, m0v, order)
-        except ValueError as exc:
+        except (ValueError, RuntimeError) as exc:
             raise CliError(str(exc), 3)
-        return notice + theta_report(diag, res)
+        return "note: endpoint perturbed %s (%s,%s)\n" % ((how,) + point) + theta_report(diag, res)
 
     _emit(_cached_text(["theta", text, str(order), m0, q], produce, no_cache, out), out)
 
@@ -341,40 +355,6 @@ def plot(input_file, out):
 # verification
 
 
-def _tk_order_boost(diag, k):
-    """Smallest factor so T_k of the boosted diagram is exact at diag.order.
-
-    T_k rescales exponent degrees; walls mapped from the positive half-space
-    may mix degrees by up to the max old/new degree ratio over wall bases.
-    """
-    from gcsdiag.scatter import _v_rows
-    from gcsdiag.ring import Grading
-
-    fixed = diag.fixed
-    rk = fixed.r[k]
-    kk = diag.proj.index(k)
-    vk = _v_rows(fixed, diag.seed)[k]
-    g2 = Grading([_v_rows(fixed, mutate_seed(fixed, diag.seed, k))[i]
-                  for i in fixed.unfrozen])
-    boost = 1
-    for w in diag.walls:
-        dirs = [w.direction] + ([(-w.direction[0], -w.direction[1])]
-                                if w.kind == "line" else [])
-        u = w.base
-        if tuple(1 if j == kk else 0 for j in range(2)) == w.normal:
-            continue  # the k-wall is replaced, not mapped
-        old = diag.grading.degree(u)
-        # walls in the positive half-space get their exponents sheared;
-        # the rest keep u, but its degree can still shrink in the new grading
-        if any(d[kk] > 0 for d in dirs):
-            img = tuple(x + rk * u[kk] * y for x, y in zip(u, vk))
-        else:
-            img = u
-        new = g2.degree(img)
-        boost = max(boost, math.ceil(old / new))
-    return boost
-
-
 @main.command()
 @click.argument("seed_file", type=click.Path())
 @click.option("--order", default=8, type=int)
@@ -393,7 +373,7 @@ def check(seed_file, order, depth, out):
 
     for k in fixed.unfrozen:
         try:
-            boost = _tk_order_boost(diag, k)
+            boost = tk_order_boost(fixed, seed, k)
             src = diag if boost == 1 else _build_diagram(fixed, seed, order * boost, "A")
             dk = _reorder(apply_Tk(src, k), order)
             d2 = complete_rank2(initial_diagram(fixed, mutate_seed(fixed, seed, k), order))
@@ -411,28 +391,15 @@ def check(seed_file, order, depth, out):
         depth, "pass" if ok else "FAIL at word %s" % (",".join(str(k + 1) for k in word))))
     failed |= not ok
 
-    words = [()]
-    frontier = [()]
-    for _ in range(min(depth, 4)):
-        nxt = []
-        for w in frontier:
-            for k in fixed.unfrozen:
-                if w and w[-1] == k:
-                    continue
-                nxt.append(w + (k,))
-        words.extend(nxt)
-        frontier = nxt
-    ok = True
-    bad = None
-    for w in words:
-        state = ClusterState(fixed, seed)
+    def cluster_step(state, k):
         try:
-            for k in w:
-                state = mutate_cluster(state, k)
+            return mutate_cluster(state, k)
         except ValueError:
-            ok, bad = False, w
-            break
-        if not all(laurent_check(e, state.xs) for e in state.exprs):
+            return None  # a non-Laurent exchange; reported at this word
+
+    ok, bad = True, None
+    for w, state in mutation_walk(fixed, ClusterState(fixed, seed), min(depth, 4), cluster_step):
+        if state is None or not all(laurent_check(e, state.xs) for e in state.exprs):
             ok, bad = False, w
             break
     lines.append("laurent: %s" % (

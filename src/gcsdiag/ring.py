@@ -204,7 +204,8 @@ def canonical_string(x):
     raise TypeError("unsupported value %r" % (x,))
 
 
-_SYM_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_{},]*?)(?:\^(\d+))?$")
+SYMBOL_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_{},]*")
+_SYM_RE = re.compile(r"^(%s?)(?:\^(\d+))?$" % SYMBOL_NAME_RE.pattern)
 _NUM_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 _Z_RE = re.compile(r"^z\^\(([-0-9,]+)\)$")
 
@@ -276,53 +277,36 @@ def _vadd(a, b):
 
 
 class Grading:
-    """Linear grading with a fixed list of degree-1 monoid generators.
+    """Linear grading in which two independent generators have degree 1.
 
-    Degrees of other exponents are obtained by exact linear solves; an
-    exponent outside the rational cone of the generators has no degree.
+    An exponent's coefficients in the generators come from a 2x2 Cramer
+    solve on the first coordinate pair with a nonzero minor; an exponent off
+    the generators' span, or outside their cone, has no degree.
     """
 
     def __init__(self, generators):
-        if not generators:
-            raise ValueError("need at least one generator")
+        if len(generators) != 2:
+            raise ValueError("a rank-2 grading needs exactly two generators")
         self.generators = tuple(tuple(g) for g in generators)
         self.dim = len(self.generators[0])
         self._cache = {}
-        if self._solve(tuple(0 for _ in range(self.dim)), check_rank=True) is None:
+        g1, g2 = self.generators
+        minors = ((i, j, g1[i] * g2[j] - g1[j] * g2[i])
+                  for i in range(self.dim) for j in range(i + 1, self.dim))
+        # Cramer's rule on this coordinate pair: the minor and the
+        # generators' entries there are the inverse of the 2x2 system
+        self._pivot = next((p for p in minors if p[2]), None)
+        if self._pivot is None:
             raise ValueError("grading generators must be linearly independent")
 
-    def _solve(self, target, check_rank=False):
-        cols = self.generators
-        k = len(cols)
-        dim = self.dim
-        rows = [
-            [Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
-            for i in range(dim)
-        ]
-        rank = 0
-        pivots = []
-        for c in range(k):
-            pr = next((i for i in range(rank, dim) if rows[i][c] != 0), None)
-            if pr is None:
-                continue
-            rows[rank], rows[pr] = rows[pr], rows[rank]
-            pv = rows[rank][c]
-            rows[rank] = [x / pv for x in rows[rank]]
-            for i in range(dim):
-                if i != rank and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-            pivots.append(c)
-            rank += 1
-        if check_rank:
-            return [] if rank == k else None
-        for i in range(rank, dim):
-            if rows[i][k] != 0:
-                return None
-        sol = [Fraction(0)] * k
-        for idx, c in enumerate(pivots):
-            sol[c] = rows[idx][k]
-        return sol
+    def _solve(self, m):
+        i, j, det = self._pivot
+        g1, g2 = self.generators
+        a = m[i] * g2[j] - m[j] * g2[i]
+        b = g1[i] * m[j] - g1[j] * m[i]
+        if any(a * x + b * y != det * t for x, y, t in zip(g1, g2, m)):
+            return None
+        return [Fraction(a, det), Fraction(b, det)]
 
     def coefficients(self, m):
         m = tuple(m)
@@ -406,11 +390,6 @@ class TruncatedLaurent:
         if new_order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedLaurent(self.grading, new_order, self.offset, self.terms)
-
-    def with_grading(self, grading, order=None):
-        """Reinterpret the same terms in another grading (exact, may raise)."""
-        return TruncatedLaurent(grading, self.order if order is None else order,
-                                self.offset, self.terms)
 
     # -- arithmetic
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .ring import CoeffPoly, Grading, TruncatedLaurent, canonical_string
-from .seed import epsilon, mutate_seed, serialize_seed_file
+from .seed import epsilon, mutate_seed, mutation_walk, serialize_seed_file
 
 # ---------------------------------------------------------------------------
 # exact 2-plane geometry
@@ -186,6 +186,12 @@ def _v_rows(fixed, seed):
                 row = [x + eps[i][j] * y for x, y in zip(row, F[j])]
         rows.append(tuple(row))
     return rows
+
+
+def _seed_grading(fixed, seed):
+    """The grading in which the seed's unfrozen v_i have degree 1."""
+    vs = _v_rows(fixed, seed)
+    return Grading([vs[i] for i in fixed.unfrozen])
 
 
 def initial_diagram(fixed, seed, order, kind="A"):
@@ -450,6 +456,70 @@ def _assemble(work, rays, final=False):
 # diagram mutation T_k
 
 
+def tk_shear(fixed, seed, k):
+    """(kk, shear): the plane coordinate of direction k and the linear part of T_k.
+
+    shear(m, s) = m + s * r_k * m[kk] * v_k.  T_k applies it with s = 1 on
+    the half-plane m[kk] > 0 and is the identity elsewhere; v_k[kk] = 0, so
+    s = -1 inverts it.
+    """
+    kk = fixed.unfrozen.index(k)
+    rk = fixed.r[k]
+    vk = _v_rows(fixed, seed)[k]
+
+    def shear(m, s=1):
+        return tuple(x + s * rk * m[kk] * y for x, y in zip(m, vk))
+
+    return kk, shear
+
+
+def tk_order_boost(fixed, seed, k):
+    """Smallest factor b such that T_k of a diagram of order b*N is exact at order N.
+
+    Every wall exponent e lies in the cone of the old grading, and its image
+    (e sheared or unchanged, by the side of its wall) in the cone of the new
+    one.  On each such cone old(e)/new(image) is a ratio of linear forms, so
+    its maximum is at an extreme ray: an old generator or the preimage of a
+    new one.  Trying both images for every ray can only raise the bound.
+    """
+    g1 = _seed_grading(fixed, seed)
+    g2 = _seed_grading(fixed, mutate_seed(fixed, seed, k))
+    _, shear = tk_shear(fixed, seed, k)
+    boost = 1
+    for s in (0, 1):
+        for e in g1.generators + tuple(shear(v, -s) for v in g2.generators):
+            try:
+                ratio = g1.degree(e) / g2.degree(shear(e, s))
+            except (ValueError, ZeroDivisionError):  # e or its image has no positive degree
+                continue
+            boost = max(boost, math.ceil(ratio))
+    return boost
+
+
+def _merge_walls(pieces, grading, order, proj):
+    """Walls from (kind, direction, terms) pieces; pieces on one support multiply.
+
+    A wall's base is its lowest-degree exponent made primitive; supports
+    whose product is 1 get no wall.  Walls come back in angular order.
+    """
+    merged = {}
+    for kind, direction, terms in pieces:
+        merged.setdefault((kind, tuple(direction)), []).append(terms)
+    walls = []
+    for (kind, direction), term_dicts in merged.items():
+        fn = TruncatedLaurent.one(grading, order)
+        for terms in term_dicts:
+            fn = fn * TruncatedLaurent.unit_from_terms(grading, order, terms)
+        if len(fn.terms) == 1:
+            continue
+        base = _prim(min((e for e in fn.terms if any(e)), key=grading.degree))
+        pb = _prim(tuple(base[i] for i in proj))
+        incoming = kind == "line" or _parallel(pb, direction)
+        walls.append(Wall(kind, direction, _perp_normal(pb), base, fn, incoming))
+    walls.sort(key=cmp_to_key(lambda a, b: _ang_cmp(a.direction, b.direction)))
+    return walls
+
+
 def apply_Tk(diag, k):
     """Piecewise-linear mutation of a completed rank-2 diagram in direction k.
 
@@ -461,61 +531,26 @@ def apply_Tk(diag, k):
     if diag.dim != 2:
         raise ValueError("apply_Tk requires plane exponents")
     seed2 = mutate_seed(fixed, diag.seed, k)
-    vs = _v_rows(fixed, diag.seed)
-    vk = vs[k]
-    rk = fixed.r[k]
-    kk = diag.proj.index(k)
-
-    def tplus(m):
-        return tuple(x + rk * m[kk] * y for x, y in zip(m, vk))
-
-    new_vs = _v_rows(fixed, seed2)
-    grading2 = Grading([new_vs[i] for i in fixed.unfrozen])
-    merged = {}
-
-    def push(kind, direction, terms):
-        key = (kind, tuple(direction))
-        merged.setdefault(key, []).append(terms)
-
+    kk, shear = tk_shear(fixed, diag.seed, k)
+    vk = _v_rows(fixed, diag.seed)[k]
+    grading2 = _seed_grading(fixed, seed2)
+    pieces = []
     for w in diag.walls:
         if w.kind == "line" and w.normal == tuple(1 if j == kk else 0 for j in range(2)):
             # the k-wall: function replaced by the mutated exchange polynomial
-            terms = {}
-            for s in range(1, rk + 1):
-                terms[tuple(-s * x for x in vk)] = diag.seed.a_tuples[k][s]
-            push("line", w.direction, terms)
+            terms = {tuple(-s * x for x in vk): diag.seed.a_tuples[k][s]
+                     for s in range(1, fixed.r[k] + 1)}
+            pieces.append(("line", w.direction, terms))
             continue
-        pieces = []
+        dirs = [w.direction]
         if w.kind == "line":
-            d1, d2 = w.direction, (-w.direction[0], -w.direction[1])
-            pieces = [("ray", d1), ("ray", d2)]
-        else:
-            pieces = [("ray", w.direction)]
-        for kind, pdir in pieces:
-            if pdir[kk] > 0:  # H_{k,+}: map geometry and exponents
-                nd = _prim(tplus(pdir))
-                terms = {tplus(e): p for e, p in w.function.terms.items() if any(e)}
-                push(kind, nd, terms)
-            else:
-                terms = {e: p for e, p in w.function.terms.items() if any(e)}
-                push(kind, pdir, terms)
-
-    walls = []
-    for (kind, direction), term_dicts in merged.items():
-        fn = TruncatedLaurent.one(grading2, diag.order)
-        for terms in term_dicts:
-            fn = fn * TruncatedLaurent.unit_from_terms(grading2, diag.order, terms)
-        if fn.is_unit() and len(fn.terms) == 1:
-            continue
-        base = _prim(min((e for e in fn.terms if any(e)),
-                         key=lambda u: grading2.degree(u)))
-        pb = _prim(tuple(base))
-        direction = _line_rep(direction) if kind == "line" else direction
-        incoming = kind == "line" or _parallel(pb, direction)
-        walls.append(Wall(kind, direction, _perp_normal(pb), base, fn, incoming))
-    walls.sort(key=cmp_to_key(lambda a, b: _ang_cmp(a.direction, b.direction)))
-    return ScatteringDiagram(fixed, seed2, diag.order, grading2, walls,
-                             diag.proj, diag.kind)
+            dirs.append((-w.direction[0], -w.direction[1]))
+        for pdir in dirs:
+            s = 1 if pdir[kk] > 0 else 0  # H_{k,+}: map geometry and exponents
+            terms = {shear(e, s): p for e, p in w.function.terms.items() if any(e)}
+            pieces.append(("ray", _prim(shear(pdir, s)), terms))
+    walls = _merge_walls(pieces, grading2, diag.order, diag.proj)
+    return ScatteringDiagram(fixed, seed2, diag.order, grading2, walls, diag.proj, diag.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -554,36 +589,20 @@ def equivalence_check(d1, d2, order=None):
 
 def chambers(diag, depth):
     """Cluster chambers as (mutation word, g-vector cone), words up to depth."""
-    fixed = diag.fixed
-    uf = fixed.unfrozen
     out = []
     seen = set()
-    frontier = [((), diag.seed)]
-    for _ in range(depth + 1):
-        nxt = []
-        for word, sd in frontier:
-            cone = tuple(tuple(sd.f_vectors[i][j] for j in diag.proj) for i in uf)
-            key = frozenset(cone)
-            if key not in seen:
-                seen.add(key)
-                out.append((word, cone))
-            for k in uf:
-                if word and word[-1] == k:
-                    continue
-                nxt.append((word + (k,), mutate_seed(fixed, sd, k)))
-        frontier = nxt
+    for word, sd in mutation_walk(diag.fixed, diag.seed, depth):
+        cone = tuple(tuple(sd.f_vectors[i][j] for j in diag.proj) for i in diag.fixed.unfrozen)
+        key = frozenset(cone)
+        if key not in seen:
+            seen.add(key)
+            out.append((word, cone))
     return out
 
 
 def cone_contains(cone, m):
     """Exact membership of a plane vector in the cone spanned by two rays."""
-    g1, g2 = cone
-    det = _cross(g1, g2)
-    if det == 0:
-        raise ValueError("degenerate chamber cone")
-    a = Fraction(_cross(m, g2), det)
-    b = Fraction(_cross(g1, m), det)
-    return a >= 0 and b >= 0
+    return all(c >= 0 for c in Grading(cone).coefficients(m))
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +636,7 @@ def slice_to_X(prin_diag):
         nx = normal_x(w.normal)
         base = _prim(w.base[n:])
         if w.kind == "line":
-            direction = _line_rep(_perp_normal_of(nx))
+            direction = _line_rep(_perp_normal(nx))
         else:
             direction = _prim(tuple(-x for x in w.base[n:]))
         fn = TruncatedLaurent.unit_from_terms(grading, prin_diag.order, terms)
@@ -628,32 +647,13 @@ def slice_to_X(prin_diag):
                              grading, walls, tuple(range(2)), kind="X")
 
 
-def _perp_normal_of(nx):
-    return _prim((-nx[1], nx[0]))
-
-
 def project_to_A(prin_diag):
     """Drop the N-component of every lifted exponent; merge equal supports."""
     n = prin_diag.dim // 2
-    gens = [tuple(g)[:n] for g in prin_diag.grading.generators]
-    grading = Grading(gens)
-    merged = {}
-    meta = {}
-    for w in prin_diag.walls:
-        key = (w.kind, w.direction)
-        terms = {e[:n]: p for e, p in w.function.terms.items() if any(e)}
-        merged.setdefault(key, []).append(terms)
-        meta[key] = w
-    walls = []
-    for key, term_dicts in merged.items():
-        kind, direction = key
-        fn = TruncatedLaurent.one(grading, prin_diag.order)
-        for terms in term_dicts:
-            fn = fn * TruncatedLaurent.unit_from_terms(grading, prin_diag.order, terms)
-        base = _prim(meta[key].base[:n])
-        incoming = kind == "line" or _parallel(base, direction)
-        walls.append(Wall(kind, direction, meta[key].normal, base, fn, incoming))
-    walls.sort(key=cmp_to_key(lambda a, b: _ang_cmp(a.direction, b.direction)))
+    grading = Grading([tuple(g)[:n] for g in prin_diag.grading.generators])
+    pieces = [(w.kind, w.direction, {e[:n]: p for e, p in w.function.terms.items() if any(e)})
+              for w in prin_diag.walls]
+    walls = _merge_walls(pieces, grading, prin_diag.order, prin_diag.proj)
     return ScatteringDiagram(prin_diag.fixed, prin_diag.seed, prin_diag.order,
                              grading, walls, prin_diag.proj, kind="A")
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from .ring import CoeffPoly, ExchangeSymbol
+from .ring import SYMBOL_NAME_RE, CoeffPoly, ExchangeSymbol
 
 
 def _pos(x):
@@ -214,6 +214,29 @@ def mutate_word(fixed, seed, word):
     return seed
 
 
+def mutation_walk(fixed, start, depth, step=None):
+    """Breadth-first (word, state) over mutation words of length <= depth.
+
+    Words never mutate one direction twice in a row.  A word's state is
+    step(state of the word without its last letter, last letter); step is
+    seed mutation unless given.
+    """
+    if step is None:
+        def step(seed, k):
+            return mutate_seed(fixed, seed, k)
+
+    level = [((), start)]
+    yield level[0]
+    for _ in range(depth):
+        nxt = []
+        for word, state in level:
+            for k in fixed.unfrozen:
+                if not word or word[-1] != k:
+                    nxt.append((word + (k,), step(state, k)))
+                    yield nxt[-1]
+        level = nxt
+
+
 def c_vectors(seed):
     return seed.e_vectors
 
@@ -411,6 +434,10 @@ def parse_seed_file(text):
             entries = fields["a.%d" % (i + 1,)]
             if len(entries) != r[i] + 1 or entries[0] != "1" or entries[-1] != "1":
                 raise ValueError("a.%d must be a monic tuple of length r+1" % (i + 1,))
+            for name in entries[1:-1]:
+                if name != "1" and not SYMBOL_NAME_RE.fullmatch(name):
+                    raise ValueError("a.%d entry %r is neither 1 nor a symbol name"
+                                     % (i + 1, name))
             a_names[i] = tuple(entries[1:-1])
     except KeyError as exc:
         raise ValueError("missing seed file field %s" % exc) from exc

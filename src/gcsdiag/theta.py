@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ring import CoeffPoly, TruncatedLaurent
+from .ring import CoeffPoly, TruncatedLaurent, _vadd, _vsub
 from .scatter import (
     ScatteringDiagram,
     _cross,
@@ -23,16 +23,13 @@ from .scatter import (
     initial_diagram,
     path_between,
     path_ordered_product,
+    tk_shear,
 )
-from .seed import mutate_seed, mutate_word
+from .seed import mutate_seed, mutate_word, mutation_walk
 
 
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+class EndpointNotGeneric(ValueError):
+    """The final segment of a candidate broken line runs through the origin."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +132,11 @@ def _bend_factor(wall, m_prev, j, _pcache=None):
 
 
 def enumerate_broken_lines(diag, m0, Q, order=None):
-    """All broken lines with initial exponent m0 and endpoint Q."""
+    """All broken lines with initial exponent m0 and endpoint Q.
+
+    Q must be generic: off the support, and off every line through the
+    origin that a final segment could run along; else ValueError.
+    """
     if diag.dim != 2:
         raise ValueError("broken lines need plane exponents")
     order = diag.order if order is None else order
@@ -151,6 +152,10 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
 
     def dfs(point, m_cur, chain):
         if _segment_hits_origin(point, m_cur):
+            if not chain:
+                raise EndpointNotGeneric(
+                    "endpoint is not generic: a final segment with exponent %r "
+                    "runs through the origin; perturb it" % (m_cur,))
             return
         if m_cur == m0:
             results.append(chain)
@@ -276,37 +281,23 @@ def theta_via_path(diag, Q, m0, order=None, depth=8):
 
 def theta_Tk_transport(diag, k, Q, m0, order=None):
     """T_{k,+/-} transport of theta, checked against the mutated diagram."""
-    from .scatter import _v_rows
-
     order = diag.order if order is None else order
     fixed = diag.fixed
-    rk = fixed.r[k]
-    kk = diag.proj.index(k)
-    vk = _v_rows(fixed, diag.seed)[k]
-
-    def t_plus(m):
-        return tuple(x + rk * m[kk] * y for x, y in zip(m, vk))
-
+    kk, shear = tk_shear(fixed, diag.seed, k)
     Q = tuple(Fraction(x) for x in Q)
     m0 = tuple(int(x) for x in m0)
     th = theta(diag, Q, m0, order)
 
-    plus_side = Q[kk] >= 0
+    s = 1 if Q[kk] >= 0 else 0
     mapped = {}
     for expo, poly in th.value.terms.items():
-        key = t_plus(expo) if plus_side else expo
+        key = shear(expo, s)
         mapped[key] = mapped.get(key, CoeffPoly.zero()) + poly
 
     seed2 = mutate_seed(fixed, diag.seed, k)
     diag2 = complete_rank2(initial_diagram(fixed, seed2, order))
-    Q2 = tuple(q + rk * Q[kk] * v for q, v in zip(Q, vk)) if plus_side else Q
-    m02 = t_plus(m0) if m0[kk] >= 0 else m0
-    th2 = theta(diag2, Q2, m02, order)
-
-    def t_inv(m):
-        # v_k has zero k-th coordinate, so the plus branch is an involution
-        # up to sign and inverts by subtracting the same multiple
-        return tuple(x - rk * m[kk] * y for x, y in zip(m, vk)) if plus_side else m
+    m02 = shear(m0) if m0[kk] >= 0 else m0
+    th2 = theta(diag2, shear(Q, s), m02, order)
 
     def keep(expo):
         # drop exponents that overflow the truncation in either grading;
@@ -314,7 +305,7 @@ def theta_Tk_transport(diag, k, Q, m0, order=None):
         rel2 = diag2.grading.coefficients(_vsub(expo, m02))
         if rel2 is not None and all(c >= 0 for c in rel2) and sum(rel2) > order:
             return False
-        rel1 = diag.grading.coefficients(_vsub(t_inv(expo), m0))
+        rel1 = diag.grading.coefficients(_vsub(shear(expo, -s), m0))
         if rel1 is not None and all(c >= 0 for c in rel1) and sum(rel1) > order:
             return False
         return True
@@ -335,25 +326,10 @@ def g_vector(fixed, seed, word, i):
     return mutate_word(fixed, seed, word).f_vectors[i]
 
 
-def _words(unfrozen, depth):
-    out = [()]
-    frontier = [()]
-    for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            for k in unfrozen:
-                if w and w[-1] == k:
-                    continue
-                nxt.append(w + (k,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def sign_coherence_check(fixed, seed, depth):
     """Each coordinate of the g-vectors of a seed has a weak common sign."""
-    for word in _words(fixed.unfrozen, depth):
-        G = mutate_word(fixed, seed, word).f_vectors
+    for word, sd in mutation_walk(fixed, seed, depth):
+        G = sd.f_vectors
         for c in range(fixed.n):
             col = [G[i][c] for i in range(fixed.n)]
             if any(x > 0 for x in col) and any(x < 0 for x in col):

@@ -1,14 +1,17 @@
 import os
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 import gcsdiag.cli as cli
+from gcsdiag import canonical_string, complete_rank2, initial_diagram, theta_via_path
 
 SEED_DIR = os.path.join(os.path.dirname(__file__), "..", "seeds")
 G31 = os.path.join(SEED_DIR, "g31.seed")
 A2 = os.path.join(SEED_DIR, "a2.seed")
+KRONECKER = os.path.join(SEED_DIR, "kronecker22.seed")
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -99,6 +102,15 @@ def test_complete_cache_keys_distinguish_order(runner, cache_env):
     assert len(os.listdir(cache_env)) == 2
 
 
+def test_cache_key_covers_the_code(cache_env, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_code_digest", lambda: "older code")
+        assert cli._cached_text(["k"], lambda: "stale\n", False, None) == "stale\n"
+    assert cli._cached_text(["k"], lambda: "fresh\n", False, None) == "fresh\n"
+    assert cli._cached_text(["k"], lambda: "unused\n", False, None) == "fresh\n"
+    assert len(os.listdir(cache_env)) == 2
+
+
 # ---------------------------------------------------------------------------
 # theta
 
@@ -120,6 +132,26 @@ def test_theta_perturbs_endpoint_on_support(runner):
     assert res.output.startswith(
         "note: endpoint perturbed off the support to (98/97,1/9409)\n")
     assert "value: z^(-1,-1) + a*z^(-1,0) + a*z^(-1,1) + z^(-1,2) + z^(0,-1)\n" in res.output
+
+
+def test_theta_perturbs_non_generic_endpoint(runner, g31):
+    res = runner.invoke(cli.main, ["theta", G31, "--order", "6",
+                                   "--m0", "2,-3", "--q", "1,2", "--no-cache"])
+    assert res.exit_code == 0
+    q = (Fraction(98, 97), Fraction(18819, 9409))
+    assert res.output.startswith(
+        "note: endpoint perturbed to a generic point (98/97,18819/9409)\n")
+    fixed, seed = g31
+    diag = complete_rank2(initial_diagram(fixed, seed, 6))
+    expected = canonical_string(theta_via_path(diag, q, (2, -3)))
+    assert "\nvalue: %s\n" % expected in res.output
+
+
+@pytest.mark.parametrize("m0", ["1/2,0", "1,0,0"])
+def test_theta_bad_m0_exit_2(runner, m0):
+    res = runner.invoke(cli.main, ["theta", G31, "--m0", m0, "--q", "3/2,1", "--no-cache"])
+    assert res.exit_code == 2
+    assert "--m0 must be 2 integers" in res.output
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +209,9 @@ def test_plot_rejects_garbage(runner, tmp_path):
 # check
 
 
-def test_check_g31_passes(runner):
-    res = runner.invoke(cli.main, ["check", G31, "--order", "5", "--depth", "3"])
+@pytest.mark.parametrize("order", ["5", "2"])
+def test_check_g31_passes(runner, order):
+    res = runner.invoke(cli.main, ["check", G31, "--order", order, "--depth", "3"])
     assert res.exit_code == 0
     assert res.output == (
         "consistency: pass\n"
@@ -186,6 +219,12 @@ def test_check_g31_passes(runner):
         "mutation-equivalence k=2: pass\n"
         "sign-coherence depth=3: pass\n"
         "laurent: pass\n")
+
+
+def test_check_kronecker22_order2_passes(runner):
+    res = runner.invoke(cli.main, ["check", KRONECKER, "--order", "2", "--depth", "3"])
+    assert res.exit_code == 0
+    assert all(line.endswith(": pass") for line in res.output.splitlines())
 
 
 def test_check_a2_passes(runner):
@@ -229,9 +268,10 @@ def test_missing_seed_file_exit_2(runner):
 
 def test_malformed_seed_file_exit_2(runner, tmp_path):
     bad = tmp_path / "bad.seed"
-    bad.write_text("rank 2\nunfrozen 1 2\nd 1 1\nr 3 1\nB 0 1 -1 0\na.1 1 a 1\na.2 1 1\n")
-    res = runner.invoke(cli.main, ["mutate", str(bad)])
-    assert res.exit_code == 2
+    for a1 in ("1 a 1", "1 2 2 1", "1 1/2 1/2 1"):
+        bad.write_text("rank 2\nunfrozen 1 2\nd 1 1\nr 3 1\nB 0 1 -1 0\na.1 %s\na.2 1 1\n" % a1)
+        res = runner.invoke(cli.main, ["mutate", str(bad)])
+        assert res.exit_code == 2, a1
 
 
 def test_bad_word_exit_2(runner):

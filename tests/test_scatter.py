@@ -25,7 +25,7 @@ from gcsdiag import (
     wall_cross,
 )
 from gcsdiag.ring import CoeffPoly
-from gcsdiag.scatter import _perp_normal
+from gcsdiag.scatter import _perp_normal, tk_order_boost
 
 
 def wall_rows(diag):
@@ -269,6 +269,11 @@ def test_apply_Tk_matches_mutated_completion(g31, g31_diag8):
     fixed, seed = g31
     mu2 = complete_rank2(initial_diagram(fixed, mutate_seed(fixed, seed, 1), 8))
     assert equivalence_check(apply_Tk(g31_diag8, 1), mu2)
+
+
+def test_tk_order_boost_from_gradings(g31, a2, kronecker):
+    for (fixed, seed), boosts in ((a2, (2, 2)), (g31, (4, 2)), (kronecker, (3, 3))):
+        assert tuple(tk_order_boost(fixed, seed, k) for k in fixed.unfrozen) == boosts
 
 
 def test_apply_Tk_frozen_rejected(g31_diag8):

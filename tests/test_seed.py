@@ -273,6 +273,7 @@ def test_seed_file_round_trip_byte_stable():
 
 
 def test_seed_file_rejects_bad_tuple():
-    bad = "rank 2\nunfrozen 1 2\nd 1 1\nr 3 1\nB 0 1 -1 0\na.1 1 a 1\na.2 1 1\n"
-    with pytest.raises(ValueError):
-        parse_seed_file(bad)
+    for a1 in ("1 a 1", "1 2 2 1", "1 1/2 1/2 1"):
+        bad = "rank 2\nunfrozen 1 2\nd 1 1\nr 3 1\nB 0 1 -1 0\na.1 %s\na.2 1 1\n" % a1
+        with pytest.raises(ValueError):
+            parse_seed_file(bad)

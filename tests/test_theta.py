@@ -59,6 +59,17 @@ def test_broken_line_rejects_support_endpoint(g31_diag8):
         enumerate_broken_lines(g31_diag8, (0, 0), FIG2_Q)
 
 
+def test_broken_lines_reject_non_generic_endpoint(g31_diag8):
+    # Q = (1,2) is off the support, but a final segment of exponent
+    # (-1,-2) ending at Q would run back through the origin
+    with pytest.raises(ValueError, match="not generic"):
+        theta(g31_diag8, (1, 2), (2, -3))
+    q = generic_near(g31_diag8, (1, 2))
+    value = theta(g31_diag8, q, (2, -3)).value
+    assert value == theta_via_path(g31_diag8, q, (2, -3))
+    assert "a*z^(-1,-2)" in canonical_string(value)
+
+
 # ---------------------------------------------------------------------------
 # theta functions
 
