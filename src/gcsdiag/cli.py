@@ -138,6 +138,8 @@ def _emit(text, out):
 
 
 def _build_diagram(fixed, seed, order, variant):
+    if order < 1:
+        raise CliError("order must be >= 1", 3)
     try:
         if variant == "A":
             return complete_rank2(initial_diagram(fixed, seed, order))
@@ -195,8 +197,6 @@ def mutate(seed_file, word, out):
 def complete(seed_file, order, variant, out, no_cache):
     """Complete the scattering diagram and dump its walls."""
     text, fixed, seed = _load_seed(seed_file)
-    if order < 1:
-        raise CliError("order must be >= 1", 3)
 
     def produce():
         return dump_diagram(_build_diagram(fixed, seed, order, variant), variant)
@@ -219,6 +219,8 @@ def theta_cmd(seed_file, order, m0, q, out, no_cache):
         raise CliError("--m0 must be %d integers, got %r" % (fixed.n, m0), 2)
     m0v = tuple(int(x) for x in m0v)
     qv = _parse_vec(q, "Q")
+    if len(qv) != 2:
+        raise CliError("--q must be 2 rationals, got %r" % (q,), 2)
 
     def produce():
         diag = _build_diagram(fixed, seed, order, "A")
@@ -363,6 +365,8 @@ def plot(input_file, out):
 def check(seed_file, order, depth, out):
     """Run consistency, mutation-equivalence, sign-coherence and Laurent checks."""
     _, fixed, seed = _load_seed(seed_file)
+    if depth < 0:
+        raise CliError("depth must be >= 0", 3)
     lines = []
     failed = False
 
@@ -379,7 +383,6 @@ def check(seed_file, order, depth, out):
             d2 = complete_rank2(initial_diagram(fixed, mutate_seed(fixed, seed, k), order))
             ok = equivalence_check(dk, d2)
         except (ValueError, RuntimeError) as exc:
-            ok = False
             lines.append("mutation-equivalence k=%d: FAIL (%s)" % (k + 1, exc))
             failed = True
             continue

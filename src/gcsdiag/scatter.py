@@ -66,6 +66,9 @@ def _ang_cmp(a, b):
     return 0
 
 
+_by_angle = cmp_to_key(_ang_cmp)
+
+
 def _parallel(a, b):
     return _cross(a, b) == 0 and _dot(a, b) > 0
 
@@ -121,18 +124,40 @@ def _is_pos_multiple(expo, base):
     return len(ks) == 1 and ks.pop() > 0
 
 
+def _rays(wall):
+    """A wall's support as rays from the origin: a line is two opposite rays."""
+    d = wall.direction
+    return (d, (-d[0], -d[1])) if wall.kind == "line" else (d,)
+
+
+def _crossing_sign(normal, p):
+    """Sign of the crossing of a wall on the ray p by a ccw loop."""
+    s = _dot(normal, _rot90(p))
+    if s == 0:
+        raise ValueError("wall normal parallel to its own support")
+    return -1 if s > 0 else 1
+
+
 class ScatteringDiagram:
-    """A finite wall collection with diagram-wide truncation order."""
+    """A finite wall collection with diagram-wide truncation order.
+
+    It owns the geometry: walls stably sorted by angle, the (direction, wall,
+    sign) crossing events of a ccw loop and the distinct primitive directions.
+    """
 
     def __init__(self, fixed, seed, order, grading, walls, proj, kind="A"):
         self.fixed = fixed
         self.seed = seed
         self.order = order
         self.grading = grading
-        self.walls = list(walls)
+        self.walls = sorted(walls, key=lambda w: _by_angle(w.direction))
         self.proj = tuple(proj)
         self.kind = kind
         self.dim = grading.dim
+        self.events = sorted(((p, w, _crossing_sign(w.normal, p))
+                              for w in self.walls for p in _rays(w)),
+                             key=lambda e: _by_angle(e[0]))
+        self.directions = sorted({_prim(p) for p, _, _ in self.events}, key=_by_angle)
 
     def project(self, expo):
         return tuple(expo[i] for i in self.proj)
@@ -145,28 +170,11 @@ class ScatteringDiagram:
         return out
 
     def support_directions(self):
-        dirs = []
-        for w in self.walls:
-            if w.kind == "line":
-                dirs.append(w.direction)
-                dirs.append((-w.direction[0], -w.direction[1]))
-            else:
-                dirs.append(w.direction)
-        uniq = []
-        for d in dirs:
-            if not any(_parallel(d, u) for u in uniq):
-                uniq.append(_prim(d))
-        return sorted(uniq, key=cmp_to_key(_ang_cmp))
+        return list(self.directions)
 
     def on_support(self, point):
         """Exact test whether a rational plane point lies on some wall."""
-        for w in self.walls:
-            c = _cross(w.direction, point)
-            if c != 0:
-                continue
-            if w.kind == "line" or (point[0] * w.direction[0] + point[1] * w.direction[1]) >= 0:
-                return True
-        return False
+        return any(_cross(d, point) == 0 and _dot(d, point) >= 0 for d in self.directions)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +204,7 @@ def _seed_grading(fixed, seed):
 
 def initial_diagram(fixed, seed, order, kind="A"):
     """Incoming walls (e_i^perp, 1 + a_{i,1} z^{v_i} + ... + z^{r_i v_i})."""
-    uf = fixed.unfrozen
+    uf = tuple(sorted(fixed.unfrozen))
     if len(uf) != 2:
         raise ValueError("rank-2 diagrams need exactly two unfrozen directions")
     vs = _v_rows(fixed, seed)
@@ -260,24 +268,6 @@ def path_ordered_product(diag, path, series):
     return series
 
 
-def _events_ccw(walls):
-    """All crossing events of a ccw loop, as (direction, wall, sign)."""
-    events = []
-    for w in walls:
-        dirs = [w.direction]
-        if w.kind == "line":
-            dirs.append((-w.direction[0], -w.direction[1]))
-        for p in dirs:
-            gp = _rot90(p)
-            s = _dot(w.normal, gp)
-            sign = -1 if s > 0 else (1 if s < 0 else 0)
-            if sign == 0:
-                raise ValueError("wall normal parallel to its own support")
-            events.append((p, w, sign))
-    events.sort(key=cmp_to_key(lambda a, b: _ang_cmp(a[0], b[0])))
-    return events
-
-
 def _strictly_between_ccw(ref, p, end):
     """True if direction p lies strictly inside the ccw arc ref -> end."""
     c = _ang_cmp(ref, end)
@@ -290,52 +280,40 @@ def _strictly_between_ccw(ref, p, end):
     return False
 
 
-def _pick_ref_direction(diag):
-    """A direction off every wall (and off the outgoing cone when possible)."""
-    vs = [diag.project(tuple(g)) for g in diag.grading.generators]
-    candidates = []
-    for q in range(1, 12):
-        for p in range(1, 12):
-            if math.gcd(p, q) == 1:
-                candidates.append((p, q))
-                candidates.append((-p, q))
-                candidates.append((p, -q))
-                candidates.append((-p, -q))
-    dirs = diag.support_directions()
-    for cand in candidates:
-        if any(_cross(cand, d) == 0 for d in dirs):
-            continue
-        # avoid the cone of future outgoing rays -cone(v1, v2)
-        neg = (-cand[0], -cand[1])
-        s1, s2 = _cross(vs[0], neg), _cross(neg, vs[1])
-        orient = _cross(vs[0], vs[1])
-        inside = (orient > 0 and s1 >= 0 and s2 >= 0) or (orient < 0 and s1 <= 0 and s2 <= 0)
-        if not inside:
-            return cand
-    raise RuntimeError("no generic reference direction found")
+def _events_after(diag, start_dir):
+    """The diagram's events rotated to begin at the first direction ccw after start_dir."""
+    events = diag.events
+    i = 0
+    while i < len(events) and _ang_cmp(events[i][0], start_dir) <= 0:
+        i += 1
+    return events[i:] + events[:i]
 
 
-def loop_product(diag, series, ref=None):
-    """Full ccw loop around the origin starting just after ref."""
-    ref = ref or _pick_ref_direction(diag)
-    events = _events_ccw(diag.walls)
-    start = 0
-    while start < len(events) and _ang_cmp(events[start][0], ref) <= 0:
-        start += 1
-    ordered = events[start:] + events[:start]
-    for p, wall, sign in ordered:
+def _chamber_reps(dirs):
+    """One direction strictly inside each chamber between consecutive sorted directions."""
+    reps = []
+    for i, a in enumerate(dirs):
+        b = dirs[(i + 1) % len(dirs)]
+        mid = (a[0] + b[0], a[1] + b[1])
+        reps.append(_prim(mid if mid != (0, 0) else _rot90(a)))
+    return reps
+
+
+def loop_product(diag, series):
+    """Full ccw loop around the origin, based in the chamber after the first direction.
+
+    Moving the base point conjugates the loop by a path-ordered product that
+    is the identity in degree 0, so every chamber gives the same lowest defect.
+    """
+    events = _events_after(diag, diag.directions[0]) if diag.directions else ()
+    for _, wall, sign in events:
         series = wall_cross(wall, sign, series, diag.proj)
     return series
 
 
 def path_between(diag, start_dir, end_dir):
     """Crossing path along the ccw arc from start_dir to end_dir."""
-    events = _events_ccw(diag.walls)
-    start = 0
-    while start < len(events) and _ang_cmp(events[start][0], start_dir) <= 0:
-        start += 1
-    ordered = events[start:] + events[:start]
-    return [(w, s) for p, w, s in ordered
+    return [(w, s) for p, w, s in _events_after(diag, start_dir)
             if _strictly_between_ccw(start_dir, p, end_dir)]
 
 
@@ -343,36 +321,35 @@ def path_between(diag, start_dir, end_dir):
 # consistency and completion
 
 
-def _loop_defects(diag, ref=None):
-    """Per basis monomial, the nonzero defect terms of the loop product."""
-    out = []
-    for m in diag.basis_exponents():
-        s = TruncatedLaurent.monomial(diag.grading, diag.order, m)
-        res = loop_product(diag, s, ref)
-        defect = {}
+def _lowest_defects(diag):
+    """The least-degree terms of loop(z^m) - z^m over the basis monomials z^m.
+
+    Returns (degree, [(u, basis index, coefficient of z^{m+u})]), or (None, []).
+    """
+    low, terms = None, []
+    for bi, m in enumerate(diag.basis_exponents()):
+        res = loop_product(diag, TruncatedLaurent.monomial(diag.grading, diag.order, m))
         for expo, poly in res.terms.items():
             if expo == m:
                 poly = poly - CoeffPoly.one()
-            if poly:
-                defect[tuple(x - y for x, y in zip(expo, m))] = poly
-        out.append((m, defect))
-    return out
+            if not poly:
+                continue
+            u = tuple(x - y for x, y in zip(expo, m))
+            deg = diag.grading.degree(u)
+            if low is None or deg < low:
+                low, terms = deg, []
+            if deg == low:
+                terms.append((u, bi, poly))
+    return low, terms
 
 
-def check_consistency(diag, order=None):
+def check_consistency(diag):
     """(True, None) if every loop acts as the identity, else (False, monomial)."""
-    d = diag if order is None else _reorder(diag, order)
-    defects = _loop_defects(d)
-    worst = None
-    for bi, (m, defect) in enumerate(defects):
-        for u, poly in defect.items():
-            deg = d.grading.degree(u)
-            key = (deg, bi, u)
-            if worst is None or key < worst[0]:
-                worst = (key, tuple(x + y for x, y in zip(m, u)))
-    if worst is None:
+    _, terms = _lowest_defects(diag)
+    if not terms:
         return True, None
-    return False, worst[1]
+    u, bi, _ = min(terms, key=lambda t: (t[1], t[0]))
+    return False, tuple(x + y for x, y in zip(diag.basis_exponents()[bi], u))
 
 
 def _reorder(diag, order):
@@ -385,38 +362,27 @@ def _reorder(diag, order):
                              walls, diag.proj, diag.kind)
 
 
-def complete_rank2(diag, order=None):
+def complete_rank2(diag):
     """Order-by-order consistency completion; adds only outgoing walls."""
-    order = diag.order if order is None else order
-    work = _reorder(diag, order)
     rays = {}  # plane direction -> mutable [terms dict]
     last_deg = Fraction(-1)
     while True:
-        cur = _assemble(work, rays)
-        defects = _loop_defects(cur)
-        flat = []
-        for bi, (m, defect) in enumerate(defects):
-            for u, poly in defect.items():
-                flat.append((cur.grading.degree(u), u, bi, poly))
-        if not flat:
-            return _assemble(work, rays, final=True)
-        dmin = min(f[0] for f in flat)
+        cur = _assemble(diag, rays)
+        dmin, defects = _lowest_defects(cur)
+        if not defects:
+            return cur
         if dmin <= last_deg:
             raise RuntimeError("completion failed to make progress at degree %s" % (dmin,))
         last_deg = dmin
         by_u = {}
-        for deg, u, bi, poly in flat:
-            if deg == dmin:
-                by_u.setdefault(u, {})[bi] = poly
+        for u, bi, poly in defects:
+            by_u.setdefault(u, {})[bi] = poly
         basis = cur.basis_exponents()
         for u, per_basis in by_u.items():
             mdir = _prim(cur.project(u))
             normal = _perp_normal(mdir)
             ray_dir = (-mdir[0], -mdir[1])
-            gq = _rot90(ray_dir)
-            sgn = _dot(normal, gq)
-            eps_w = -1 if sgn > 0 else 1
-            solved = False
+            eps_w = _crossing_sign(normal, ray_dir)
             for bi, poly in per_basis.items():
                 pairv = _dot(normal, cur.project(basis[bi]))
                 if pairv == 0:
@@ -424,32 +390,29 @@ def complete_rank2(diag, order=None):
                 coeff = poly.scale(Fraction(-1, eps_w * pairv))
                 bucket = rays.setdefault(ray_dir, {})
                 bucket[u] = bucket.get(u, CoeffPoly.zero()) + coeff
-                solved = True
                 break
-            if not solved:
+            else:
                 raise RuntimeError("defect %r cannot be cancelled by any wall" % (u,))
 
 
-def _assemble(work, rays, final=False):
-    walls = list(work.walls)
-    ray_walls = []
+def _assemble(diag, rays):
+    """diag plus one outgoing wall per ray of rays with a nonzero term."""
+    walls = list(diag.walls)
     for ray_dir, terms in rays.items():
         terms = {u: p for u, p in terms.items() if p}
         if not terms:
             continue
-        base = _prim(min(terms, key=lambda u: work.grading.degree(u)))
-        fn = TruncatedLaurent.unit_from_terms(work.grading, work.order, terms)
-        ray_walls.append(Wall(
+        base = _prim(min(terms, key=diag.grading.degree))
+        walls.append(Wall(
             kind="ray",
             direction=ray_dir,
-            normal=_perp_normal(_prim(work.project(base))),
+            normal=_perp_normal(_prim(diag.project(base))),
             base=base,
-            function=fn,
+            function=TruncatedLaurent.unit_from_terms(diag.grading, diag.order, terms),
             incoming=False,
         ))
-    ray_walls.sort(key=cmp_to_key(lambda a, b: _ang_cmp(a.direction, b.direction)))
-    return ScatteringDiagram(work.fixed, work.seed, work.order, work.grading,
-                             walls + ray_walls, work.proj, work.kind)
+    return ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
+                             walls, diag.proj, diag.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +420,19 @@ def _assemble(work, rays, final=False):
 
 
 def tk_shear(fixed, seed, k):
-    """(kk, shear): the plane coordinate of direction k and the linear part of T_k.
+    """The linear part of T_k: shear(m, s) = m + s * r_k * m[k] * v_k.
 
-    shear(m, s) = m + s * r_k * m[kk] * v_k.  T_k applies it with s = 1 on
-    the half-plane m[kk] > 0 and is the identity elsewhere; v_k[kk] = 0, so
-    s = -1 inverts it.
+    T_k applies it with s = 1 on the half-plane m[k] > 0 and is the identity
+    elsewhere; v_k[k] = 0, so s = -1 inverts it.  m is a lattice exponent,
+    or a plane point where the plane is the lattice (rank 2, no frozen).
     """
-    kk = fixed.unfrozen.index(k)
     rk = fixed.r[k]
     vk = _v_rows(fixed, seed)[k]
 
     def shear(m, s=1):
-        return tuple(x + s * rk * m[kk] * y for x, y in zip(m, vk))
+        return tuple(x + s * rk * m[k] * y for x, y in zip(m, vk))
 
-    return kk, shear
+    return shear
 
 
 def tk_order_boost(fixed, seed, k):
@@ -484,7 +446,7 @@ def tk_order_boost(fixed, seed, k):
     """
     g1 = _seed_grading(fixed, seed)
     g2 = _seed_grading(fixed, mutate_seed(fixed, seed, k))
-    _, shear = tk_shear(fixed, seed, k)
+    shear = tk_shear(fixed, seed, k)
     boost = 1
     for s in (0, 1):
         for e in g1.generators + tuple(shear(v, -s) for v in g2.generators):
@@ -500,7 +462,7 @@ def _merge_walls(pieces, grading, order, proj):
     """Walls from (kind, direction, terms) pieces; pieces on one support multiply.
 
     A wall's base is its lowest-degree exponent made primitive; supports
-    whose product is 1 get no wall.  Walls come back in angular order.
+    whose product is 1 get no wall.
     """
     merged = {}
     for kind, direction, terms in pieces:
@@ -516,7 +478,6 @@ def _merge_walls(pieces, grading, order, proj):
         pb = _prim(tuple(base[i] for i in proj))
         incoming = kind == "line" or _parallel(pb, direction)
         walls.append(Wall(kind, direction, _perp_normal(pb), base, fn, incoming))
-    walls.sort(key=cmp_to_key(lambda a, b: _ang_cmp(a.direction, b.direction)))
     return walls
 
 
@@ -531,22 +492,19 @@ def apply_Tk(diag, k):
     if diag.dim != 2:
         raise ValueError("apply_Tk requires plane exponents")
     seed2 = mutate_seed(fixed, diag.seed, k)
-    kk, shear = tk_shear(fixed, diag.seed, k)
+    shear = tk_shear(fixed, diag.seed, k)
     vk = _v_rows(fixed, diag.seed)[k]
     grading2 = _seed_grading(fixed, seed2)
     pieces = []
     for w in diag.walls:
-        if w.kind == "line" and w.normal == tuple(1 if j == kk else 0 for j in range(2)):
+        if w.kind == "line" and w.normal == tuple(1 if j == k else 0 for j in range(2)):
             # the k-wall: function replaced by the mutated exchange polynomial
             terms = {tuple(-s * x for x in vk): diag.seed.a_tuples[k][s]
                      for s in range(1, fixed.r[k] + 1)}
             pieces.append(("line", w.direction, terms))
             continue
-        dirs = [w.direction]
-        if w.kind == "line":
-            dirs.append((-w.direction[0], -w.direction[1]))
-        for pdir in dirs:
-            s = 1 if pdir[kk] > 0 else 0  # H_{k,+}: map geometry and exponents
+        for pdir in _rays(w):
+            s = 1 if pdir[k] > 0 else 0  # H_{k,+}: map geometry and exponents
             terms = {shear(e, s): p for e, p in w.function.terms.items() if any(e)}
             pieces.append(("ray", _prim(shear(pdir, s)), terms))
     walls = _merge_walls(pieces, grading2, diag.order, diag.proj)
@@ -557,26 +515,13 @@ def apply_Tk(diag, k):
 # equivalence and chambers
 
 
-def equivalence_check(d1, d2, order=None):
+def equivalence_check(d1, d2):
     """Path products between matching chamber points agree on basis monomials."""
-    if order is not None:
-        d1, d2 = _reorder(d1, order), _reorder(d2, order)
-    dirs = []
-    for d in d1.support_directions() + d2.support_directions():
-        if not any(_cross(d, u) == 0 and _dot(d, u) > 0 for u in dirs):
-            dirs.append(d)
-    dirs.sort(key=cmp_to_key(_ang_cmp))
+    dirs = sorted(set(d1.directions) | set(d2.directions), key=_by_angle)
     if len(dirs) < 2:
         raise ValueError("too few support directions for a chamber decomposition")
-    reps = []
-    for i, a in enumerate(dirs):
-        b = dirs[(i + 1) % len(dirs)]
-        mid = (a[0] + b[0], a[1] + b[1])
-        if mid == (0, 0):
-            mid = _rot90(a)
-        reps.append(_prim(mid))
-    ref = reps[0]
-    for target in reps[1:]:
+    ref, *targets = _chamber_reps(dirs)
+    for target in targets:
         for m in d1.basis_exponents():
             s1 = TruncatedLaurent.monomial(d1.grading, d1.order, m)
             s2 = TruncatedLaurent.monomial(d2.grading, d2.order, m)
@@ -642,7 +587,6 @@ def slice_to_X(prin_diag):
         fn = TruncatedLaurent.unit_from_terms(grading, prin_diag.order, terms)
         incoming = w.kind == "line" or _parallel(base, direction)
         walls.append(Wall(w.kind, direction, nx, base, fn, incoming))
-    walls.sort(key=cmp_to_key(lambda a, b: _ang_cmp(a.direction, b.direction)))
     return ScatteringDiagram(prin_diag.fixed, prin_diag.seed, prin_diag.order,
                              grading, walls, tuple(range(2)), kind="X")
 
@@ -667,8 +611,7 @@ def dump_diagram(diag, variant="A"):
     lines = ["order %d" % diag.order, "variant %s" % variant]
     lines.append(serialize_seed_file(diag.fixed, diag.seed).rstrip("\n"))
     lines.append("walls:")
-    walls = sorted(diag.walls, key=cmp_to_key(lambda a, b: _ang_cmp(a.direction, b.direction)))
-    for w in walls:
+    for w in diag.walls:
         lines.append("%s direction=(%d,%d) normal=(%s) f=%s" % (
             w.kind, w.direction[0], w.direction[1],
             ",".join(str(x) for x in w.normal),

@@ -17,6 +17,7 @@ from .scatter import (
     _cross,
     _dot,
     _prim,
+    _rays,
     chambers,
     cone_contains,
     complete_rank2,
@@ -95,23 +96,20 @@ def _segment_hits_origin(point, mdir):
 
 
 def _crossings(diag, point, mdir):
-    """Wall crossings of the backward ray {point + t*mdir : t > 0}."""
+    """Wall crossings of the backward ray {point + t*mdir : t > 0}.
+
+    It meets the ray s at point + t*mdir = lam*s, lam > 0 (the origin is singular).
+    """
     out = []
+    c = _cross(point, mdir)
     for w in diag.walls:
-        s = w.direction
-        den = _cross(s, mdir)
-        if den == 0:
-            continue
-        t = Fraction(_cross(point, s), den)
-        lam = Fraction(_cross(point, mdir), den)
-        if t <= 0:
-            continue
-        if lam == 0:  # the origin is singular
-            continue
-        if w.kind == "ray" and lam < 0:
-            continue
-        p = (point[0] + t * mdir[0], point[1] + t * mdir[1])
-        out.append((w, p))
+        for s in _rays(w):
+            den = _cross(s, mdir)
+            if den == 0 or Fraction(c, den) <= 0:  # parallel, or lam = c/den <= 0
+                continue
+            t = Fraction(_cross(point, s), den)
+            if t > 0:
+                out.append((w, (point[0] + t * mdir[0], point[1] + t * mdir[1])))
     return out
 
 
@@ -283,12 +281,12 @@ def theta_Tk_transport(diag, k, Q, m0, order=None):
     """T_{k,+/-} transport of theta, checked against the mutated diagram."""
     order = diag.order if order is None else order
     fixed = diag.fixed
-    kk, shear = tk_shear(fixed, diag.seed, k)
+    shear = tk_shear(fixed, diag.seed, k)
     Q = tuple(Fraction(x) for x in Q)
     m0 = tuple(int(x) for x in m0)
     th = theta(diag, Q, m0, order)
 
-    s = 1 if Q[kk] >= 0 else 0
+    s = 1 if Q[k] >= 0 else 0
     mapped = {}
     for expo, poly in th.value.terms.items():
         key = shear(expo, s)
@@ -296,7 +294,7 @@ def theta_Tk_transport(diag, k, Q, m0, order=None):
 
     seed2 = mutate_seed(fixed, diag.seed, k)
     diag2 = complete_rank2(initial_diagram(fixed, seed2, order))
-    m02 = shear(m0) if m0[kk] >= 0 else m0
+    m02 = shear(m0) if m0[k] >= 0 else m0
     th2 = theta(diag2, shear(Q, s), m02, order)
 
     def keep(expo):

@@ -233,6 +233,26 @@ def test_check_a2_passes(runner):
     assert "FAIL" not in res.output
 
 
+@pytest.mark.parametrize("seed_file", [G31, KRONECKER], ids=["g31", "kronecker22"])
+def test_unfrozen_order_does_not_change_the_diagram(runner, tmp_path, seed_file):
+    with open(seed_file, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    swapped = tmp_path / "swapped.seed"
+    swapped.write_text(text.replace("unfrozen 1 2", "unfrozen 2 1"))
+    outputs = []
+    for path in (seed_file, str(swapped)):
+        res = runner.invoke(cli.main, ["check", path, "--order", "2", "--depth", "1"])
+        assert res.exit_code == 0, res.output
+        outputs.append(sorted(res.output.splitlines()))
+    assert outputs[0] == outputs[1]
+    walls = []
+    for path in (seed_file, str(swapped)):
+        res = runner.invoke(cli.main, ["complete", path, "--order", "6", "--no-cache"])
+        assert res.exit_code == 0
+        walls.append(res.output.split("walls:\n", 1)[1])
+    assert walls[0] == walls[1]
+
+
 def test_check_reports_failure_with_exit_4(runner, monkeypatch):
     monkeypatch.setattr(cli, "check_consistency", lambda diag: (False, (0, 1)))
     res = runner.invoke(cli.main, ["check", G31, "--order", "4", "--depth", "2"])
@@ -284,12 +304,21 @@ def test_out_of_range_index_exit_3(runner):
     assert res.exit_code == 3
 
 
-def test_nonpositive_order_exit_3(runner):
-    res = runner.invoke(cli.main, ["complete", G31, "--order", "0", "--no-cache"])
-    assert res.exit_code == 3
+@pytest.mark.parametrize("args", [
+    ["complete", G31, "--order", "0", "--no-cache"],
+    ["theta", G31, "--order", "0", "--m0", "0,-1", "--q", "3/2,1", "--no-cache"],
+    ["theta", G31, "--order", "-2", "--m0", "0,-1", "--q", "3/2,1", "--no-cache"],
+    ["check", G31, "--order", "0"],
+    ["check", G31, "--order", "4", "--depth", "-1"],
+], ids=["complete-order0", "theta-order0", "theta-order-2", "check-order0", "check-depth-1"])
+def test_nonpositive_order_exit_3(runner, args):
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == 3, res.output
+    assert "must be >= " in res.output
 
 
-def test_bad_endpoint_exit_2(runner):
-    res = runner.invoke(cli.main, ["theta", G31, "--m0", "0,-1", "--q", "bad",
+@pytest.mark.parametrize("q", ["bad", "3/2,1,5", "3"])
+def test_bad_endpoint_exit_2(runner, q):
+    res = runner.invoke(cli.main, ["theta", G31, "--m0", "0,-1", "--q", q,
                                    "--no-cache"])
     assert res.exit_code == 2

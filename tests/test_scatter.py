@@ -25,7 +25,13 @@ from gcsdiag import (
     wall_cross,
 )
 from gcsdiag.ring import CoeffPoly
-from gcsdiag.scatter import _perp_normal, tk_order_boost
+from gcsdiag.scatter import (
+    _chamber_reps,
+    _events_after,
+    _lowest_defects,
+    _perp_normal,
+    tk_order_boost,
+)
 
 
 def wall_rows(diag):
@@ -338,19 +344,76 @@ def test_chambers_tile_without_overlap(g31_diag8):
 # the printed right-companion table is not consistent
 
 
-def test_right_companion_printed_variant_inconsistent(g31):
+def _right_companion_and_printed_variant(g31):
     fixed, seed = g31
     f2, s2 = right_companion(fixed, seed)
     rc = complete_rank2(initial_diagram(f2, s2, 8))
-    (w11,) = [w for w in rc.walls if w.direction == (1, -1)]
-    assert canonical_string(w11.function) == "1 + z^(-3,3)"
-    assert check_consistency(rc) == (True, None)
     walls = [w for w in rc.walls if w.direction != (1, -1)]
     fn = TruncatedLaurent.unit_from_terms(rc.grading, 8, {(-3, 2): CoeffPoly.one()})
     walls.append(Wall("ray", (3, -2), _perp_normal((-3, 2)), (-3, 2), fn, False))
-    variant = ScatteringDiagram(rc.fixed, rc.seed, 8, rc.grading, walls, rc.proj)
+    return rc, ScatteringDiagram(rc.fixed, rc.seed, 8, rc.grading, walls, rc.proj)
+
+
+def test_right_companion_printed_variant_inconsistent(g31):
+    rc, variant = _right_companion_and_printed_variant(g31)
+    (w11,) = [w for w in rc.walls if w.direction == (1, -1)]
+    assert canonical_string(w11.function) == "1 + z^(-3,3)"
+    assert check_consistency(rc) == (True, None)
     ok, first = check_consistency(variant)
     assert not ok and first == (-2, 2)
+
+
+# ---------------------------------------------------------------------------
+# the loop's base chamber
+
+
+def _defects_from(diag, start):
+    """(degree, {(basis index, u): poly}) of the lowest loop defect based at start."""
+    path = [(w, s) for _, w, s in _events_after(diag, start)]
+    low, found = None, {}
+    for bi, m in enumerate(diag.basis_exponents()):
+        image = path_ordered_product(
+            diag, path, TruncatedLaurent.monomial(diag.grading, diag.order, m))
+        for expo, poly in image.terms.items():
+            if expo == m:
+                poly = poly - CoeffPoly.one()
+            if not poly:
+                continue
+            u = tuple(x - y for x, y in zip(expo, m))
+            deg = diag.grading.degree(u)
+            if low is None or deg < low:
+                low, found = deg, {}
+            if deg == low:
+                found[bi, u] = poly
+    return low, found
+
+
+def _inconsistent_diagrams(fixed, seed):
+    """Initial diagrams (A and Aprin) and the order-6 completion less its last ray."""
+    yield initial_diagram(fixed, seed, 6)
+    yield initial_diagram_prin(fixed, seed, 6)
+    done = complete_rank2(initial_diagram(fixed, seed, 6))
+    walls = list(done.walls)
+    walls.remove([w for w in walls if w.kind == "ray"][-1])
+    yield ScatteringDiagram(done.fixed, done.seed, 6, done.grading, walls, done.proj)
+
+
+@pytest.mark.parametrize("name", ["a2", "g31", "kronecker"])
+def test_lowest_defect_does_not_depend_on_the_base_chamber(request, name):
+    # moving the base point conjugates the loop by a path-ordered product
+    # that is the identity in degree 0, so consistency checking and
+    # completion may start the loop in any chamber
+    diags = list(_inconsistent_diagrams(*request.getfixturevalue(name)))
+    if name == "g31":
+        diags.append(_right_companion_and_printed_variant(request.getfixturevalue(name))[1])
+    for diag in diags:
+        low, terms = _lowest_defects(diag)
+        assert terms
+        expected = (low, {(bi, u): poly for u, bi, poly in terms})
+        reps = _chamber_reps(diag.directions)
+        assert len(reps) == len(diag.directions) >= 4
+        for rep in reps:
+            assert _defects_from(diag, rep) == expected, rep
 
 
 # ---------------------------------------------------------------------------
