@@ -155,6 +155,8 @@ def _build_diagram(fixed, seed, order, variant):
             return complete_rank2(initial_diagram(f2, s2, order))
     except ValueError as exc:
         raise CliError(str(exc), 3)
+    except RuntimeError as exc:  # completion stalled: a verification failure
+        raise CliError(str(exc), 4)
     raise CliError("unknown variant %r" % variant, 2)
 
 
@@ -367,6 +369,9 @@ def check(seed_file, order, depth, out):
     _, fixed, seed = _load_seed(seed_file)
     if depth < 0:
         raise CliError("depth must be >= 0", 3)
+    if fixed.n != 2:
+        raise CliError("check needs a rank-2 seed without frozen directions: "
+                       "T_k needs plane exponents", 3)
     lines = []
     failed = False
 
@@ -375,11 +380,13 @@ def check(seed_file, order, depth, out):
     lines.append("consistency: %s" % ("pass" if ok else "FAIL at z^(%s)" % (",".join(map(str, mono)))))
     failed |= not ok
 
+    boosted = {1: diag}  # boost -> the diagram completed at order * boost
     for k in fixed.unfrozen:
         try:
             boost = tk_order_boost(fixed, seed, k)
-            src = diag if boost == 1 else _build_diagram(fixed, seed, order * boost, "A")
-            dk = _reorder(apply_Tk(src, k), order)
+            if boost not in boosted:
+                boosted[boost] = complete_rank2(initial_diagram(fixed, seed, order * boost))
+            dk = _reorder(apply_Tk(boosted[boost], k), order)
             d2 = complete_rank2(initial_diagram(fixed, mutate_seed(fixed, seed, k), order))
             ok = equivalence_check(dk, d2)
         except (ValueError, RuntimeError) as exc:

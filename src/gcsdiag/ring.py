@@ -8,6 +8,7 @@ so that equal values always have identical term maps.
 
 from __future__ import annotations
 
+import heapq
 import re
 from fractions import Fraction
 
@@ -462,31 +463,55 @@ class TruncatedLaurent:
 
     __rmul__ = __mul__
 
-    def _inverse(self):
-        if not self.is_unit():
-            raise ValueError("only unit series can be inverted")
+    def _unit_power(self, e):
+        """self ** e for a unit self and any integer e, in O(n^2) coefficient products.
+
+        The degree derivation E(z^u) = deg(u) z^u gives E(g) f = e E(f) g for
+        g = f^e.  In degree d, with f_k the homogeneous part of degree k and
+        g_0 = 1, this is J.C.P. Miller's recurrence (Knuth, TAOCP 4.7):
+        g_d = (1/d) sum_{k>0} ((e+1) k - d) f_k g_{d-k}.
+        """
         zero = self.offset
-        tail = {e: p for e, p in self.terms.items() if e != zero}
-        if not tail:
-            return self
-        mindeg = min(self.grading.degree(e) for e in tail)
-        g = TruncatedLaurent(self.grading, self.order, zero, tail)
-        result = TruncatedLaurent.one(self.grading, self.order)
-        power = TruncatedLaurent.one(self.grading, self.order)
-        k = 1
-        while k * mindeg <= self.order:
-            power = power * (-g)
-            if not power.terms:
-                break
-            result = result + power
-            k += 1
-        return result
+        f = {}  # degree k -> terms of f_k
+        for expo, poly in self.terms.items():
+            if expo != zero:
+                f.setdefault(self.grading.degree(expo), []).append((expo, poly))
+        g = {0: [(zero, CoeffPoly.one())]}  # degree d -> terms of g_d
+        pending = list(f)
+        heapq.heapify(pending)
+        while pending:
+            d = heapq.heappop(pending)
+            if d in g:
+                continue
+            acc = {}
+            for k, fk in f.items():
+                gk = g.get(d - k)
+                w = ((e + 1) * k - d) / d if gk else 0
+                if not w:
+                    continue
+                for e1, p1 in fk:
+                    p1 = p1.scale(w)
+                    for e2, p2 in gk:
+                        key = _vadd(e1, e2)
+                        prod = p1 * p2
+                        acc[key] = acc[key] + prod if key in acc else prod
+            g[d] = [(x, p) for x, p in acc.items() if p]
+            for k in f:
+                if d + k <= self.order:
+                    heapq.heappush(pending, d + k)
+        return TruncatedLaurent(self.grading, self.order, zero,
+                                {x: p for part in g.values() for x, p in part})
 
     def __pow__(self, e):
         if e == 0:
             return TruncatedLaurent.one(self.grading, self.order)
-        base = self if e > 0 else self._inverse()
-        e = abs(e)
+        if e == 1:
+            return self
+        if self.is_unit():
+            return self._unit_power(e)
+        if e < 0:
+            raise ValueError("only unit series can be inverted")
+        base = self
         result = None
         while e:
             if e & 1:

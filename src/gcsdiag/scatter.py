@@ -87,10 +87,12 @@ class Wall:
     """Support (ray or full line in the plane), crossing normal and function.
 
     base is the primitive exponent step in the full lattice; function is a
-    unit series whose exponents are positive multiples of base.
+    unit series whose exponents are positive multiples of base.  function is
+    never reassigned, so the powers memoised by power() stay valid for the
+    wall's lifetime; a changed function means a new Wall.
     """
 
-    __slots__ = ("kind", "direction", "normal", "base", "function", "incoming")
+    __slots__ = ("kind", "direction", "normal", "base", "function", "incoming", "_powers")
 
     def __init__(self, kind, direction, normal, base, function, incoming):
         self.kind = kind
@@ -99,12 +101,20 @@ class Wall:
         self.base = tuple(base)
         self.function = function
         self.incoming = incoming
+        self._powers = {}
         if not function.is_unit():
             raise ValueError("wall function must be a unit series")
         for expo in function.terms:
             if any(expo) and not _is_pos_multiple(expo, self.base):
                 raise ValueError("wall exponent %r is not a positive multiple of %r"
                                  % (expo, self.base))
+
+    def power(self, p):
+        """function ** p, computed once per wall and exponent."""
+        f = self._powers.get(p)
+        if f is None:
+            f = self._powers[p] = self.function ** p
+        return f
 
     def __repr__(self):
         return "Wall(%s dir=%s normal=%s f=%s)" % (
@@ -246,18 +256,18 @@ def initial_diagram_prin(fixed, seed, order):
 
 def wall_cross(wall, sign, series, proj):
     """z^m -> z^m f^{sign * <n0', m>}, extended linearly and truncated."""
-    out = {}
-    cache = {}
+    by_power = {}
     for expo, poly in series.terms.items():
         p = sign * _dot(wall.normal, tuple(expo[i] for i in proj))
-        if p == 0:
-            out[expo] = out.get(expo, CoeffPoly.zero()) + poly
-            continue
-        if p not in cache:
-            cache[p] = wall.function ** p
-        for e2, p2 in cache[p].terms.items():
-            key = tuple(x + y for x, y in zip(expo, e2))
-            out[key] = out.get(key, CoeffPoly.zero()) + poly * p2
+        by_power.setdefault(p, {})[expo] = poly
+    out = by_power.pop(0, {})
+    for p, terms in by_power.items():
+        power = wall.power(p)
+        if power.order != series.order:  # e.g. theta_via_path below the diagram's order
+            power = TruncatedLaurent(series.grading, series.order, power.offset, power.terms)
+        part = TruncatedLaurent(series.grading, series.order, series.offset, terms) * power
+        for expo, poly in part.terms.items():
+            out[expo] = out[expo] + poly if expo in out else poly
     return TruncatedLaurent(series.grading, series.order, series.offset, out)
 
 
@@ -363,11 +373,21 @@ def _reorder(diag, order):
 
 
 def complete_rank2(diag):
-    """Order-by-order consistency completion; adds only outgoing walls."""
-    rays = {}  # plane direction -> mutable [terms dict]
+    """Order-by-order consistency completion; adds only outgoing walls.
+
+    A ray's wall is rebuilt only after a pass that adds to its terms, so the
+    powers memoised on every other wall carry over to the next pass.
+    """
+    rays = {}  # plane direction -> {exponent: coefficient}
+    walls = {}  # plane direction -> the wall of its current terms, None if they cancel
     last_deg = Fraction(-1)
     while True:
-        cur = _assemble(diag, rays)
+        for ray_dir, terms in rays.items():
+            if ray_dir not in walls:
+                walls[ray_dir] = _ray_wall(diag, ray_dir, terms)
+        cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
+                                diag.walls + [walls[d] for d in rays if walls[d]],
+                                diag.proj, diag.kind)
         dmin, defects = _lowest_defects(cur)
         if not defects:
             return cur
@@ -390,29 +410,26 @@ def complete_rank2(diag):
                 coeff = poly.scale(Fraction(-1, eps_w * pairv))
                 bucket = rays.setdefault(ray_dir, {})
                 bucket[u] = bucket.get(u, CoeffPoly.zero()) + coeff
+                walls.pop(ray_dir, None)  # rebuilt from its new terms next pass
                 break
             else:
                 raise RuntimeError("defect %r cannot be cancelled by any wall" % (u,))
 
 
-def _assemble(diag, rays):
-    """diag plus one outgoing wall per ray of rays with a nonzero term."""
-    walls = list(diag.walls)
-    for ray_dir, terms in rays.items():
-        terms = {u: p for u, p in terms.items() if p}
-        if not terms:
-            continue
-        base = _prim(min(terms, key=diag.grading.degree))
-        walls.append(Wall(
-            kind="ray",
-            direction=ray_dir,
-            normal=_perp_normal(_prim(diag.project(base))),
-            base=base,
-            function=TruncatedLaurent.unit_from_terms(diag.grading, diag.order, terms),
-            incoming=False,
-        ))
-    return ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
-                             walls, diag.proj, diag.kind)
+def _ray_wall(diag, ray_dir, terms):
+    """The outgoing wall 1 + terms on ray_dir, or None if every term cancelled."""
+    terms = {u: p for u, p in terms.items() if p}
+    if not terms:
+        return None
+    base = _prim(min(terms, key=diag.grading.degree))
+    return Wall(
+        kind="ray",
+        direction=ray_dir,
+        normal=_perp_normal(_prim(diag.project(base))),
+        base=base,
+        function=TruncatedLaurent.unit_from_terms(diag.grading, diag.order, terms),
+        incoming=False,
+    )
 
 
 # ---------------------------------------------------------------------------

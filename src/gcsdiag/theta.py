@@ -113,20 +113,13 @@ def _crossings(diag, point, mdir):
     return out
 
 
-def _bend_factor(wall, m_prev, j, _pcache=None):
+def _bend_factor(wall, m_prev, j):
     """Coefficient of z^{j*base} in f^{|<n, m_prev>|}; zero if non-transverse."""
     power = abs(_dot(wall.normal, m_prev))
     if power == 0:
         return CoeffPoly.zero()
-    if _pcache is None:
-        f = wall.function ** power
-    else:
-        key = (id(wall), power)
-        if key not in _pcache:
-            _pcache[key] = wall.function ** power
-        f = _pcache[key]
     key = tuple(j * x for x in wall.base)
-    return f.terms.get(key, CoeffPoly.zero())
+    return wall.power(power).terms.get(key, CoeffPoly.zero())
 
 
 def enumerate_broken_lines(diag, m0, Q, order=None):
@@ -146,7 +139,6 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
         raise ValueError("endpoint lies on the diagram support; perturb it")
 
     results = []
-    pcache = {}
 
     def dfs(point, m_cur, chain):
         if _segment_hits_origin(point, m_cur):
@@ -168,7 +160,7 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
             j = 1
             while j * step_deg <= budget:
                 m_prev = _vsub(m_cur, tuple(j * x for x in wall.base))
-                factor = _bend_factor(wall, m_prev, j, pcache)
+                factor = _bend_factor(wall, m_prev, j)
                 j += 1
                 if not factor:
                     continue

@@ -260,6 +260,27 @@ def test_check_reports_failure_with_exit_4(runner, monkeypatch):
     assert "consistency: FAIL at z^(0,1)\n" in res.output
 
 
+def test_check_seed_with_frozen_direction_exit_3(runner, tmp_path):
+    seed = tmp_path / "frozen.seed"
+    seed.write_text("rank 3\nunfrozen 1 2\nd 1 1 1\nr 1 1 1\nB 0 1 1 -1 0 1 -1 -1 0\n"
+                    "a.1 1 1\na.2 1 1\na.3 1 1\n")
+    res = runner.invoke(cli.main, ["check", str(seed), "--order", "2"])
+    assert res.exit_code == 3, res.output
+    assert res.output == ("Error: check needs a rank-2 seed without frozen directions: "
+                          "T_k needs plane exponents\n")
+
+
+def test_stalled_completion_exit_4(runner, monkeypatch):
+    def stall(diag):
+        raise RuntimeError("completion failed to make progress at degree 2")
+
+    monkeypatch.setattr(cli, "complete_rank2", stall)
+    res = runner.invoke(cli.main, ["complete", G31, "--order", "4", "--no-cache"])
+    assert res.exit_code == 4
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == "Error: completion failed to make progress at degree 2\n"
+
+
 # ---------------------------------------------------------------------------
 # companions
 

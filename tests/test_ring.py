@@ -224,3 +224,51 @@ def test_truncate_commutes_with_mul(tail):
 def test_canonical_string_injective(p, q):
     if canonical_string(p) == canonical_string(q):
         assert p == q
+
+
+def _inverse_by_geometric_series(f):
+    """g with g * f = 1: the sum of (1 - f)^k, whose terms all rise in degree."""
+    one = TruncatedLaurent.one(f.grading, f.order)
+    h = one - f
+    g, term = one, one
+    while term.terms:
+        term = term * h
+        g = g + term
+    assert g * f == one
+    return g
+
+
+def _power_by_products(f, e):
+    base = f if e >= 0 else _inverse_by_geometric_series(f)
+    out = TruncatedLaurent.one(f.grading, f.order)
+    for _ in range(abs(e)):
+        out = out * base
+    return out
+
+
+@given(tails, st.integers(-4, 4))
+@settings(max_examples=60, deadline=None)
+def test_unit_power_equals_repeated_products(tail, e):
+    f = _tail_to_unit(tail)
+    assert series_pow_int(f, e) == _power_by_products(f, e)
+
+
+HALF = Grading([(2, 0), (0, 2)])  # (1, 0) and (0, 1) have degree 1/2
+
+half_tails = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda t: t != (0, 0)),
+    st.integers(-3, 3), max_size=3)
+
+
+@given(half_tails, st.integers(-4, 4))
+@settings(max_examples=60, deadline=None)
+def test_unit_power_with_half_degrees(tail, e):
+    f = TruncatedLaurent.unit_from_terms(
+        HALF, 3, {u: CoeffPoly.rational(c) for u, c in tail.items() if c})
+    assert series_pow_int(f, e) == _power_by_products(f, e)
+
+
+def test_unit_power_with_symbolic_coefficients():
+    f = unit({(0, 1): "a", (-1, 1): "b", (0, 2): 1})
+    for e in (-3, 2, 5):
+        assert f ** e == _power_by_products(f, e)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import random
 
 import pytest
@@ -30,8 +33,11 @@ from gcsdiag.scatter import (
     _events_after,
     _lowest_defects,
     _perp_normal,
+    _reorder,
     tk_order_boost,
 )
+
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
 
 
 def wall_rows(diag):
@@ -110,6 +116,36 @@ def test_wall_cross_signs_invert(g31):
     s = TruncatedLaurent.monomial(din.grading, 6, (2, 1))
     for w in din.walls:
         assert wall_cross(w, -1, wall_cross(w, 1, s, din.proj), din.proj) == s
+
+
+def test_wall_power_is_memoised(g31_diag8):
+    w = max(g31_diag8.walls, key=lambda w: len(w.function.terms))
+    for p in (-3, -1, 2, 4):
+        first = w.power(p)
+        assert w.power(p) is first
+        assert first == w.function ** p
+
+
+def test_derived_walls_do_not_inherit_powers(g31_diag8):
+    """Walls rebuilt with a new function start with an empty memo."""
+    for w in g31_diag8.walls:  # fill the memo of the source walls
+        for p in (-2, -1, 2, 3):
+            w.power(p)
+    derived = _reorder(g31_diag8, 5).walls + apply_Tk(g31_diag8, 0).walls
+    for w in derived:
+        for p in (-2, -1, 2, 3):
+            assert w.power(p).order == w.function.order
+            assert w.power(p) == w.function ** p
+
+
+def test_two_orders_in_one_process_match_reference_digests(g31):
+    with open(REFERENCE, "r", encoding="utf-8") as fh:
+        reference = json.load(fh)["complete"]
+    fixed, seed = g31
+    for order in (11, 10, 11):
+        text = dump_diagram(complete_rank2(initial_diagram(fixed, seed, order)), "A")
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        assert digest == reference["g31/A/%d/a" % order]
 
 
 # ---------------------------------------------------------------------------
