@@ -140,24 +140,18 @@ def _emit(text, out):
 def _build_diagram(fixed, seed, order, variant):
     if order < 1:
         raise CliError("order must be >= 1", 3)
+    if variant not in ("A", "Aprin", "X", "left", "right"):
+        raise CliError("unknown variant %r" % variant, 2)
     try:
-        if variant == "A":
-            return complete_rank2(initial_diagram(fixed, seed, order))
-        if variant == "Aprin":
-            return complete_rank2(initial_diagram_prin(fixed, seed, order))
-        if variant == "X":
-            return slice_to_X(complete_rank2(initial_diagram_prin(fixed, seed, order)))
-        if variant == "left":
-            f2, s2 = left_companion(fixed, seed)
-            return complete_rank2(initial_diagram(f2, s2, order))
-        if variant == "right":
-            f2, s2 = right_companion(fixed, seed)
-            return complete_rank2(initial_diagram(f2, s2, order))
+        if variant in ("left", "right"):
+            fixed, seed = (left_companion if variant == "left" else right_companion)(fixed, seed)
+        build = initial_diagram_prin if variant in ("Aprin", "X") else initial_diagram
+        diag = complete_rank2(build(fixed, seed, order))
+        return slice_to_X(diag) if variant == "X" else diag
     except ValueError as exc:
         raise CliError(str(exc), 3)
     except RuntimeError as exc:  # completion stalled: a verification failure
         raise CliError(str(exc), 4)
-    raise CliError("unknown variant %r" % variant, 2)
 
 
 @click.group()
@@ -347,11 +341,15 @@ def plot(input_file, out):
     if body.startswith("note:"):
         body = body.split("\n", 1)[1]
     if body.startswith("order "):
-        svg = _plot_dump(body)
+        what, render = "diagram dump", _plot_dump
     elif body.startswith("theta "):
-        svg = _plot_theta(body)
+        what, render = "theta report", _plot_theta
     else:
         raise CliError("unrecognized input: expected a diagram dump or theta report", 2)
+    try:
+        svg = render(body)
+    except (ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
+        raise CliError("malformed %s: %r" % (what, exc), 2)
     _emit(svg, out)
 
 

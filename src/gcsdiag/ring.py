@@ -8,7 +8,6 @@ so that equal values always have identical term maps.
 
 from __future__ import annotations
 
-import heapq
 import re
 from fractions import Fraction
 
@@ -125,8 +124,6 @@ class CoeffPoly:
         return CoeffPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CoeffPoly.rational(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -134,7 +131,7 @@ class CoeffPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CoeffPoly.rational(other)
+            return self.scale(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -430,10 +427,6 @@ class TruncatedLaurent:
                                 {e: -p for e, p in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CoeffPoly)):
-            return self + TruncatedLaurent(
-                self.grading, self.order, self.offset,
-                {self.offset: -(other if isinstance(other, CoeffPoly) else CoeffPoly.rational(other))})
         return self + (-other)
 
     def __mul__(self, other):
@@ -463,52 +456,22 @@ class TruncatedLaurent:
 
     __rmul__ = __mul__
 
-    def _unit_power(self, e):
-        """self ** e for a unit self and any integer e, in O(n^2) coefficient products.
-
-        The degree derivation E(z^u) = deg(u) z^u gives E(g) f = e E(f) g for
-        g = f^e.  In degree d, with f_k the homogeneous part of degree k and
-        g_0 = 1, this is J.C.P. Miller's recurrence (Knuth, TAOCP 4.7):
-        g_d = (1/d) sum_{k>0} ((e+1) k - d) f_k g_{d-k}.
-        """
-        zero = self.offset
-        f = {}  # degree k -> terms of f_k
-        for expo, poly in self.terms.items():
-            if expo != zero:
-                f.setdefault(self.grading.degree(expo), []).append((expo, poly))
-        g = {0: [(zero, CoeffPoly.one())]}  # degree d -> terms of g_d
-        pending = list(f)
-        heapq.heapify(pending)
-        while pending:
-            d = heapq.heappop(pending)
-            if d in g:
-                continue
-            acc = {}
-            for k, fk in f.items():
-                gk = g.get(d - k)
-                w = ((e + 1) * k - d) / d if gk else 0
-                if not w:
-                    continue
-                for e1, p1 in fk:
-                    p1 = p1.scale(w)
-                    for e2, p2 in gk:
-                        key = _vadd(e1, e2)
-                        prod = p1 * p2
-                        acc[key] = acc[key] + prod if key in acc else prod
-            g[d] = [(x, p) for x, p in acc.items() if p]
-            for k in f:
-                if d + k <= self.order:
-                    heapq.heappush(pending, d + k)
-        return TruncatedLaurent(self.grading, self.order, zero,
-                                {x: p for part in g.values() for x, p in part})
-
     def __pow__(self, e):
         if e == 0:
             return TruncatedLaurent.one(self.grading, self.order)
         if e == 1:
             return self
         if self.is_unit():
-            return self._unit_power(e)
+            # the binomial series sum_i C(e, i) (f - 1)^i; each term rises in degree
+            h = self - 1
+            if not h.terms:
+                return self
+            n = int(self.order // min(self.grading.degree(x) for x in h.terms))
+            out = hi = TruncatedLaurent.one(self.grading, self.order)
+            for c in unit_power_coeffs([1, 1], e, n)[1:]:
+                hi = hi * h
+                out = out + hi * c
+            return out
         if e < 0:
             raise ValueError("only unit series can be inverted")
         base = self
@@ -537,13 +500,32 @@ class TruncatedLaurent:
         return "TruncatedLaurent(%s ; order=%s)" % (canonical_string(self), self.order)
 
 
+def unit_power_coeffs(coeffs, e, n):
+    """g_0..g_n with sum_d g_d t^d = f^e, for f = sum_k coeffs[k] t^k and coeffs[0] = 1.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP 4.7) from t g' f = e t f' g, for
+    any integer e: g_d = (1/d) sum_{k=1..d} ((e+1) k - d) c_k g_{d-k}.
+    """
+    zero = coeffs[0] * 0  # the zero of the coefficients' ring, shared by every empty g_d
+    tail = [(k, c) for k, c in enumerate(coeffs) if k and c]
+    g = [coeffs[0]]
+    for d in range(1, n + 1):
+        acc = zero
+        for k, c in tail:
+            if k > d:
+                break
+            w = (e + 1) * k - d
+            if w and g[d - k]:
+                acc = acc + c * g[d - k] * w
+        g.append(acc * Fraction(1, d) if acc else zero)
+    return g
+
+
 def series_mul(a, b):
     """Product of two truncated series (same lattice, same order)."""
     return a * b
 
 
 def series_pow_int(f, e):
-    """Integer power of a series; negative powers require a unit base."""
-    if e < 0 and not f.is_unit():
-        raise ValueError("negative power of a non-unit series")
+    """Integer power of a series; negative powers require a unit base (else ValueError)."""
     return f ** e

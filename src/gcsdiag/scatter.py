@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .ring import CoeffPoly, Grading, TruncatedLaurent, canonical_string
+from .ring import CoeffPoly, Grading, TruncatedLaurent, canonical_string, unit_power_coeffs
 from .seed import epsilon, mutate_seed, mutation_walk, serialize_seed_file
 
 # ---------------------------------------------------------------------------
@@ -87,12 +87,14 @@ class Wall:
     """Support (ray or full line in the plane), crossing normal and function.
 
     base is the primitive exponent step in the full lattice; function is a
-    unit series whose exponents are positive multiples of base.  function is
-    never reassigned, so the powers memoised by power() stay valid for the
-    wall's lifetime; a changed function means a new Wall.
+    unit series in z^base, and coeffs[j] its coefficient of z^{j*base} for
+    j up to order / deg(base).  function is never reassigned, so the powers
+    memoised by power() stay valid for the wall's lifetime; a changed
+    function means a new Wall.
     """
 
-    __slots__ = ("kind", "direction", "normal", "base", "function", "incoming", "_powers")
+    __slots__ = ("kind", "direction", "normal", "base", "function", "incoming",
+                 "coeffs", "_powers")
 
     def __init__(self, kind, direction, normal, base, function, incoming):
         self.kind = kind
@@ -104,34 +106,41 @@ class Wall:
         self._powers = {}
         if not function.is_unit():
             raise ValueError("wall function must be a unit series")
-        for expo in function.terms:
-            if any(expo) and not _is_pos_multiple(expo, self.base):
+        step = function.grading.degree(self.base)
+        self.coeffs = [CoeffPoly.zero()] * (int(function.order // step) + 1)
+        i = next(i for i, b in enumerate(self.base) if b)
+        for expo, poly in function.terms.items():
+            j = expo[i] // self.base[i]
+            if j < 0 or tuple(j * b for b in self.base) != expo:
                 raise ValueError("wall exponent %r is not a positive multiple of %r"
                                  % (expo, self.base))
+            self.coeffs[j] = poly
 
     def power(self, p):
-        """function ** p, computed once per wall and exponent."""
-        f = self._powers.get(p)
-        if f is None:
-            f = self._powers[p] = self.function ** p
-        return f
+        """The coefficient list of function ** p, computed once per wall and exponent."""
+        g = self._powers.get(p)
+        if g is None:
+            g = self._powers[p] = unit_power_coeffs(self.coeffs, p, len(self.coeffs) - 1)
+        return g
 
     def __repr__(self):
         return "Wall(%s dir=%s normal=%s f=%s)" % (
             self.kind, self.direction, self.normal, canonical_string(self.function))
 
 
-def _is_pos_multiple(expo, base):
-    ks = set()
-    for x, b in zip(expo, base):
-        if b == 0:
-            if x != 0:
-                return False
-        else:
-            if x % b != 0:
-                return False
-            ks.add(x // b)
-    return len(ks) == 1 and ks.pop() > 0
+def _wall(kind, direction, fn, proj):
+    """The wall of the unit fn on a support, or None if fn is 1.
+
+    Its base is fn's lowest-degree exponent made primitive; a ray is
+    incoming when it points along its base's projection.
+    """
+    tail = [e for e in fn.terms if any(e)]
+    if not tail:
+        return None
+    base = _prim(min(tail, key=fn.grading.degree))
+    pb = _prim(tuple(base[i] for i in proj))
+    incoming = kind == "line" or _parallel(pb, direction)
+    return Wall(kind, direction, _perp_normal(pb), base, fn, incoming)
 
 
 def _rays(wall):
@@ -174,10 +183,7 @@ class ScatteringDiagram:
 
     def basis_exponents(self):
         """Plane basis monom exponents: the f-lattice units of the plane."""
-        out = []
-        for i in self.proj:
-            out.append(tuple(1 if j == i else 0 for j in range(self.dim)))
-        return out
+        return [tuple(1 if j == i else 0 for j in range(self.dim)) for i in self.proj]
 
     def support_directions(self):
         return list(self.directions)
@@ -226,19 +232,10 @@ def initial_diagram(fixed, seed, order, kind="A"):
     grading = Grading([vs[i] for i in uf])
     walls = []
     for i in uf:
-        terms = {}
-        v = vs[i]
-        for s in range(1, fixed.r[i] + 1):
-            terms[tuple(s * x for x in v)] = seed.a_tuples[i][s]
+        terms = {tuple(s * x for x in vs[i]): seed.a_tuples[i][s]
+                 for s in range(1, fixed.r[i] + 1)}
         fn = TruncatedLaurent.unit_from_terms(grading, order, terms)
-        walls.append(Wall(
-            kind="line",
-            direction=_line_rep(pv[i]),
-            normal=_perp_normal(_prim(pv[i])),
-            base=_prim(v),
-            function=fn,
-            incoming=True,
-        ))
+        walls.append(_wall("line", _line_rep(pv[i]), fn, proj))
     return ScatteringDiagram(fixed, seed, order, grading, walls, proj, kind)
 
 
@@ -256,18 +253,22 @@ def initial_diagram_prin(fixed, seed, order):
 
 def wall_cross(wall, sign, series, proj):
     """z^m -> z^m f^{sign * <n0', m>}, extended linearly and truncated."""
-    by_power = {}
+    out = {}
+
+    def add(expo, poly):
+        out[expo] = out[expo] + poly if expo in out else poly
+
+    step = series.grading.degree(wall.base)
     for expo, poly in series.terms.items():
+        add(expo, poly)
         p = sign * _dot(wall.normal, tuple(expo[i] for i in proj))
-        by_power.setdefault(p, {})[expo] = poly
-    out = by_power.pop(0, {})
-    for p, terms in by_power.items():
-        power = wall.power(p)
-        if power.order != series.order:  # e.g. theta_via_path below the diagram's order
-            power = TruncatedLaurent(series.grading, series.order, power.offset, power.terms)
-        part = TruncatedLaurent(series.grading, series.order, series.offset, terms) * power
-        for expo, poly in part.terms.items():
-            out[expo] = out[expo] + poly if expo in out else poly
+        if not p:
+            continue
+        g = wall.power(p)
+        top = min(len(g) - 1, int((series.order - series.rel_degree(expo)) // step))
+        for j in range(1, top + 1):
+            if g[j]:
+                add(tuple(x + j * b for x, b in zip(expo, wall.base)), poly * g[j])
     return TruncatedLaurent(series.grading, series.order, series.offset, out)
 
 
@@ -384,7 +385,8 @@ def complete_rank2(diag):
     while True:
         for ray_dir, terms in rays.items():
             if ray_dir not in walls:
-                walls[ray_dir] = _ray_wall(diag, ray_dir, terms)
+                fn = TruncatedLaurent.unit_from_terms(diag.grading, diag.order, terms)
+                walls[ray_dir] = _wall("ray", ray_dir, fn, diag.proj)
         cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
                                 diag.walls + [walls[d] for d in rays if walls[d]],
                                 diag.proj, diag.kind)
@@ -414,22 +416,6 @@ def complete_rank2(diag):
                 break
             else:
                 raise RuntimeError("defect %r cannot be cancelled by any wall" % (u,))
-
-
-def _ray_wall(diag, ray_dir, terms):
-    """The outgoing wall 1 + terms on ray_dir, or None if every term cancelled."""
-    terms = {u: p for u, p in terms.items() if p}
-    if not terms:
-        return None
-    base = _prim(min(terms, key=diag.grading.degree))
-    return Wall(
-        kind="ray",
-        direction=ray_dir,
-        normal=_perp_normal(_prim(diag.project(base))),
-        base=base,
-        function=TruncatedLaurent.unit_from_terms(diag.grading, diag.order, terms),
-        incoming=False,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +462,7 @@ def tk_order_boost(fixed, seed, k):
 
 
 def _merge_walls(pieces, grading, order, proj):
-    """Walls from (kind, direction, terms) pieces; pieces on one support multiply.
-
-    A wall's base is its lowest-degree exponent made primitive; supports
-    whose product is 1 get no wall.
-    """
+    """Walls from (kind, direction, terms) pieces; pieces on one support multiply."""
     merged = {}
     for kind, direction, terms in pieces:
         merged.setdefault((kind, tuple(direction)), []).append(terms)
@@ -489,12 +471,9 @@ def _merge_walls(pieces, grading, order, proj):
         fn = TruncatedLaurent.one(grading, order)
         for terms in term_dicts:
             fn = fn * TruncatedLaurent.unit_from_terms(grading, order, terms)
-        if len(fn.terms) == 1:
-            continue
-        base = _prim(min((e for e in fn.terms if any(e)), key=grading.degree))
-        pb = _prim(tuple(base[i] for i in proj))
-        incoming = kind == "line" or _parallel(pb, direction)
-        walls.append(Wall(kind, direction, _perp_normal(pb), base, fn, incoming))
+        wall = _wall(kind, direction, fn, proj)
+        if wall is not None:
+            walls.append(wall)
     return walls
 
 
@@ -583,18 +562,12 @@ def slice_to_X(prin_diag):
         full = [0] * n
         for idx, i in enumerate(uf):
             full[i] = int(normal[idx] * fixed.d[i])
-        return tuple(
-            sum(eps[i][j] * full[j] for j in range(n)) for i in range(n)
-        )[:n]
+        return tuple(sum(eps[i][j] * full[j] for j in range(n)) for i in range(n))
 
     grading = Grading([tuple(1 if j == i else 0 for j in range(n)) for i in uf])
     walls = []
     for w in prin_diag.walls:
-        terms = {}
-        for expo, poly in w.function.terms.items():
-            if not any(expo):
-                continue
-            terms[tuple(expo[n:])] = poly
+        terms = {e[n:]: p for e, p in w.function.terms.items() if any(e)}
         nx = normal_x(w.normal)
         base = _prim(w.base[n:])
         if w.kind == "line":

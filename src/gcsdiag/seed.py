@@ -41,6 +41,9 @@ class FixedData:
             raise ValueError("dimension mismatch in fixed data")
         if any(x <= 0 for x in self.d) or any(x <= 0 for x in self.r):
             raise ValueError("weights and degrees must be positive")
+        if len(set(self.unfrozen)) != len(self.unfrozen) or not all(
+                0 <= i < n for i in self.unfrozen):
+            raise ValueError("unfrozen indices must be distinct and in 1..rank")
         for i in range(n):
             for j in range(n):
                 if Fraction(self.B[i][j], 1) / self.d[j] != -Fraction(self.B[j][i], 1) / self.d[i]:
@@ -428,7 +431,7 @@ def parse_seed_file(text):
         flat = [int(x) for x in fields["B"]]
         if len(flat) != n * n:
             raise ValueError("B must have rank*rank entries")
-        B = [flat[i * n:(i + 1) * n] for i in range(n)]
+        fixed = FixedData(n, unfrozen, d, r, [flat[i * n:(i + 1) * n] for i in range(n)])
         a_names = {}
         for i in unfrozen:
             entries = fields["a.%d" % (i + 1,)]
@@ -441,7 +444,6 @@ def parse_seed_file(text):
             a_names[i] = tuple(entries[1:-1])
     except KeyError as exc:
         raise ValueError("missing seed file field %s" % exc) from exc
-    fixed = FixedData(n, unfrozen, d, r, B)
     return fixed, make_initial_seed(fixed, a_names)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ring import CoeffPoly, TruncatedLaurent, _vadd, _vsub
+from .ring import CoeffPoly, TruncatedLaurent, _vadd, _vsub, canonical_string
 from .scatter import (
     ScatteringDiagram,
     _cross,
@@ -68,6 +68,15 @@ class BrokenLine:
             "%sz^%s" % ("" if c.is_one() else "(%s)*" % c, (e,)) for c, e, _, _ in self.segments)
 
 
+def _order(diag, order):
+    """The truncation order of a query, by default the diagram's; never above it."""
+    if order is None:
+        return diag.order
+    if order > diag.order:
+        raise ValueError("order %s exceeds the diagram's order %s" % (order, diag.order))
+    return order
+
+
 def _monoid_points(diag, m0, order):
     """All exponents m0 + (monoid combos of wall steps) with degree <= order."""
     steps = []
@@ -118,8 +127,8 @@ def _bend_factor(wall, m_prev, j):
     power = abs(_dot(wall.normal, m_prev))
     if power == 0:
         return CoeffPoly.zero()
-    key = tuple(j * x for x in wall.base)
-    return wall.power(power).terms.get(key, CoeffPoly.zero())
+    g = wall.power(power)
+    return g[j] if j < len(g) else CoeffPoly.zero()
 
 
 def enumerate_broken_lines(diag, m0, Q, order=None):
@@ -130,7 +139,7 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
     """
     if diag.dim != 2:
         raise ValueError("broken lines need plane exponents")
-    order = diag.order if order is None else order
+    order = _order(diag, order)
     m0 = tuple(int(x) for x in m0)
     if not any(m0):
         raise ValueError("initial exponent must be nonzero")
@@ -156,32 +165,24 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
             return
         budget = sum(coeffs)
         for wall, p in _crossings(diag, point, m_cur):
-            step_deg = diag.grading.degree(wall.base)
-            j = 1
-            while j * step_deg <= budget:
+            for j in range(1, int(budget // diag.grading.degree(wall.base)) + 1):
                 m_prev = _vsub(m_cur, tuple(j * x for x in wall.base))
                 factor = _bend_factor(wall, m_prev, j)
-                j += 1
-                if not factor:
-                    continue
-                dfs(p, m_prev, ((wall, p, j - 1, factor, m_prev, m_cur),) + chain)
+                if factor:
+                    dfs(p, m_prev, ((wall, p, j, factor, m_prev, m_cur),) + chain)
 
     for m_f in _monoid_points(diag, m0, order):
         dfs(Q, m_f, ())
 
     lines = []
     for chain in results:
-        coeff = CoeffPoly.one()
-        segments = []
-        bends = []
-        prev_point = None
-        for idx, (wall, p, j, factor, m_prev, m_cur) in enumerate(chain):
+        coeff, segments, prev_point = CoeffPoly.one(), [], None
+        for _, p, _, factor, m_prev, _ in chain:
             segments.append((coeff, m_prev, prev_point, p))
             coeff = coeff * factor
-            bends.append((wall, p, j))
             prev_point = p
         segments.append((coeff, chain[-1][5] if chain else m0, prev_point, Q))
-        lines.append(BrokenLine(segments, bends))
+        lines.append(BrokenLine(segments, [(wall, p, j) for wall, p, j, *_ in chain]))
     lines.sort(key=BrokenLine.sort_key)
     return lines
 
@@ -229,7 +230,7 @@ class ThetaResult:
 
 def theta(diag, Q, m0, order=None):
     """Sum of final monomials over all broken lines (1 when m0 = 0)."""
-    order = diag.order if order is None else order
+    order = _order(diag, order)
     m0 = tuple(int(x) for x in m0)
     if not any(m0):
         return ThetaResult(TruncatedLaurent.one(diag.grading, order), [],
@@ -251,7 +252,7 @@ def _direction_of(point):
 
 def theta_via_path(diag, Q, m0, order=None, depth=8):
     """p_gamma(z^{m0}) from the cluster chamber of m0 to the chamber of Q."""
-    order = diag.order if order is None else order
+    order = _order(diag, order)
     m0 = tuple(int(x) for x in m0)
     home = None
     for word, cone in chambers(diag, depth):
@@ -271,7 +272,7 @@ def theta_via_path(diag, Q, m0, order=None, depth=8):
 
 def theta_Tk_transport(diag, k, Q, m0, order=None):
     """T_{k,+/-} transport of theta, checked against the mutated diagram."""
-    order = diag.order if order is None else order
+    order = _order(diag, order)
     fixed = diag.fixed
     shear = tk_shear(fixed, diag.seed, k)
     Q = tuple(Fraction(x) for x in Q)
@@ -347,7 +348,7 @@ def _final_monomials(diag, m0, z, order, cache):
 
 def structure_constant(diag, p1, p2, q, z, order=None, _cache=None):
     """alpha_z(p1, p2, q) = sum of c(g1) c(g2) over broken-line pairs at z."""
-    order = diag.order if order is None else order
+    order = _order(diag, order)
     z = tuple(Fraction(x) for x in z)
     if diag.on_support(z):
         raise ValueError("structure-constant base point lies on a wall")
@@ -375,7 +376,7 @@ def generic_near(diag, q):
 
 def product_expansion_check(diag, p1, p2, Q, order=None):
     """Verify theta_{p1} * theta_{p2} = sum_q alpha_{z(q)}(p1,p2,q) theta_q."""
-    order = diag.order if order is None else order
+    order = _order(diag, order)
     th1 = theta(diag, Q, p1, order).value
     th2 = theta(diag, Q, p2, order).value
     lhs = th1 * th2
@@ -398,7 +399,6 @@ def product_expansion_check(diag, p1, p2, Q, order=None):
 
 def theta_report(diag, result):
     """Deterministic text report: header, value, one witness per line."""
-    from .ring import canonical_string
 
     def fr(x):
         x = Fraction(x)

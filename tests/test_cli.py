@@ -200,9 +200,14 @@ def test_plot_accepts_perturbation_notice(runner, tmp_path):
 
 def test_plot_rejects_garbage(runner, tmp_path):
     bad = tmp_path / "junk.txt"
-    bad.write_text("not a dump\n")
-    res = runner.invoke(cli.main, ["plot", str(bad)])
-    assert res.exit_code == 2
+    for text in ("not a dump\n",
+                 "order 4\nline direction=(1) f=1\n",
+                 "theta m0=(1,0)\nline bends=0 rays= points=- trail=z^(1,0)\n",
+                 "theta m0=(1,0) Q=(1,1)\nline bends=0 rays= points=- trail=z^(1)\n",
+                 "order 4\nray direction=(0,0) f=1\n"):
+        bad.write_text(text)
+        res = runner.invoke(cli.main, ["plot", str(bad)])
+        assert res.exit_code == 2, text
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +314,13 @@ def test_missing_seed_file_exit_2(runner):
 
 def test_malformed_seed_file_exit_2(runner, tmp_path):
     bad = tmp_path / "bad.seed"
-    for a1 in ("1 a 1", "1 2 2 1", "1 1/2 1/2 1"):
-        bad.write_text("rank 2\nunfrozen 1 2\nd 1 1\nr 3 1\nB 0 1 -1 0\na.1 %s\na.2 1 1\n" % a1)
+    cases = [("1 2", a1) for a1 in ("1 a 1", "1 2 2 1", "1 1/2 1/2 1")]
+    cases += [(unfrozen, "1 a a 1") for unfrozen in ("1 3", "1 1")]
+    for unfrozen, a1 in cases:
+        bad.write_text("rank 2\nunfrozen %s\nd 1 1\nr 3 1\nB 0 1 -1 0\na.1 %s\na.2 1 1\n"
+                       "a.3 1 1\n" % (unfrozen, a1))
         res = runner.invoke(cli.main, ["mutate", str(bad)])
-        assert res.exit_code == 2, a1
+        assert res.exit_code == 2, (unfrozen, a1)
 
 
 def test_bad_word_exit_2(runner):

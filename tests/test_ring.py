@@ -15,6 +15,7 @@ from gcsdiag.ring import (
     parse_canonical,
     series_mul,
     series_pow_int,
+    unit_power_coeffs,
 )
 
 GR = Grading([(0, 1), (-1, 0)])
@@ -272,3 +273,23 @@ def test_unit_power_with_symbolic_coefficients():
     f = unit({(0, 1): "a", (-1, 1): "b", (0, 2): 1})
     for e in (-3, 2, 5):
         assert f ** e == _power_by_products(f, e)
+
+
+one_var_tails = st.lists(st.sampled_from([-2, -1, 0, 1, 3, "a"]), max_size=4).map(
+    lambda cs: [CoeffPoly.symbol(c) if isinstance(c, str) else CoeffPoly.rational(c)
+                for c in cs])
+
+
+@given(one_var_tails, st.sampled_from([(0, 1), (-1, 0), (-1, 1)]), st.integers(-4, 4))
+@settings(max_examples=60, deadline=None)
+def test_unit_power_coeffs_equal_repeated_products(tail, base, e):
+    """The list recurrence on a series in z^base against products of the series."""
+    coeffs = [CoeffPoly.one()] + tail
+
+    def terms(cs):
+        return {tuple(j * b for b in base): c for j, c in enumerate(cs) if j and c}
+
+    f = TruncatedLaurent.unit_from_terms(GR, 6, terms(coeffs))
+    g = unit_power_coeffs(coeffs, e, int(6 // GR.degree(base)))
+    assert g[0].is_one()
+    assert terms(g) == {x: p for x, p in _power_by_products(f, e).terms.items() if any(x)}

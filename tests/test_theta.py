@@ -106,6 +106,23 @@ def test_theta_via_path_agrees(g31_diag8):
         assert theta_via_path(g31_diag8, GEN_Q, m0).terms == res.value.terms
 
 
+def test_theta_above_the_diagram_order_is_rejected(g31):
+    fixed, seed = g31
+    d4 = complete_rank2(initial_diagram(fixed, seed, 4))
+    d6 = complete_rank2(initial_diagram(fixed, seed, 6))
+    Q = (-3 + Fraction(1, 97), 1 + Fraction(1, 97 ** 2))
+    for m0 in ((2, -3), (0, 0)):
+        with pytest.raises(ValueError, match="exceeds the diagram's order 4"):
+            theta(d4, Q, m0, 6)
+    with pytest.raises(ValueError, match="exceeds"):
+        enumerate_broken_lines(d4, (2, -3), Q, 6)
+    with pytest.raises(ValueError, match="exceeds"):
+        theta_via_path(d4, Q, (2, -3), 6)
+    # below its order a diagram answers as the diagram of that order does
+    assert theta(d6, Q, (2, -3), 4).value == theta(d4, Q, (2, -3)).value
+    assert theta_via_path(d6, Q, (2, -3), 4).terms == theta(d4, Q, (2, -3)).value.terms
+
+
 def test_theta_transport_between_adjacent_chambers(g31_diag8):
     # crossing into the next chamber is one wall automorphism
     m0 = (0, -1)
