@@ -227,7 +227,7 @@ def theta_cmd(seed_file, order, m0, q, out, no_cache):
                     return theta_report(diag, theta(diag, qv, m0v, order))
                 except EndpointNotGeneric:
                     how = "to a generic point"
-            point = generic_near(diag, qv)
+            point = generic_near(diag, qv, m0v, order)
             res = theta(diag, point, m0v, order)
         except (ValueError, RuntimeError) as exc:
             raise CliError(str(exc), 3)

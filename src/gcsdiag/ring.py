@@ -287,7 +287,8 @@ class Grading:
             raise ValueError("a rank-2 grading needs exactly two generators")
         self.generators = tuple(tuple(g) for g in generators)
         self.dim = len(self.generators[0])
-        self._cache = {}
+        self._cache = {}  # exponent -> its coefficients, or None off the span
+        self._degrees = {}  # exponent of the monoid -> its degree
         g1, g2 = self.generators
         minors = ((i, j, g1[i] * g2[j] - g1[j] * g2[i])
                   for i in range(self.dim) for j in range(i + 1, self.dim))
@@ -314,10 +315,14 @@ class Grading:
 
     def degree(self, m):
         """J-adic degree of an exponent; 0 only for m = 0."""
-        coeffs = self.coefficients(m)
-        if coeffs is None or any(c < 0 for c in coeffs):
-            raise ValueError("exponent %r outside the grading monoid" % (m,))
-        return sum(coeffs, Fraction(0))
+        m = tuple(m)
+        d = self._degrees.get(m)
+        if d is None:
+            coeffs = self.coefficients(m)
+            if coeffs is None or any(c < 0 for c in coeffs):
+                raise ValueError("exponent %r outside the grading monoid" % (m,))
+            d = self._degrees[m] = sum(coeffs, Fraction(0))
+        return d
 
 
 def j_degree(grading, m):

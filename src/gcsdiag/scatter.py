@@ -162,6 +162,7 @@ class ScatteringDiagram:
 
     It owns the geometry: walls stably sorted by angle, the (direction, wall,
     sign) crossing events of a ccw loop and the distinct primitive directions.
+    Its walls never change, so theta memoises broken lines on it.
     """
 
     def __init__(self, fixed, seed, order, grading, walls, proj, kind="A"):
@@ -177,6 +178,9 @@ class ScatteringDiagram:
                               for w in self.walls for p in _rays(w)),
                              key=lambda e: _by_angle(e[0]))
         self.directions = sorted({_prim(p) for p, _, _ in self.events}, key=_by_angle)
+        # theta's broken lines up to scaling per (m0, order); a derived
+        # diagram has other walls and starts empty
+        self._chains = {}
 
     def project(self, expo):
         return tuple(expo[i] for i in self.proj)

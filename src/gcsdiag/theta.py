@@ -1,9 +1,12 @@
 """Broken lines, theta functions, g-vectors, sign coherence, structure constants.
 
-Enumeration runs backward from the endpoint Q: fix a candidate final
-exponent, walk the final segment backwards, and branch over wall crossings
-where the line may have bent.  Every bend strictly decreases the degree
-offset from the initial exponent, so the search is finite.
+Walls are cones from the origin, so a broken line scaled by lam > 0 is one
+too.  Enumeration runs forward from m0 once per (diagram, m0, order): the
+first bend is at the primitive vector of its ray, and from a bend point P
+with exponent m the next bend is on any wall that {P - t*m : t > 0} crosses.
+Bends raise the degree over m0, which the order bounds.  A chain ending at
+P with exponent m reaches exactly the Q = lam*P - t*m with lam, t > 0: the
+broken lines ending at Q are the chains whose cone holds Q, scaled by lam.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from fractions import Fraction
 
 from .ring import CoeffPoly, TruncatedLaurent, _vadd, _vsub, canonical_string
 from .scatter import (
-    ScatteringDiagram,
     _cross,
     _dot,
     _prim,
@@ -56,12 +58,14 @@ class BrokenLine:
         return coeff, expo
 
     def sort_key(self):
-        return (
-            len(self.bends),
-            tuple(w.direction for w, _, _ in self.bends),
-            tuple(j for _, _, j in self.bends),
-            self.segments[-1][1],
-        )
+        return (len(self.bends), tuple(w.direction for w, _, _ in self.bends),
+                tuple(j for _, _, j in self.bends), self.segments[-1][1])
+
+    def scaled(self, lam, Q):
+        """The line with every bend point scaled by lam, ending at Q."""
+        pts = [None] + [(lam * p[0], lam * p[1]) for _, p, _ in self.bends] + [Q]
+        segments = [(c, e, pts[i], pts[i + 1]) for i, (c, e, _, _) in enumerate(self.segments)]
+        return BrokenLine(segments, [(w, pts[i + 1], j) for i, (w, _, j) in enumerate(self.bends)])
 
     def __repr__(self):
         return "BrokenLine(%s)" % " -> ".join(
@@ -105,7 +109,7 @@ def _segment_hits_origin(point, mdir):
 
 
 def _crossings(diag, point, mdir):
-    """Wall crossings of the backward ray {point + t*mdir : t > 0}.
+    """Wall crossings of the ray {point + t*mdir : t > 0}.
 
     It meets the ray s at point + t*mdir = lam*s, lam > 0 (the origin is singular).
     """
@@ -131,6 +135,51 @@ def _bend_factor(wall, m_prev, j):
     return g[j] if j < len(g) else CoeffPoly.zero()
 
 
+def _chains(diag, m0, order):
+    """(chains, ends) for m0 up to order, memoised on the diagram.
+
+    A chain is a broken line whose first bend is the primitive vector of its
+    ray and whose segments carry no points, in report order (sort_key, then
+    the walls met walking back).  ends maps d to the least m of degree <=
+    order over m0 with prim(m) = d: a final segment z^m ending on -d hits 0.
+    """
+    memo = diag._chains.get((m0, order))
+    if memo is not None:
+        return memo
+    found = []
+
+    def visit(crossings, m, degree, bends, monos):
+        found.append(BrokenLine(monos, bends))
+        for wall, p in crossings:
+            step = diag.grading.degree(wall.base)
+            for j in range(1, int((order - degree) // step) + 1):
+                factor = _bend_factor(wall, m, j)
+                if factor:
+                    m2 = _vadd(m, tuple(j * x for x in wall.base))
+                    mdir = (-m2[0], -m2[1])
+                    nxt = [] if _segment_hits_origin(p, mdir) else _crossings(diag, p, mdir)
+                    visit(nxt, m2, degree + j * step, bends + [(wall, p, j)],
+                          monos + [(monos[-1][0] * factor, m2, None, None)])
+
+    # the segment from infinity may bend anywhere on a wall (a parallel wall
+    # gives a zero bend factor)
+    visit([(w, _prim(s)) for w in diag.walls for s in _rays(w)], m0, 0, [],
+          [(CoeffPoly.one(), m0, None, None)])
+    index = {id(w): i for i, w in enumerate(diag.walls)}
+    found.sort(key=lambda c: (c.sort_key(), [index[id(w)] for w, _, _ in reversed(c.bends)]))
+    ends = {_prim(m): m for m in reversed(_monoid_points(diag, m0, order)) if any(m)}
+    memo = diag._chains[(m0, order)] = (found, ends)
+    return memo
+
+
+def _through_origin(diag, m0, Q, order=None):
+    """The exponent of a final segment ending at Q that runs through the origin, or None."""
+    if not any(m0):
+        return None
+    d = _direction_of(Q)
+    return _chains(diag, tuple(int(x) for x in m0), _order(diag, order))[1].get((-d[0], -d[1]))
+
+
 def enumerate_broken_lines(diag, m0, Q, order=None):
     """All broken lines with initial exponent m0 and endpoint Q.
 
@@ -146,44 +195,21 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
     Q = tuple(Fraction(x) for x in Q)
     if diag.on_support(Q):
         raise ValueError("endpoint lies on the diagram support; perturb it")
-
-    results = []
-
-    def dfs(point, m_cur, chain):
-        if _segment_hits_origin(point, m_cur):
-            if not chain:
-                raise EndpointNotGeneric(
-                    "endpoint is not generic: a final segment with exponent %r "
-                    "runs through the origin; perturb it" % (m_cur,))
-            return
-        if m_cur == m0:
-            results.append(chain)
-            return
-        rel = _vsub(m_cur, m0)
-        coeffs = diag.grading.coefficients(rel)
-        if coeffs is None or any(c < 0 for c in coeffs):
-            return
-        budget = sum(coeffs)
-        for wall, p in _crossings(diag, point, m_cur):
-            for j in range(1, int(budget // diag.grading.degree(wall.base)) + 1):
-                m_prev = _vsub(m_cur, tuple(j * x for x in wall.base))
-                factor = _bend_factor(wall, m_prev, j)
-                if factor:
-                    dfs(p, m_prev, ((wall, p, j, factor, m_prev, m_cur),) + chain)
-
-    for m_f in _monoid_points(diag, m0, order):
-        dfs(Q, m_f, ())
-
+    m_f = _through_origin(diag, m0, Q, order)
+    if m_f is not None:
+        raise EndpointNotGeneric(
+            "endpoint is not generic: a final segment with exponent %r "
+            "runs through the origin; perturb it" % (m_f,))
     lines = []
-    for chain in results:
-        coeff, segments, prev_point = CoeffPoly.one(), [], None
-        for _, p, _, factor, m_prev, _ in chain:
-            segments.append((coeff, m_prev, prev_point, p))
-            coeff = coeff * factor
-            prev_point = p
-        segments.append((coeff, chain[-1][5] if chain else m0, prev_point, Q))
-        lines.append(BrokenLine(segments, [(wall, p, j) for wall, p, j, *_ in chain]))
-    lines.sort(key=BrokenLine.sort_key)
+    for chain in _chains(diag, m0, order)[0]:
+        lam = 1
+        if chain.bends:
+            p, m = chain.bends[-1][1], chain.segments[-1][1]
+            den = _cross(p, m)
+            lam = _cross(Q, m) / den
+            if lam <= 0 or _cross(Q, p) / den <= 0:  # Q = lam*p - t*m needs lam, t > 0
+                continue
+        lines.append(chain.scaled(lam, Q))
     return lines
 
 
@@ -194,16 +220,11 @@ def validate_broken_line(diag, line, m0, Q):
         return False
     if line.segments[-1][3] != tuple(Fraction(x) for x in Q):
         return False
-    for (c, e, start, end) in line.segments:
-        if start is not None:
-            diff = _vsub(end, start)
-            lam = None
-            for a, b in zip(diff, e):
-                if b:
-                    lam = Fraction(a) / b
-            # direction of travel is -e
-            if lam is None or lam >= 0 or any(Fraction(a) != lam * b for a, b in zip(diff, e)):
-                return False
+    for (_, e, start, end) in line.segments:
+        # a segment runs along -e
+        if start is not None and (_cross(_vsub(end, start), e) != 0
+                                  or _dot(_vsub(end, start), e) >= 0):
+            return False
     for idx, (wall, p, j) in enumerate(line.bends):
         c_prev, e_prev = line.segments[idx][0], line.segments[idx][1]
         c_next, e_next = line.segments[idx + 1][0], line.segments[idx + 1][1]
@@ -254,11 +275,7 @@ def theta_via_path(diag, Q, m0, order=None, depth=8):
     """p_gamma(z^{m0}) from the cluster chamber of m0 to the chamber of Q."""
     order = _order(diag, order)
     m0 = tuple(int(x) for x in m0)
-    home = None
-    for word, cone in chambers(diag, depth):
-        if cone_contains(cone, m0):
-            home = cone
-            break
+    home = next((cone for _, cone in chambers(diag, depth) if cone_contains(cone, m0)), None)
     if home is None:
         raise ValueError("initial exponent is outside the computed cluster complex")
     start = _vadd(home[0], home[1])
@@ -293,12 +310,11 @@ def theta_Tk_transport(diag, k, Q, m0, order=None):
     def keep(expo):
         # drop exponents that overflow the truncation in either grading;
         # exponents outside either monoid are kept so mismatches surface
-        rel2 = diag2.grading.coefficients(_vsub(expo, m02))
-        if rel2 is not None and all(c >= 0 for c in rel2) and sum(rel2) > order:
-            return False
-        rel1 = diag.grading.coefficients(_vsub(shear(expo, -s), m0))
-        if rel1 is not None and all(c >= 0 for c in rel1) and sum(rel1) > order:
-            return False
+        for grading, rel in ((diag2.grading, _vsub(expo, m02)),
+                             (diag.grading, _vsub(shear(expo, -s), m0))):
+            c = grading.coefficients(rel)
+            if c is not None and all(x >= 0 for x in c) and sum(c) > order:
+                return False
         return True
 
     left = {e: p for e, p in mapped.items() if keep(e)}
@@ -332,44 +348,31 @@ def sign_coherence_check(fixed, seed, depth):
 # structure constants
 
 
-def _sector_key(diag, point):
-    return tuple(
-        (1 if _cross(d, point) > 0 else (-1 if _cross(d, point) < 0 else 0))
-        for d in diag.support_directions())
-
-
-def _final_monomials(diag, m0, z, order, cache):
-    key = (tuple(m0), _sector_key(diag, z), order)
-    if key not in cache:
-        lines = enumerate_broken_lines(diag, m0, z, order)
-        cache[key] = [line.final_monomial for line in lines]
-    return cache[key]
-
-
-def structure_constant(diag, p1, p2, q, z, order=None, _cache=None):
+def structure_constant(diag, p1, p2, q, z, order=None):
     """alpha_z(p1, p2, q) = sum of c(g1) c(g2) over broken-line pairs at z."""
     order = _order(diag, order)
     z = tuple(Fraction(x) for x in z)
     if diag.on_support(z):
         raise ValueError("structure-constant base point lies on a wall")
-    cache = _cache if _cache is not None else {}
-    m1 = _final_monomials(diag, p1, z, order, cache)
-    m2 = _final_monomials(diag, p2, z, order, cache)
+    m1 = [line.final_monomial for line in enumerate_broken_lines(diag, p1, z, order)]
+    m2 = m1 if tuple(p2) == tuple(p1) else [
+        line.final_monomial for line in enumerate_broken_lines(diag, p2, z, order)]
     q = tuple(int(x) for x in q)
-    total = CoeffPoly.zero()
-    for c1, e1 in m1:
-        for c2, e2 in m2:
-            if _vadd(e1, e2) == q:
-                total = total + c1 * c2
-    return total
+    return sum((c1 * c2 for c1, e1 in m1 for c2, e2 in m2 if _vadd(e1, e2) == q),
+               CoeffPoly.zero())
 
 
-def generic_near(diag, q):
-    """A deterministic generic rational point close to the lattice point q."""
+def generic_near(diag, q, m0=None, order=None):
+    """A deterministic generic rational point close to the lattice point q.
+
+    Given m0, it also avoids the points where a broken line from m0 would
+    end on a segment through the origin.
+    """
     primes = [97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149]
     for K in primes:
         z = (Fraction(q[0]) + Fraction(1, K), Fraction(q[1]) + Fraction(1, K * K))
-        if not diag.on_support(z) and any(z):
+        if (not diag.on_support(z) and any(z)
+                and (m0 is None or _through_origin(diag, m0, z, order) is None)):
             return z
     raise RuntimeError("no generic point found near %r" % (q,))
 
@@ -381,15 +384,11 @@ def product_expansion_check(diag, p1, p2, Q, order=None):
     th2 = theta(diag, Q, p2, order).value
     lhs = th1 * th2
     base = _vadd(p1, p2)
-    cache = {}
     rhs = TruncatedLaurent(diag.grading, order, base, {})
     for q in _monoid_points(diag, base, order):
-        alpha = structure_constant(diag, p1, p2, q, generic_near(diag, q),
-                                   order, _cache=cache)
-        if not alpha:
-            continue
-        thq = theta(diag, Q, q, order).value
-        rhs = rhs + thq * alpha
+        alpha = structure_constant(diag, p1, p2, q, generic_near(diag, q), order)
+        if alpha:
+            rhs = rhs + theta(diag, Q, q, order).value * alpha
     return lhs.terms == rhs.terms, lhs, rhs
 
 

@@ -147,6 +147,22 @@ def test_theta_perturbs_non_generic_endpoint(runner, g31):
     assert "\nvalue: %s\n" % expected in res.output
 
 
+@pytest.mark.parametrize("seed_file,name", [(A2, "a2"), (G31, "g31")])
+def test_theta_skips_a_non_generic_candidate(runner, request, seed_file, name):
+    # Q lies on the ray -m0, the first candidate (49/9409,49/9409) on the ray
+    # -(-1,-1) of another final exponent; the 1/101 candidate is generic
+    res = runner.invoke(cli.main, ["theta", seed_file, "--order", "4", "--m0", "1,-1",
+                                   "--q=-48/9409,48/9409", "--no-cache"])
+    assert res.exit_code == 0, res.output
+    q = (Fraction(-48, 9409) + Fraction(1, 101), Fraction(48, 9409) + Fraction(1, 101 ** 2))
+    assert res.output.startswith(
+        "note: endpoint perturbed to a generic point (4561/950309,499057/95981209)\n")
+    fixed, seed = request.getfixturevalue(name)
+    diag = complete_rank2(initial_diagram(fixed, seed, 4))
+    expected = canonical_string(theta_via_path(diag, q, (1, -1)))
+    assert "\nvalue: %s\n" % expected in res.output
+
+
 @pytest.mark.parametrize("m0", ["1/2,0", "1,0,0"])
 def test_theta_bad_m0_exit_2(runner, m0):
     res = runner.invoke(cli.main, ["theta", G31, "--m0", m0, "--q", "3/2,1", "--no-cache"])

@@ -9,7 +9,9 @@ import importlib
 import importlib.util
 import inspect
 import os
+from fractions import Fraction
 
+from gcsdiag import complete_rank2, initial_diagram
 from gcsdiag.ring import Grading
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
@@ -57,3 +59,24 @@ def test_grading_keeps_its_solve_cache():
     assert g._cache == {}
     g.degree((-1, 1))
     assert (-1, 1) in g._cache
+
+
+def test_cold_theta_call_reaches_the_search_hook(g31, monkeypatch):
+    # theta.dfs_nodes counts calls of _segment_hits_origin, one per state of
+    # the broken-line search; a warm call reads the diagram's memo instead
+    theta_mod = importlib.import_module("gcsdiag.theta")  # the package binds theta()
+    calls = []
+    original = theta_mod._segment_hits_origin
+
+    def counted(point, mdir):
+        calls.append(point)
+        return original(point, mdir)
+
+    monkeypatch.setattr(theta_mod, "_segment_hits_origin", counted)
+    fixed, seed = g31
+    diag = complete_rank2(initial_diagram(fixed, seed, 6))
+    theta_mod.theta(diag, (Fraction(3, 2), 1), (0, -1))
+    assert len(calls) > 3
+    cold = len(calls)
+    theta_mod.theta(diag, (Fraction(-3, 2), Fraction(1, 7)), (0, -1))
+    assert len(calls) == cold

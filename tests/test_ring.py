@@ -126,6 +126,20 @@ def test_rational_degrees():
     assert j_degree(g, (-3, 2)) == Fraction(11, 3)
 
 
+def test_degree_is_memoised(monkeypatch):
+    g = Grading([(0, 3), (-1, 0)])
+    assert g.degree([-3, 2]) == Fraction(11, 3)
+    assert g._cache[(-3, 2)] == [Fraction(2, 3), 3]
+
+    def unsolved(m):
+        raise AssertionError("degree re-solved %r" % (m,))
+
+    monkeypatch.setattr(g, "coefficients", unsolved)
+    assert g.degree((-3, 2)) == Fraction(11, 3)
+    with pytest.raises(AssertionError):
+        g.degree((1, 1))
+
+
 # ---------------------------------------------------------------------------
 # canonical strings
 

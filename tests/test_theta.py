@@ -5,6 +5,7 @@ import pytest
 
 from gcsdiag import (
     ClusterState,
+    CoeffPoly,
     TruncatedLaurent,
     canonical_string,
     chambers,
@@ -27,7 +28,17 @@ from gcsdiag import (
     theta_via_path,
     validate_broken_line,
 )
-from gcsdiag.theta import generic_near
+from gcsdiag.scatter import _reorder, apply_Tk
+from gcsdiag.theta import (
+    BrokenLine,
+    EndpointNotGeneric,
+    ThetaResult,
+    _bend_factor,
+    _crossings,
+    _monoid_points,
+    _segment_hits_origin,
+    generic_near,
+)
 
 FIG2_Q = (Fraction(3, 2), 1)
 # a chamber-interior endpoint whose direction shares no line with any
@@ -68,6 +79,138 @@ def test_broken_lines_reject_non_generic_endpoint(g31_diag8):
     value = theta(g31_diag8, q, (2, -3)).value
     assert value == theta_via_path(g31_diag8, q, (2, -3))
     assert "a*z^(-1,-2)" in canonical_string(value)
+
+
+def backward_lines(diag, m0, Q, order):
+    """Reference enumeration: search backward from Q for every final exponent.
+
+    Fix a candidate final exponent m_f, walk the final segment backwards and
+    branch over the walls crossed where the line may have bent; every bend
+    lowers the degree over m0, so the search ends.
+    """
+    Q = tuple(Fraction(x) for x in Q)
+    if diag.on_support(Q):
+        raise ValueError("endpoint lies on the diagram support; perturb it")
+    results = []
+
+    def dfs(point, m_cur, chain):
+        if _segment_hits_origin(point, m_cur):
+            if not chain:
+                raise EndpointNotGeneric(
+                    "endpoint is not generic: a final segment with exponent %r "
+                    "runs through the origin; perturb it" % (m_cur,))
+            return
+        if m_cur == m0:
+            results.append(chain)
+            return
+        coeffs = diag.grading.coefficients(tuple(a - b for a, b in zip(m_cur, m0)))
+        if coeffs is None or any(c < 0 for c in coeffs):
+            return
+        for wall, p in _crossings(diag, point, m_cur):
+            for j in range(1, int(sum(coeffs) // diag.grading.degree(wall.base)) + 1):
+                m_prev = tuple(a - j * b for a, b in zip(m_cur, wall.base))
+                factor = _bend_factor(wall, m_prev, j)
+                if factor:
+                    dfs(p, m_prev, ((wall, p, j, factor, m_prev, m_cur),) + chain)
+
+    for m_f in _monoid_points(diag, m0, order):
+        dfs(Q, m_f, ())
+    lines = []
+    for chain in results:
+        coeff, segments, prev_point = CoeffPoly.one(), [], None
+        for _, p, _, factor, m_prev, _ in chain:
+            segments.append((coeff, m_prev, prev_point, p))
+            coeff = coeff * factor
+            prev_point = p
+        segments.append((coeff, chain[-1][5] if chain else m0, prev_point, Q))
+        lines.append(BrokenLine(segments, [(wall, p, j) for wall, p, j, *_ in chain]))
+    lines.sort(key=BrokenLine.sort_key)
+    return lines
+
+
+def _report_or_error(make):
+    try:
+        return make()
+    except ValueError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _backward_report(diag, Q, m0, order):
+    lines = backward_lines(diag, m0, Q, order)
+    terms = {}
+    for line in lines:
+        coeff, expo = line.final_monomial
+        terms[expo] = terms.get(expo, CoeffPoly.zero()) + coeff
+    value = TruncatedLaurent(diag.grading, order, m0, terms)
+    return theta_report(diag, ThetaResult(value, lines, tuple(Fraction(x) for x in Q), m0))
+
+
+@pytest.mark.parametrize("name,order", [("a2", 10), ("g31", 9), ("kronecker", 7)])
+def test_forward_enumeration_equals_backward_search(request, name, order):
+    fixed, seed = request.getfixturevalue(name)
+    diag = complete_rank2(initial_diagram(fixed, seed, order))
+    rng = random.Random(order)
+    cases = non_generic = 0
+    for _ in range(30):
+        m0 = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if not any(m0):
+            continue
+        query = rng.randint(1, order)
+        points = [(Fraction(rng.randint(-30, 30), rng.randint(1, 13)),
+                   Fraction(rng.randint(-30, 30), rng.randint(1, 13))) for _ in range(2)]
+        # endpoints on rays -m_f, where a final segment runs through the origin
+        finals = _monoid_points(diag, m0, query)
+        points += [tuple(Fraction(-x, rng.randint(1, 5)) for x in rng.choice(finals))
+                   for _ in range(2)]
+        for Q in points:
+            if not any(Q):
+                continue
+            want = _report_or_error(lambda: _backward_report(diag, Q, m0, query))
+            got = _report_or_error(lambda: theta_report(diag, theta(diag, Q, m0, query)))
+            assert got == want, (m0, Q, query)
+            cases += 1
+            non_generic += got.startswith("EndpointNotGeneric")
+    assert cases > 80 and non_generic > 5
+
+
+def test_chain_memo_serves_each_order_as_a_fresh_diagram(g31):
+    fixed, seed = g31
+    d12 = complete_rank2(initial_diagram(fixed, seed, 12))
+    # at this endpoint each of these thetas has more broken lines at 12 than at 7
+    Q = (Fraction(-5, 3), Fraction(-2, 7))
+    m0s = ((2, -3), (2, -1), (3, -4))
+    reports = {}
+    for order in (7, 12, 7):
+        fresh = complete_rank2(initial_diagram(fixed, seed, order))
+        for m0 in m0s:
+            got = theta_report(d12, theta(d12, Q, m0, order))
+            assert got == theta_report(fresh, theta(fresh, Q, m0))
+            reports.setdefault(m0, set()).add(got)
+    assert all(len(r) == 2 for r in reports.values())
+    assert sorted(d12._chains) == [(m0, order) for m0 in m0s for order in (7, 12)]
+
+
+def test_derived_diagrams_start_with_an_empty_chain_memo(g31_diag8):
+    theta(g31_diag8, FIG2_Q, (0, -1))
+    assert g31_diag8._chains
+    assert _reorder(g31_diag8, 5)._chains == {}
+    assert apply_Tk(g31_diag8, 0)._chains == {}
+
+
+@pytest.fixture(scope="module")
+def kronecker_diag10(kronecker):
+    fixed, seed = kronecker
+    return complete_rank2(initial_diagram(fixed, seed, 10))
+
+
+@pytest.mark.parametrize("m0", [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, 2), (2, -1), (3, -2)])
+def test_kronecker_fourth_quadrant_equals_path_product(kronecker_diag10, m0):
+    # the cone (0,-1) -> (1,0), where the rays accumulate at (1,-1): on
+    # either side of it and close to it
+    for Q in ((Fraction(5, 3), Fraction(-1, 7)), (Fraction(2, 11), Fraction(-9, 5)),
+              (Fraction(7, 5), Fraction(-13, 10))):
+        value = theta(kronecker_diag10, Q, m0).value
+        assert value.terms == theta_via_path(kronecker_diag10, Q, m0).terms, Q
 
 
 # ---------------------------------------------------------------------------
