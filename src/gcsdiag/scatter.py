@@ -69,10 +69,6 @@ def _ang_cmp(a, b):
 _by_angle = cmp_to_key(_ang_cmp)
 
 
-def _parallel(a, b):
-    return _cross(a, b) == 0 and _dot(a, b) > 0
-
-
 def _line_rep(v):
     """Canonical direction of a full line: angle in [0, pi)."""
     v = _prim(v)
@@ -86,61 +82,68 @@ def _line_rep(v):
 class Wall:
     """Support (ray or full line in the plane), crossing normal and function.
 
-    base is the primitive exponent step in the full lattice; function is a
-    unit series in z^base, and coeffs[j] its coefficient of z^{j*base} for
-    j up to order / deg(base).  function is never reassigned, so the powers
-    memoised by power() stay valid for the wall's lifetime; a changed
-    function means a new Wall.
+    base is the primitive exponent step in the full lattice; the function is
+    the unit series sum_j coeffs[j] z^{j*base}, coeffs[0] = 1, held for j up
+    to order / deg(base).  coeffs is never reassigned, so the powers memoised
+    by power() stay valid for the wall's lifetime; a changed function means
+    a new Wall.
     """
 
-    __slots__ = ("kind", "direction", "normal", "base", "function", "incoming",
-                 "coeffs", "_powers")
+    __slots__ = ("kind", "direction", "normal", "base", "coeffs", "_powers")
 
-    def __init__(self, kind, direction, normal, base, function, incoming):
+    def __init__(self, kind, direction, normal, base, coeffs):
         self.kind = kind
         self.direction = tuple(direction)
         self.normal = tuple(normal)
         self.base = tuple(base)
-        self.function = function
-        self.incoming = incoming
+        self.coeffs = coeffs
         self._powers = {}
-        if not function.is_unit():
-            raise ValueError("wall function must be a unit series")
-        step = function.grading.degree(self.base)
-        self.coeffs = [CoeffPoly.zero()] * (int(function.order // step) + 1)
-        i = next(i for i, b in enumerate(self.base) if b)
-        for expo, poly in function.terms.items():
-            j = expo[i] // self.base[i]
-            if j < 0 or tuple(j * b for b in self.base) != expo:
-                raise ValueError("wall exponent %r is not a positive multiple of %r"
-                                 % (expo, self.base))
-            self.coeffs[j] = poly
+
+    def terms(self):
+        """The function as a term map {j * base: coeffs[j]}."""
+        return {tuple(j * b for b in self.base): c for j, c in enumerate(self.coeffs) if c}
 
     def power(self, p):
-        """The coefficient list of function ** p, computed once per wall and exponent."""
+        """The coefficient list of the function ** p, computed once per wall and exponent."""
         g = self._powers.get(p)
         if g is None:
             g = self._powers[p] = unit_power_coeffs(self.coeffs, p, len(self.coeffs) - 1)
         return g
 
     def __repr__(self):
-        return "Wall(%s dir=%s normal=%s f=%s)" % (
-            self.kind, self.direction, self.normal, canonical_string(self.function))
+        return "Wall(%s dir=%s normal=%s base=%s coeffs=[%s])" % (
+            self.kind, self.direction, self.normal, self.base,
+            ", ".join(canonical_string(c) for c in self.coeffs))
 
 
-def _wall(kind, direction, fn, proj):
-    """The wall of the unit fn on a support, or None if fn is 1.
+def _coeff_list(terms, grading, order):
+    """(base, coeffs) of the unit 1 + sum(terms) as a series in z^base.
 
-    Its base is fn's lowest-degree exponent made primitive; a ray is
-    incoming when it points along its base's projection.
+    base is the primitive vector of the exponents, each of which must be a
+    positive multiple of it; coeffs runs up to order / deg(base), and terms
+    above that are dropped.
     """
-    tail = [e for e in fn.terms if any(e)]
-    if not tail:
+    base = _prim(next(iter(terms)))
+    top = order // grading.degree(base)
+    coeffs = [CoeffPoly.one()] + [CoeffPoly.zero()] * top
+    i = next(i for i, b in enumerate(base) if b)
+    for expo, poly in terms.items():
+        j = expo[i] // base[i]
+        if j < 1 or tuple(j * b for b in base) != expo:
+            raise ValueError("wall exponent %r is not a positive multiple of %r"
+                             % (expo, base))
+        if j <= top:
+            coeffs[j] = poly
+    return base, coeffs
+
+
+def _wall(kind, direction, terms, grading, order, proj):
+    """The wall of 1 + sum(terms) on a support, or None if that is 1 at this order."""
+    base, coeffs = _coeff_list(terms, grading, order)
+    if not any(coeffs[1:]):
         return None
-    base = _prim(min(tail, key=fn.grading.degree))
     pb = _prim(tuple(base[i] for i in proj))
-    incoming = kind == "line" or _parallel(pb, direction)
-    return Wall(kind, direction, _perp_normal(pb), base, fn, incoming)
+    return Wall(kind, direction, _perp_normal(pb), base, coeffs)
 
 
 def _rays(wall):
@@ -165,14 +168,13 @@ class ScatteringDiagram:
     Its walls never change, so theta memoises broken lines on it.
     """
 
-    def __init__(self, fixed, seed, order, grading, walls, proj, kind="A"):
+    def __init__(self, fixed, seed, order, grading, walls, proj):
         self.fixed = fixed
         self.seed = seed
         self.order = order
         self.grading = grading
         self.walls = sorted(walls, key=lambda w: _by_angle(w.direction))
         self.proj = tuple(proj)
-        self.kind = kind
         self.dim = grading.dim
         self.events = sorted(((p, w, _crossing_sign(w.normal, p))
                               for w in self.walls for p in _rays(w)),
@@ -189,8 +191,9 @@ class ScatteringDiagram:
         """Plane basis monom exponents: the f-lattice units of the plane."""
         return [tuple(1 if j == i else 0 for j in range(self.dim)) for i in self.proj]
 
-    def support_directions(self):
-        return list(self.directions)
+    def function(self, wall):
+        """A wall's function as a series in the diagram's grading and at its order."""
+        return TruncatedLaurent(self.grading, self.order, (0,) * self.dim, wall.terms())
 
     def on_support(self, point):
         """Exact test whether a rational plane point lies on some wall."""
@@ -222,7 +225,7 @@ def _seed_grading(fixed, seed):
     return Grading([vs[i] for i in fixed.unfrozen])
 
 
-def initial_diagram(fixed, seed, order, kind="A"):
+def initial_diagram(fixed, seed, order):
     """Incoming walls (e_i^perp, 1 + a_{i,1} z^{v_i} + ... + z^{r_i v_i})."""
     uf = tuple(sorted(fixed.unfrozen))
     if len(uf) != 2:
@@ -238,9 +241,8 @@ def initial_diagram(fixed, seed, order, kind="A"):
     for i in uf:
         terms = {tuple(s * x for x in vs[i]): seed.a_tuples[i][s]
                  for s in range(1, fixed.r[i] + 1)}
-        fn = TruncatedLaurent.unit_from_terms(grading, order, terms)
-        walls.append(_wall("line", _line_rep(pv[i]), fn, proj))
-    return ScatteringDiagram(fixed, seed, order, grading, walls, proj, kind)
+        walls.append(_wall("line", _line_rep(pv[i]), terms, grading, order, proj))
+    return ScatteringDiagram(fixed, seed, order, grading, walls, proj)
 
 
 def initial_diagram_prin(fixed, seed, order):
@@ -248,7 +250,7 @@ def initial_diagram_prin(fixed, seed, order):
     from .seed import principal_data
 
     fixed2, seed2 = principal_data(fixed, seed)
-    return initial_diagram(fixed2, seed2, order, kind="Aprin")
+    return initial_diagram(fixed2, seed2, order)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +373,9 @@ def _reorder(diag, order):
     if order > diag.order:
         raise ValueError("cannot raise the order of a computed diagram")
     walls = [Wall(w.kind, w.direction, w.normal, w.base,
-                  w.function.truncate(order), w.incoming)
+                  w.coeffs[:order // diag.grading.degree(w.base) + 1])
              for w in diag.walls]
-    return ScatteringDiagram(diag.fixed, diag.seed, order, diag.grading,
-                             walls, diag.proj, diag.kind)
+    return ScatteringDiagram(diag.fixed, diag.seed, order, diag.grading, walls, diag.proj)
 
 
 def complete_rank2(diag):
@@ -389,11 +390,9 @@ def complete_rank2(diag):
     while True:
         for ray_dir, terms in rays.items():
             if ray_dir not in walls:
-                fn = TruncatedLaurent.unit_from_terms(diag.grading, diag.order, terms)
-                walls[ray_dir] = _wall("ray", ray_dir, fn, diag.proj)
+                walls[ray_dir] = _wall("ray", ray_dir, terms, diag.grading, diag.order, diag.proj)
         cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
-                                diag.walls + [walls[d] for d in rays if walls[d]],
-                                diag.proj, diag.kind)
+                                diag.walls + [walls[d] for d in rays if walls[d]], diag.proj)
         dmin, defects = _lowest_defects(cur)
         if not defects:
             return cur
@@ -465,22 +464,6 @@ def tk_order_boost(fixed, seed, k):
     return boost
 
 
-def _merge_walls(pieces, grading, order, proj):
-    """Walls from (kind, direction, terms) pieces; pieces on one support multiply."""
-    merged = {}
-    for kind, direction, terms in pieces:
-        merged.setdefault((kind, tuple(direction)), []).append(terms)
-    walls = []
-    for (kind, direction), term_dicts in merged.items():
-        fn = TruncatedLaurent.one(grading, order)
-        for terms in term_dicts:
-            fn = fn * TruncatedLaurent.unit_from_terms(grading, order, terms)
-        wall = _wall(kind, direction, fn, proj)
-        if wall is not None:
-            walls.append(wall)
-    return walls
-
-
 def apply_Tk(diag, k):
     """Piecewise-linear mutation of a completed rank-2 diagram in direction k.
 
@@ -495,20 +478,22 @@ def apply_Tk(diag, k):
     shear = tk_shear(fixed, diag.seed, k)
     vk = _v_rows(fixed, diag.seed)[k]
     grading2 = _seed_grading(fixed, seed2)
-    pieces = []
+    walls = []
     for w in diag.walls:
         if w.kind == "line" and w.normal == tuple(1 if j == k else 0 for j in range(2)):
             # the k-wall: function replaced by the mutated exchange polynomial
             terms = {tuple(-s * x for x in vk): diag.seed.a_tuples[k][s]
                      for s in range(1, fixed.r[k] + 1)}
-            pieces.append(("line", w.direction, terms))
+            walls.append(_wall("line", w.direction, terms, grading2, diag.order, diag.proj))
             continue
+        # T_k is injective on supports, so no two images share one
         for pdir in _rays(w):
             s = 1 if pdir[k] > 0 else 0  # H_{k,+}: map geometry and exponents
-            terms = {shear(e, s): p for e, p in w.function.terms.items() if any(e)}
-            pieces.append(("ray", _prim(shear(pdir, s)), terms))
-    walls = _merge_walls(pieces, grading2, diag.order, diag.proj)
-    return ScatteringDiagram(fixed, seed2, diag.order, grading2, walls, diag.proj, diag.kind)
+            terms = {shear(e, s): p for e, p in w.terms().items() if any(e)}
+            walls.append(_wall("ray", _prim(shear(pdir, s)), terms, grading2, diag.order,
+                               diag.proj))
+    return ScatteringDiagram(fixed, seed2, diag.order, grading2, [w for w in walls if w],
+                             diag.proj)
 
 
 # ---------------------------------------------------------------------------
@@ -556,44 +541,47 @@ def cone_contains(cone, m):
 
 def slice_to_X(prin_diag):
     """Restrict lifted exponents (p*(n), n) to z^n; supports in N-coordinates."""
-    fixed = prin_diag.fixed
     n2 = prin_diag.dim
     n = n2 // 2
     uf = prin_diag.proj
     eps = epsilon(prin_diag.fixed, prin_diag.seed)
 
     def normal_x(normal):
+        # normal is already in the basis {d_i e_i} and eps holds the d_j,
+        # so no d_i enters here
         full = [0] * n
         for idx, i in enumerate(uf):
-            full[i] = int(normal[idx] * fixed.d[i])
+            full[i] = normal[idx]
         return tuple(sum(eps[i][j] * full[j] for j in range(n)) for i in range(n))
 
     grading = Grading([tuple(1 if j == i else 0 for j in range(n)) for i in uf])
     walls = []
     for w in prin_diag.walls:
-        terms = {e[n:]: p for e, p in w.function.terms.items() if any(e)}
+        base, coeffs = _coeff_list({e[n:]: p for e, p in w.terms().items() if any(e)},
+                                   grading, prin_diag.order)
         nx = normal_x(w.normal)
-        base = _prim(w.base[n:])
         if w.kind == "line":
             direction = _line_rep(_perp_normal(nx))
         else:
-            direction = _prim(tuple(-x for x in w.base[n:]))
-        fn = TruncatedLaurent.unit_from_terms(grading, prin_diag.order, terms)
-        incoming = w.kind == "line" or _parallel(base, direction)
-        walls.append(Wall(w.kind, direction, nx, base, fn, incoming))
+            direction = tuple(-x for x in base)
+        walls.append(Wall(w.kind, direction, nx, base, coeffs))
     return ScatteringDiagram(prin_diag.fixed, prin_diag.seed, prin_diag.order,
-                             grading, walls, tuple(range(2)), kind="X")
+                             grading, walls, tuple(range(2)))
 
 
 def project_to_A(prin_diag):
-    """Drop the N-component of every lifted exponent; merge equal supports."""
+    """Drop the N-component of every lifted exponent.
+
+    The projection is injective on supports and keeps every exponent's
+    degree, so each wall maps to one nontrivial wall.
+    """
     n = prin_diag.dim // 2
     grading = Grading([tuple(g)[:n] for g in prin_diag.grading.generators])
-    pieces = [(w.kind, w.direction, {e[:n]: p for e, p in w.function.terms.items() if any(e)})
-              for w in prin_diag.walls]
-    walls = _merge_walls(pieces, grading, prin_diag.order, prin_diag.proj)
+    walls = [_wall(w.kind, w.direction, {e[:n]: p for e, p in w.terms().items() if any(e)},
+                   grading, prin_diag.order, prin_diag.proj)
+             for w in prin_diag.walls]
     return ScatteringDiagram(prin_diag.fixed, prin_diag.seed, prin_diag.order,
-                             grading, walls, prin_diag.proj, kind="A")
+                             grading, walls, prin_diag.proj)
 
 
 # ---------------------------------------------------------------------------
@@ -609,5 +597,5 @@ def dump_diagram(diag, variant="A"):
         lines.append("%s direction=(%d,%d) normal=(%s) f=%s" % (
             w.kind, w.direction[0], w.direction[1],
             ",".join(str(x) for x in w.normal),
-            canonical_string(w.function)))
+            canonical_string(diag.function(w))))
     return "\n".join(lines) + "\n"

@@ -83,10 +83,7 @@ def _order(diag, order):
 
 def _monoid_points(diag, m0, order):
     """All exponents m0 + (monoid combos of wall steps) with degree <= order."""
-    steps = []
-    for w in diag.walls:
-        if not any(_cross(w.base, s) == 0 and _dot(w.base, s) > 0 for s in steps):
-            steps.append(w.base)
+    steps = {w.base for w in diag.walls}  # primitive, so parallel bases are equal
     seen = {m0}
     frontier = [m0]
     while frontier:

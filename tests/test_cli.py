@@ -281,6 +281,22 @@ def test_check_reports_failure_with_exit_4(runner, monkeypatch):
     assert "consistency: FAIL at z^(0,1)\n" in res.output
 
 
+def test_check_reports_the_first_non_laurent_word(runner, monkeypatch):
+    mutate_cluster = cli.mutate_cluster
+    calls = []
+
+    def fail_fourth_step(state, k):
+        calls.append(k)
+        if len(calls) == 4:  # the words in walk order: 1, 2, 1,2, 2,1
+            raise ValueError("non-Laurent cluster variable")
+        return mutate_cluster(state, k)
+
+    monkeypatch.setattr(cli, "mutate_cluster", fail_fourth_step)
+    res = runner.invoke(cli.main, ["check", A2, "--order", "2", "--depth", "3"])
+    assert res.exit_code == 4
+    assert res.output.endswith("laurent: FAIL at word 2,1\n")
+
+
 def test_check_seed_with_frozen_direction_exit_3(runner, tmp_path):
     seed = tmp_path / "frozen.seed"
     seed.write_text("rank 3\nunfrozen 1 2\nd 1 1 1\nr 1 1 1\nB 0 1 1 -1 0 1 -1 -1 0\n"

@@ -8,7 +8,6 @@ import pytest
 from gcsdiag import (
     ScatteringDiagram,
     TruncatedLaurent,
-    Wall,
     apply_Tk,
     canonical_string,
     chambers,
@@ -21,6 +20,7 @@ from gcsdiag import (
     initial_diagram_prin,
     loop_product,
     mutate_seed,
+    parse_seed_file,
     path_ordered_product,
     project_to_A,
     right_companion,
@@ -30,10 +30,12 @@ from gcsdiag import (
 from gcsdiag.ring import CoeffPoly
 from gcsdiag.scatter import (
     _chamber_reps,
+    _cross,
+    _dot,
     _events_after,
     _lowest_defects,
-    _perp_normal,
     _reorder,
+    _wall,
     tk_order_boost,
 )
 
@@ -41,7 +43,7 @@ REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "referenc
 
 
 def wall_rows(diag):
-    return sorted((w.kind, w.direction, w.normal, canonical_string(w.function))
+    return sorted((w.kind, w.direction, w.normal, canonical_string(diag.function(w)))
                   for w in diag.walls)
 
 
@@ -61,7 +63,6 @@ def test_initial_diagram_g31(g31):
         ("line", (0, 1), (1, 0), "1 + a*z^(0,1) + a*z^(0,2) + z^(0,3)"),
         ("line", (1, 0), (0, 1), "1 + z^(-1,0)"),
     ]
-    assert all(w.incoming for w in din.walls)
 
 
 def test_initial_diagram_kronecker(kronecker):
@@ -83,10 +84,9 @@ def test_initial_diagram_needs_injective_projection():
 
 
 def test_wall_function_exponents_validated(g31_diag8):
-    grading = g31_diag8.grading
-    fn = TruncatedLaurent.unit_from_terms(grading, 8, {(0, 1): CoeffPoly.one()})
-    with pytest.raises(ValueError):
-        Wall("line", (1, 0), (0, 1), (-1, 0), fn, True)
+    terms = {(0, 1): CoeffPoly.one(), (-1, 1): CoeffPoly.one()}
+    with pytest.raises(ValueError, match="not a positive multiple"):
+        _wall("ray", (1, -1), terms, g31_diag8.grading, 8, g31_diag8.proj)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +124,11 @@ def _power_terms(w, p):
 
 
 def test_wall_power_is_memoised(g31_diag8):
-    w = max(g31_diag8.walls, key=lambda w: len(w.function.terms))
+    w = max(g31_diag8.walls, key=lambda w: len(g31_diag8.function(w).terms))
     for p in (-3, -1, 2, 4):
         first = w.power(p)
         assert w.power(p) is first
-        assert _power_terms(w, p) == (w.function ** p).terms
+        assert _power_terms(w, p) == (g31_diag8.function(w) ** p).terms
 
 
 def test_derived_walls_do_not_inherit_powers(g31_diag8):
@@ -136,12 +136,12 @@ def test_derived_walls_do_not_inherit_powers(g31_diag8):
     for w in g31_diag8.walls:  # fill the memo of the source walls
         for p in (-2, -1, 2, 3):
             w.power(p)
-    derived = _reorder(g31_diag8, 5).walls + apply_Tk(g31_diag8, 0).walls
-    for w in derived:
-        step = w.function.grading.degree(w.base)
-        for p in (-2, -1, 2, 3):
-            assert len(w.power(p)) == w.function.order // step + 1
-            assert _power_terms(w, p) == (w.function ** p).terms
+    for derived in (_reorder(g31_diag8, 5), apply_Tk(g31_diag8, 0)):
+        for w in derived.walls:
+            step = derived.grading.degree(w.base)
+            for p in (-2, -1, 2, 3):
+                assert len(w.power(p)) == derived.order // step + 1
+                assert _power_terms(w, p) == (derived.function(w) ** p).terms
 
 
 def test_two_orders_in_one_process_match_reference_digests(g31):
@@ -213,7 +213,7 @@ def test_complete_a2(a2_diag6):
 def test_complete_kronecker_order12(kronecker):
     fixed, seed = kronecker
     diag = complete_rank2(initial_diagram(fixed, seed, 12))
-    rows = dict(((w.kind, w.direction), canonical_string(w.function)) for w in diag.walls)
+    rows = dict(((w.kind, w.direction), canonical_string(diag.function(w))) for w in diag.walls)
     assert len(diag.walls) == 13
     # one discrete-series family and its mirror, degree <= 12
     for n in range(1, 6):
@@ -227,20 +227,18 @@ def test_complete_kronecker_order12(kronecker):
 
 def test_added_walls_are_outgoing_rays(g31_diag9, a2_diag6):
     # every added ray points against its base exponent (outgoing wall)
-    from gcsdiag.scatter import _parallel
-
     for diag in (g31_diag9, a2_diag6):
         for w in diag.walls:
             if w.kind == "ray":
-                assert not w.incoming
-                assert _parallel(tuple(-x for x in diag.project(w.base)), w.direction)
+                v = tuple(-x for x in diag.project(w.base))
+                assert _cross(v, w.direction) == 0 and _dot(v, w.direction) > 0
 
 
 def test_wall_functions_palindromic_finite_type(g31_diag9, a2_diag6):
     for diag in (g31_diag9, a2_diag6):
         for w in diag.walls:
             steps = {}
-            for expo, poly in w.function.terms.items():
+            for expo, poly in diag.function(w).terms.items():
                 if not any(expo):
                     steps[0] = poly
                     continue
@@ -261,9 +259,9 @@ def test_truncation_coherent_completions(g31):
     fixed, seed = g31
     d6 = complete_rank2(initial_diagram(fixed, seed, 6))
     d9 = complete_rank2(initial_diagram(fixed, seed, 9))
-    small = {(w.kind, w.direction): w.function for w in d6.walls}
+    small = {(w.kind, w.direction): d6.function(w) for w in d6.walls}
     for w in d9.walls:
-        assert w.function.truncate(6).terms == small[(w.kind, w.direction)].terms
+        assert d9.function(w).truncate(6).terms == small[(w.kind, w.direction)].terms
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +271,7 @@ def test_truncation_coherent_completions(g31):
 def test_complete_prin_g31(g31):
     fixed, seed = g31
     diag = complete_rank2(initial_diagram_prin(fixed, seed, 9))
-    rows = dict(((w.kind, w.direction), canonical_string(w.function)) for w in diag.walls)
+    rows = dict(((w.kind, w.direction), canonical_string(diag.function(w))) for w in diag.walls)
     assert rows[("ray", (1, -3))] == "1 + z^(-1,3,3,1)"
     assert rows[("ray", (1, -2))] == (
         "1 + z^(-3,6,6,3) + a*z^(-2,4,4,2) + a*z^(-1,2,2,1)")
@@ -302,13 +300,50 @@ def test_project_to_A_recovers_completion(g31, g31_diag9):
     assert wall_rows(proj) == wall_rows(g31_diag9)
 
 
+# seeds beyond the shipped ones: d_i != 1, two exchange symbols on infinite
+# type, and a frozen direction
+EXTRA_SEEDS = {
+    "b2": "rank 2\nunfrozen 1 2\nd 2 1\nr 1 1\nB 0 1 -2 0\na.1 1 1\na.2 1 1\n",
+    "r32": "rank 2\nunfrozen 1 2\nd 1 1\nr 3 2\nB 0 1 -1 0\na.1 1 a a 1\na.2 1 b 1\n",
+    "frozen": "rank 3\nunfrozen 1 2\nd 1 1 1\nr 1 1 1\nB 0 1 1 -1 0 1 -1 -1 0\n"
+              "a.1 1 1\na.2 1 1\na.3 1 1\n",
+}
+
+
+def _seed(request, name):
+    if name in EXTRA_SEEDS:
+        return parse_seed_file(EXTRA_SEEDS[name])
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", ["a2", "g31", "kronecker", "b2"])
+def test_slice_to_X_is_consistent(request, name):
+    fixed, seed = _seed(request, name)
+    diag = slice_to_X(complete_rank2(initial_diagram_prin(fixed, seed, 5)))
+    assert check_consistency(diag) == (True, None)
+
+
+@pytest.mark.parametrize("name", ["a2", "g31", "kronecker", "b2", "r32", "frozen"])
+def test_derived_walls_have_distinct_supports(request, name):
+    # T_k and the A-projection are injective on supports, so no two walls
+    # they produce need merging
+    fixed, seed = _seed(request, name)
+    derived = [project_to_A(complete_rank2(initial_diagram_prin(fixed, seed, 6)))]
+    if fixed.n == 2:  # T_k needs plane exponents
+        diag = complete_rank2(initial_diagram(fixed, seed, 6))
+        derived += [apply_Tk(diag, k) for k in fixed.unfrozen]
+    for d in derived:
+        supports = [(w.kind, w.direction) for w in d.walls]
+        assert len(set(supports)) == len(supports)
+
+
 # ---------------------------------------------------------------------------
 # diagram mutation
 
 
 def test_apply_Tk_example(g31_diag8):
     t2 = apply_Tk(g31_diag8, 1)
-    rows = dict(((w.kind, w.direction), canonical_string(w.function)) for w in t2.walls)
+    rows = dict(((w.kind, w.direction), canonical_string(t2.function(w))) for w in t2.walls)
     assert rows[("line", (1, 0))] == "1 + z^(1,0)"
     assert rows[("ray", (-1, 1))] == "1 + z^(-3,3) + a*z^(-2,2) + a*z^(-1,1)"
 
@@ -391,15 +426,14 @@ def _right_companion_and_printed_variant(g31):
     f2, s2 = right_companion(fixed, seed)
     rc = complete_rank2(initial_diagram(f2, s2, 8))
     walls = [w for w in rc.walls if w.direction != (1, -1)]
-    fn = TruncatedLaurent.unit_from_terms(rc.grading, 8, {(-3, 2): CoeffPoly.one()})
-    walls.append(Wall("ray", (3, -2), _perp_normal((-3, 2)), (-3, 2), fn, False))
+    walls.append(_wall("ray", (3, -2), {(-3, 2): CoeffPoly.one()}, rc.grading, 8, rc.proj))
     return rc, ScatteringDiagram(rc.fixed, rc.seed, 8, rc.grading, walls, rc.proj)
 
 
 def test_right_companion_printed_variant_inconsistent(g31):
     rc, variant = _right_companion_and_printed_variant(g31)
     (w11,) = [w for w in rc.walls if w.direction == (1, -1)]
-    assert canonical_string(w11.function) == "1 + z^(-3,3)"
+    assert canonical_string(rc.function(w11)) == "1 + z^(-3,3)"
     assert check_consistency(rc) == (True, None)
     ok, first = check_consistency(variant)
     assert not ok and first == (-2, 2)
