@@ -34,6 +34,7 @@ from .scatter import (
 from .seed import (
     ClusterState,
     c_vectors,
+    cluster_variable_text,
     epsilon,
     g_vectors,
     langlands_dual,
@@ -178,7 +179,7 @@ def mutate(seed_file, word, out):
     lines.append("c %s" % " ".join(str(x) for row in c_vectors(sd) for x in row))
     lines.append("g %s" % " ".join(str(x) for row in g_vectors(sd) for x in row))
     for i, expr in enumerate(state.exprs):
-        lines.append("x.%d %s" % (i + 1, expr))
+        lines.append("x.%d %s" % (i + 1, cluster_variable_text(expr, state.xs)))
     _emit("\n".join(lines) + "\n", out)
 
 
@@ -366,24 +367,27 @@ def check(seed_file, order, depth, out):
     _, fixed, seed = _load_seed(seed_file)
     if depth < 0:
         raise CliError("depth must be >= 0", 3)
-    if fixed.n != 2:
+    if fixed.n != 2 or len(fixed.unfrozen) != 2:
         raise CliError("check needs a rank-2 seed without frozen directions: "
                        "T_k needs plane exponents", 3)
     lines = []
     failed = False
 
-    diag = _build_diagram(fixed, seed, order, "A")
+    try:
+        boosts = {k: tk_order_boost(fixed, seed, k) for k in fixed.unfrozen}
+    except ValueError as exc:
+        raise CliError(str(exc), 3)
+    # one completion at the largest boost; truncation gives every lower order
+    top = max(boosts.values(), default=1)
+    full = _build_diagram(fixed, seed, order * top, "A")
+    diag = _reorder(full, order)
     ok, mono = check_consistency(diag)
     lines.append("consistency: %s" % ("pass" if ok else "FAIL at z^(%s)" % (",".join(map(str, mono)))))
     failed |= not ok
 
-    boosted = {1: diag}  # boost -> the diagram completed at order * boost
     for k in fixed.unfrozen:
         try:
-            boost = tk_order_boost(fixed, seed, k)
-            if boost not in boosted:
-                boosted[boost] = complete_rank2(initial_diagram(fixed, seed, order * boost))
-            dk = _reorder(apply_Tk(boosted[boost], k), order)
+            dk = _reorder(apply_Tk(_reorder(full, order * boosts[k]), k), order)
             d2 = complete_rank2(initial_diagram(fixed, mutate_seed(fixed, seed, k), order))
             ok = equivalence_check(dk, d2)
         except (ValueError, RuntimeError) as exc:

@@ -372,9 +372,11 @@ def check_consistency(diag):
 def _reorder(diag, order):
     if order > diag.order:
         raise ValueError("cannot raise the order of a computed diagram")
-    walls = [Wall(w.kind, w.direction, w.normal, w.base,
-                  w.coeffs[:order // diag.grading.degree(w.base) + 1])
-             for w in diag.walls]
+    walls = []
+    for w in diag.walls:
+        coeffs = w.coeffs[:order // diag.grading.degree(w.base) + 1]
+        if any(coeffs[1:]):  # a wall whose function truncates to 1 goes
+            walls.append(Wall(w.kind, w.direction, w.normal, w.base, coeffs))
     return ScatteringDiagram(diag.fixed, diag.seed, order, diag.grading, walls, diag.proj)
 
 
@@ -544,6 +546,9 @@ def slice_to_X(prin_diag):
     n2 = prin_diag.dim
     n = n2 // 2
     uf = prin_diag.proj
+    if len(uf) != n:
+        raise ValueError("variant X needs a seed without frozen directions: "
+                         "its walls are drawn in the plane of N")
     eps = epsilon(prin_diag.fixed, prin_diag.seed)
 
     def normal_x(normal):

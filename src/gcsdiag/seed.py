@@ -7,10 +7,10 @@ All indices are 0-based internally; files and the CLI use 1-based indices.
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from fractions import Fraction
-
-import sympy as sp
 
 from .ring import SYMBOL_NAME_RE, CoeffPoly, ExchangeSymbol
 
@@ -250,91 +250,163 @@ def g_vectors(seed):
 
 # ---------------------------------------------------------------------------
 # cluster-variable recursion (trivial coefficients y = 1)
+#
+# A cluster variable is a Laurent polynomial {x-exponent: CoeffPoly} in the
+# initial cluster.  Arithmetic runs on a flat form {key: coefficient}, where
+# a key is the x-exponent followed by the exponents of the a-symbols `names`
+# (sorted), so products add keys and tuple order is the lexicographic order
+# on (x-exponent, a-monomial).  Integral coefficients are held as int, which
+# multiplies far faster than Fraction.
 
 
-def _poly_to_sympy(poly):
-    expr = sp.Integer(0)
-    for mono, coeff in poly.terms.items():
-        term = sp.Rational(coeff.numerator, coeff.denominator)
-        for name, e in mono:
-            term *= sp.Symbol(name) ** e
-        expr += term
-    return expr
+def _names(polys):
+    return sorted({name for p in polys for mono in p.terms for name, _ in mono})
+
+
+def _flat(expr, names):
+    out = {}
+    for x, poly in expr.items():
+        for mono, c in poly.terms.items():
+            d = dict(mono)
+            out[x + tuple(d.get(name, 0) for name in names)] = (
+                c.numerator if c.denominator == 1 else c)
+    return out
+
+
+def _unflat(flat, n, names):
+    out = {}
+    for key, c in flat.items():
+        mono = tuple((name, e) for name, e in zip(names, key[n:]) if e)
+        out.setdefault(key[:n], {})[mono] = c
+    return {x: CoeffPoly(terms) for x, terms in out.items()}
+
+
+def _mul(f, g):
+    out = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            k = tuple(map(operator.add, k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 class ClusterState:
-    """Cluster variables as exact rational functions of the initial cluster."""
+    """Cluster variables as Laurent polynomials {x-exponent: CoeffPoly} in xs."""
 
     def __init__(self, fixed, seed, exprs=None):
         self.fixed = fixed
         self.seed = seed
-        self.xs = sp.symbols("x1:%d" % (fixed.n + 1))
-        self.exprs = list(exprs) if exprs is not None else list(self.xs)
+        self.xs = tuple("x%d" % (i + 1) for i in range(fixed.n))
+        if exprs is None:
+            exprs = [{tuple(int(i == j) for j in range(fixed.n)): CoeffPoly.one()}
+                     for i in range(fixed.n)]
+        self.exprs = list(exprs)
 
 
 def mutate_cluster(state, k):
-    """Exchange relation x_k' = x_k^{-1} (prod x_j^{[-b_kj]_+})^{r_k} sum_s a_{k,s} yhat_k^s."""
+    """Exchange relation x_k x_k' = sum_s a_{k,s} prod_j x_j^(r_k [-b_kj]_+ + s b_kj).
+
+    Every exponent on the right is >= 0, so the numerator is a polynomial in
+    the current cluster; laurent_check divides it by x_k exactly.
+    """
     fixed, seed = state.fixed, state.seed
     if k not in fixed.unfrozen:
         raise ValueError("cannot mutate frozen direction %d" % (k + 1,))
     b = epsilon(fixed, seed)[k]
     rk = fixed.r[k]
-    yhat = sp.Integer(1)
-    pref = sp.Integer(1)
-    for j in range(fixed.n):
-        yhat *= state.exprs[j] ** b[j]
-        pref *= state.exprs[j] ** _pos(-b[j])
-    total = sp.Integer(0)
-    for s, a in enumerate(seed.a_tuples[k]):
-        total += _poly_to_sympy(a) * yhat ** s
-    newx = sp.cancel(pref ** rk * total / state.exprs[k])
+    n = fixed.n
+    a_k = seed.a_tuples[k]
+    names = _names([p for e in state.exprs for p in e.values()] + list(a_k))
+    cluster = [_flat(e, names) for e in state.exprs]
+    one = {(0,) * (n + len(names)): 1}
+    # numerator = sum_s a_{k,s} P^s M^(r_k - s), P and M the products of
+    # x_j^|b_kj| over b_kj > 0 and over b_kj < 0
+    P, M = one, one
+    for j in range(n):
+        for _ in range(abs(b[j])):
+            if b[j] > 0:
+                P = _mul(P, cluster[j])
+            else:
+                M = _mul(M, cluster[j])
+    p_pows, m_pows = [one], [one]
+    for _ in range(rk):
+        p_pows.append(_mul(p_pows[-1], P))
+        m_pows.append(_mul(m_pows[-1], M))
+    numerator = {}
+    for s, a in enumerate(a_k):
+        for key, c in _mul(_mul(_flat({(0,) * n: a}, names), p_pows[s]),
+                           m_pows[rk - s]).items():
+            numerator[key] = numerator.get(key, 0) + c
     exprs = list(state.exprs)
-    exprs[k] = newx
-    if not laurent_check(newx, state.xs):
-        raise ValueError("non-Laurent cluster variable; mutation data is inconsistent")
-    out = ClusterState(fixed, mutate_seed(fixed, seed, k), exprs)
-    return out
+    exprs[k] = laurent_check(_unflat(numerator, n, names), state.exprs[k])
+    return ClusterState(fixed, mutate_seed(fixed, seed, k), exprs)
 
 
-def laurent_check(expr, xs):
-    """True iff the denominator is a monomial in the cluster variables."""
-    num, den = sp.fraction(sp.cancel(sp.together(expr)))
-    den = sp.expand(den)
-    if not den.free_symbols <= set(xs):
-        return False
-    if den.is_Number:
-        return True
-    return len(sp.Poly(den, *xs).terms()) == 1
+def laurent_check(num, den):
+    """The exact quotient num/den of Laurent polynomials {x-exponent: CoeffPoly}.
+
+    Long division with terms in lexicographic order on (x-exponent,
+    a-monomial), so den's leading coefficient is a rational and no step
+    divides in Q[a].  An exact quotient has, per coordinate, exponents
+    between lowest(num) - lowest(den) and highest(num) - highest(den), and
+    a-exponents >= 0.  The quotient terms strictly decrease, so the division
+    ends: a term outside that finite box means den does not divide num and
+    raises ValueError, and a zero remainder proves num/den Laurent.
+    """
+    n = len(next(iter(den)))
+    names = _names(list(num.values()) + list(den.values()))
+    rem, div = _flat(num, names), _flat(den, names)
+    lo = [min(e) - min(f) for e, f in zip(zip(*rem), zip(*div))]
+    hi = [max(e) - max(f) for e, f in zip(zip(*rem), zip(*div))]
+    lo[n:] = [max(x, 0) for x in lo[n:]]
+    lead = max(div)
+    lead_c = div.pop(lead)
+    heap = [tuple(-e for e in key) for key in rem]  # max-heap of the remainder's keys
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        key = tuple(-e for e in heapq.heappop(heap))
+        c = rem.pop(key)
+        if not c:
+            continue
+        q = tuple(map(operator.sub, key, lead))
+        if not all(l <= e <= h for l, e, h in zip(lo, q, hi)):
+            raise ValueError("non-Laurent cluster variable; mutation data is inconsistent")
+        c = Fraction(c) / lead_c
+        if c.denominator == 1:
+            c = c.numerator
+        quot[q] = c
+        for key2, c2 in div.items():
+            t = tuple(map(operator.add, q, key2))
+            if t not in rem:
+                rem[t] = 0
+                heapq.heappush(heap, tuple(-e for e in t))
+            rem[t] -= c * c2
+    return _unflat(quot, n, names)
 
 
 def laurent_dict(expr, xs):
-    """Exact Laurent expansion as {exponent tuple: CoeffPoly} in the xs."""
-    num, den = sp.fraction(sp.cancel(sp.together(expr)))
-    num, den = sp.expand(num), sp.expand(den)
-    if not laurent_check(expr, xs):
-        raise ValueError("expression is not a Laurent polynomial in the cluster")
-    if den.is_Number:
-        shift = tuple(0 for _ in xs)
-        dc = sp.Rational(den)
-    else:
-        ((mono, dc),) = sp.Poly(den, *xs).terms()
-        shift = tuple(int(m) for m in mono)
-    asyms = sorted(num.free_symbols - set(xs), key=lambda s: s.name)
-    out = {}
-    for mono, coeff in sp.Poly(num, *xs).terms():
-        key = tuple(int(m) - s for m, s in zip(mono, shift))
-        coeff = sp.expand(coeff / dc)
-        terms = {}
-        if asyms and coeff.free_symbols & set(asyms):
-            for amono, q in sp.Poly(coeff, *asyms).terms():
-                q = sp.Rational(q)
-                m = tuple(sorted((s.name, int(e)) for s, e in zip(asyms, amono) if e))
-                terms[m] = terms.get(m, Fraction(0)) + Fraction(q.p, q.q)
-        else:
-            q = sp.Rational(coeff)
-            terms[()] = Fraction(q.p, q.q)
-        out[key] = out.get(key, CoeffPoly.zero()) + CoeffPoly(terms)
-    return {k: v for k, v in out.items() if v}
+    """The Laurent expansion {exponent tuple in xs: CoeffPoly} of a cluster variable."""
+    return dict(expr)
+
+
+def cluster_variable_text(expr, xs):
+    """sympy's rendering of a Laurent polynomial as one fraction: `mutate`'s x.i text.
+
+    It equals str(sympy.cancel(expr)) when the coefficients are integral, as
+    every cluster variable's are.
+    """
+    import sympy as sp  # only this printer needs sympy
+
+    syms = [sp.Symbol(x) for x in xs]
+    shift = [min(0, min(x[j] for x in expr)) for j in range(len(xs))]
+    terms = []
+    for x, poly in expr.items():
+        mono = sp.Mul(*[s ** (e - m) for s, e, m in zip(syms, x, shift)])
+        for amono, c in poly.terms.items():
+            coeff = sp.Rational(c.numerator, c.denominator)
+            terms.append(sp.Mul(coeff, *[sp.Symbol(name) ** e for name, e in amono]) * mono)
+    return str(sp.Add(*terms) / sp.Mul(*[s ** -m for s, m in zip(syms, shift)]))
 
 
 # ---------------------------------------------------------------------------

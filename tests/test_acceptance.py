@@ -21,11 +21,11 @@ from gcsdiag import (
     complete_rank2,
     dump_diagram,
     enumerate_broken_lines,
+    epsilon,
     equivalence_check,
     g_vector,
     initial_diagram,
     initial_diagram_prin,
-    laurent_check,
     laurent_dict,
     left_companion,
     loop_product,
@@ -269,6 +269,30 @@ def test_criterion_11_structure_constants(g31):
         assert ok and lhs.terms == rhs.terms, (p1, p2)
 
 
+def _laurent_mul(f, g):
+    out = {}
+    for k1, p1 in f.items():
+        for k2, p2 in g.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            out[k] = out.get(k, CoeffPoly.zero()) + p1 * p2
+    return {k: p for k, p in out.items() if p}
+
+
+def _exchange_numerator(st, k):
+    """sum_s a_{k,s} prod_j x_j^(r_k [-b_kj]_+ + s b_kj) in the state's variables."""
+    fixed = st.fixed
+    b = epsilon(fixed, st.seed)[k]
+    total = {}
+    for s, a in enumerate(st.seed.a_tuples[k]):
+        term = {(0,) * fixed.n: a}
+        for j in range(fixed.n):
+            for _ in range(fixed.r[k] * max(-b[j], 0) + s * b[j]):
+                term = _laurent_mul(term, st.exprs[j])
+        for key, p in term.items():
+            total[key] = total.get(key, CoeffPoly.zero()) + p
+    return {k: p for k, p in total.items() if p}
+
+
 def test_criterion_12_laurent_phenomenon(g31, a2):
     for fixed, seed in (g31, a2):
         rng = random.Random(123)
@@ -276,9 +300,12 @@ def test_criterion_12_laurent_phenomenon(g31, a2):
             word = [rng.choice(fixed.unfrozen) for _ in range(rng.randint(1, 8))]
             st = ClusterState(fixed, seed)
             for k in word:
-                st = mutate_cluster(st, k)
+                new = mutate_cluster(st, k)
+                # the exchange relation, multiplied back: x_k x_k' = numerator
+                assert _laurent_mul(st.exprs[k], new.exprs[k]) == _exchange_numerator(st, k), word
+                st = new
             for expr in st.exprs:
-                assert laurent_check(expr, st.xs), word
-                # laurent_dict refuses non-polynomial coefficient dependence
+                # Laurent in the xs, polynomial in the exchange symbols
                 for poly in laurent_dict(expr, st.xs).values():
                     assert isinstance(poly, CoeffPoly)
+                    assert all(e > 0 for mono in poly.terms for _, e in mono), word

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import gcsdiag.cli as cli
 from gcsdiag import canonical_string, complete_rank2, initial_diagram, theta_via_path
 
 SEED_DIR = os.path.join(os.path.dirname(__file__), "..", "seeds")
+SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 G31 = os.path.join(SEED_DIR, "g31.seed")
 A2 = os.path.join(SEED_DIR, "a2.seed")
 KRONECKER = os.path.join(SEED_DIR, "kronecker22.seed")
@@ -83,6 +86,20 @@ def test_complete_variants_run(runner):
                                        "--variant", variant, "--no-cache"])
         assert res.exit_code == 0, variant
         assert "variant %s\n" % variant in res.output
+
+
+@pytest.mark.parametrize("unfrozen", ["1 2", "1 3"])
+def test_complete_variant_X_with_frozen_direction_exit_3(runner, tmp_path, unfrozen):
+    seed = tmp_path / "frozen.seed"
+    seed.write_text("rank 3\nunfrozen %s\nd 1 1 1\nr 1 1 1\nB 0 1 1 -1 0 1 -1 -1 0\n"
+                    "a.1 1 1\na.2 1 1\na.3 1 1\n" % unfrozen)
+    res = runner.invoke(cli.main, ["complete", str(seed), "--order", "3", "--variant", "X",
+                                   "--no-cache"])
+    assert res.exit_code == 3, res.output
+    assert res.output == ("Error: variant X needs a seed without frozen directions: "
+                          "its walls are drawn in the plane of N\n")
+    res = runner.invoke(cli.main, ["complete", str(seed), "--order", "3", "--no-cache"])
+    assert res.exit_code == 0, res.output
 
 
 def test_complete_cache_hit_is_byte_identical(runner, cache_env):
@@ -299,12 +316,23 @@ def test_check_reports_the_first_non_laurent_word(runner, monkeypatch):
 
 def test_check_seed_with_frozen_direction_exit_3(runner, tmp_path):
     seed = tmp_path / "frozen.seed"
-    seed.write_text("rank 3\nunfrozen 1 2\nd 1 1 1\nr 1 1 1\nB 0 1 1 -1 0 1 -1 -1 0\n"
-                    "a.1 1 1\na.2 1 1\na.3 1 1\n")
-    res = runner.invoke(cli.main, ["check", str(seed), "--order", "2"])
-    assert res.exit_code == 3, res.output
-    assert res.output == ("Error: check needs a rank-2 seed without frozen directions: "
-                          "T_k needs plane exponents\n")
+    for text in ("rank 3\nunfrozen 1 2\nd 1 1 1\nr 1 1 1\nB 0 1 1 -1 0 1 -1 -1 0\n"
+                 "a.1 1 1\na.2 1 1\na.3 1 1\n",
+                 "rank 2\nunfrozen 1\nd 1 1\nr 3 1\nB 0 1 -1 0\na.1 1 a a 1\n"):
+        seed.write_text(text)
+        res = runner.invoke(cli.main, ["check", str(seed), "--order", "2"])
+        assert res.exit_code == 3, res.output
+        assert res.output == ("Error: check needs a rank-2 seed without frozen directions: "
+                              "T_k needs plane exponents\n")
+
+
+def test_check_two_symbol_seed_passes(runner, tmp_path):
+    # two exchange symbols on infinite type: the cluster variables grow fast
+    seed = tmp_path / "r32.seed"
+    seed.write_text("rank 2\nunfrozen 1 2\nd 1 1\nr 3 2\nB 0 1 -1 0\na.1 1 a a 1\na.2 1 b 1\n")
+    res = runner.invoke(cli.main, ["check", str(seed), "--order", "3"])
+    assert res.exit_code == 0, res.output
+    assert res.output.endswith("sign-coherence depth=5: pass\nlaurent: pass\n")
 
 
 def test_stalled_completion_exit_4(runner, monkeypatch):
@@ -383,3 +411,49 @@ def test_bad_endpoint_exit_2(runner, q):
     res = runner.invoke(cli.main, ["theta", G31, "--m0", "0,-1", "--q", q,
                                    "--no-cache"])
     assert res.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# sympy is imported by mutate's printer alone
+
+
+def _run_cli(args, tmp_path):
+    env = dict(os.environ, GCSDIAG_CACHE=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-X", "importtime", "-m", "gcsdiag.cli"] + args,
+                          capture_output=True, text=True, env=env, check=False)
+
+
+def _imports_sympy(importtime_stderr):
+    # -X importtime names each module in the last column of its line
+    return any(line.rsplit("|", 1)[-1].strip().split(".")[0] == "sympy"
+               for line in importtime_stderr.splitlines() if line.startswith("import time:"))
+
+
+def test_package_import_leaves_sympy_out():
+    res = subprocess.run([sys.executable, "-c",
+                          "import sys, gcsdiag, gcsdiag.cli; print('sympy' in sys.modules)"],
+                         capture_output=True, text=True, check=False,
+                         env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
+def test_only_mutate_imports_sympy(tmp_path):
+    dump = tmp_path / "dump.txt"
+    commands = [
+        ["complete", G31, "--order", "3", "--out", str(dump)],
+        ["theta", G31, "--order", "4", "--m0", "0,-1", "--q", "3/2,1"],
+        ["check", A2, "--order", "2", "--depth", "2"],
+        ["companions", G31],
+        ["plot", str(dump)],
+    ]
+    for args in commands:
+        res = _run_cli(args, tmp_path)
+        assert res.returncode == 0, (args, res.stderr[-500:])
+        assert not _imports_sympy(res.stderr), args
+    res = _run_cli(["mutate", G31, "--word", "1,2"], tmp_path)
+    assert res.returncode == 0
+    assert _imports_sympy(res.stderr)
+    assert res.stdout.endswith("x.1 (a*x2**2 + a*x2 + x2**3 + 1)/x1\n"
+                               "x.2 (a*x2**2 + a*x2 + x1 + x2**3 + 1)/(x1*x2)\n")

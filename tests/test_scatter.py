@@ -337,6 +337,17 @@ def test_derived_walls_have_distinct_supports(request, name):
         assert len(set(supports)) == len(supports)
 
 
+@pytest.mark.parametrize("name", ["a2", "g31", "kronecker", "r32"])
+def test_truncating_a_completion_equals_completing_lower(request, name):
+    # check completes once, at its largest order, and truncates; walls whose
+    # function truncates to 1 must go
+    fixed, seed = _seed(request, name)
+    full = complete_rank2(initial_diagram(fixed, seed, 12))
+    for order in (2, 3, 4, 6):
+        assert (dump_diagram(_reorder(full, order))
+                == dump_diagram(complete_rank2(initial_diagram(fixed, seed, order)))), order
+
+
 # ---------------------------------------------------------------------------
 # diagram mutation
 

@@ -6,8 +6,10 @@ import sympy as sp
 
 from gcsdiag import (
     ClusterState,
+    CoeffPoly,
     FixedData,
     c_vectors,
+    cluster_variable_text,
     epsilon,
     g_vectors,
     langlands_dual,
@@ -23,6 +25,7 @@ from gcsdiag import (
     right_companion,
     serialize_seed_file,
 )
+from gcsdiag.seed import mutation_walk
 
 import os
 
@@ -109,32 +112,163 @@ def test_skew_symmetrizability_preserved(g31, kronecker):
 # cluster-variable recursion
 
 
+# The exchange recursion as it was computed with sympy's rational functions:
+# the reference the ring form must reproduce, printed text included.
+
+
+def _poly_to_sympy(poly):
+    return sp.Add(*[sp.Rational(c.numerator, c.denominator)
+                    * sp.Mul(*[sp.Symbol(name) ** e for name, e in mono])
+                    for mono, c in poly.terms.items()])
+
+
+def _to_sympy(expr):
+    """A Laurent polynomial {x-exponent: CoeffPoly} as a sympy expression."""
+    xs = sp.symbols("x1:%d" % (len(next(iter(expr))) + 1))
+    return sp.Add(*[_poly_to_sympy(poly) * sp.Mul(*[x ** e for x, e in zip(xs, key)])
+                    for key, poly in expr.items()])
+
+
+def _sympy_laurent_check(expr, xs):
+    num, den = sp.fraction(sp.cancel(sp.together(expr)))
+    den = sp.expand(den)
+    if not den.free_symbols <= set(xs):
+        return False
+    return den.is_Number or len(sp.Poly(den, *xs).terms()) == 1
+
+
+def _sympy_mutate(fixed, seed, exprs, k):
+    """x_k' = x_k^{-1} (prod x_j^{[-b_kj]_+})^{r_k} sum_s a_{k,s} yhat_k^s, by sp.cancel."""
+    b = epsilon(fixed, seed)[k]
+    yhat = sp.Mul(*[exprs[j] ** b[j] for j in range(fixed.n)])
+    pref = sp.Mul(*[exprs[j] ** max(-b[j], 0) for j in range(fixed.n)])
+    total = sp.Add(*[_poly_to_sympy(a) * yhat ** s for s, a in enumerate(seed.a_tuples[k])])
+    out = list(exprs)
+    out[k] = sp.cancel(pref ** fixed.r[k] * total / exprs[k])
+    assert _sympy_laurent_check(out[k], sp.symbols("x1:%d" % (fixed.n + 1)))
+    return out
+
+
+def _sympy_laurent_dict(expr, xs):
+    num, den = sp.fraction(sp.cancel(sp.together(expr)))
+    num, den = sp.expand(num), sp.expand(den)
+    if den.is_Number:
+        shift = tuple(0 for _ in xs)
+        dc = sp.Rational(den)
+    else:
+        ((mono, dc),) = sp.Poly(den, *xs).terms()
+        shift = tuple(int(m) for m in mono)
+    asyms = sorted(num.free_symbols - set(xs), key=lambda s: s.name)
+    out = {}
+    for mono, coeff in sp.Poly(num, *xs).terms():
+        key = tuple(int(m) - s for m, s in zip(mono, shift))
+        coeff = sp.expand(coeff / dc)
+        terms = {}
+        if asyms and coeff.free_symbols & set(asyms):
+            for amono, q in sp.Poly(coeff, *asyms).terms():
+                q = sp.Rational(q)
+                m = tuple(sorted((s.name, int(e)) for s, e in zip(asyms, amono) if e))
+                terms[m] = terms.get(m, Fraction(0)) + Fraction(q.p, q.q)
+        else:
+            q = sp.Rational(coeff)
+            terms[()] = Fraction(q.p, q.q)
+        out[key] = out.get(key, CoeffPoly.zero()) + CoeffPoly(terms)
+    return {k: v for k, v in out.items() if v}
+
+
 def test_exchange_relation_mu1(g31):
     fixed, seed = g31
     st = mutate_cluster(ClusterState(fixed, seed), 0)
     x1, x2 = sp.symbols("x1 x2")
     a = sp.Symbol("a")
     expected = (1 + a * x2 + a * x2**2 + x2**3) / x1
-    assert sp.simplify(st.exprs[0] - expected) == 0
+    assert sp.simplify(_to_sympy(st.exprs[0]) - expected) == 0
 
 
 def test_exchange_relation_mu2(g31):
     fixed, seed = g31
     st = mutate_cluster(ClusterState(fixed, seed), 1)
     x1, x2 = sp.symbols("x1 x2")
-    assert sp.simplify(st.exprs[1] - (x1 + 1) / x2) == 0
+    assert sp.simplify(_to_sympy(st.exprs[1]) - (x1 + 1) / x2) == 0
 
 
 def test_exchange_involution(g31):
     fixed, seed = g31
     st = mutate_cluster(mutate_cluster(ClusterState(fixed, seed), 0), 0)
-    assert st.exprs == list(st.xs)
+    assert [_to_sympy(e) for e in st.exprs] == list(sp.symbols("x1 x2"))
 
 
 def test_laurent_check_positive_negative():
     x1, x2 = sp.symbols("x1 x2")
-    assert laurent_check((x1 + 1) / x2, (x1, x2))
-    assert not laurent_check((x1 + 1) / (x2 + 1), (x1, x2))
+    one = CoeffPoly.one()
+    quotient = laurent_check({(1, 0): one, (0, 0): one}, {(0, 1): one})
+    assert sp.simplify(_to_sympy(quotient) - (x1 + 1) / x2) == 0
+    with pytest.raises(ValueError, match="non-Laurent"):
+        laurent_check({(1, 0): one, (0, 0): one}, {(0, 1): one, (0, 0): one})
+
+
+def test_laurent_check_divides_over_the_coefficient_ring():
+    a, b = CoeffPoly.symbol("a"), CoeffPoly.symbol("b")
+    one = CoeffPoly.one()
+    # (x1 + a x2)(2 x1^-1 + b) divided by x1 + a x2
+    num = {(0, 0): 2 * one, (1, 0): b, (-1, 1): 2 * a, (0, 1): a * b}
+    assert laurent_check(num, {(1, 0): one, (0, 1): a}) == {(-1, 0): 2 * one, (0, 0): b}
+    assert laurent_check(num, {(-1, 0): 2 * one, (0, 0): b}) == {(1, 0): one, (0, 1): a}
+
+
+@pytest.mark.parametrize("num,den", [
+    ({(1, 0): CoeffPoly.symbol("a")}, {(0, 0): CoeffPoly.symbol("a") ** 2}),  # a^-1 x1
+    ({(0, 0): CoeffPoly.one()}, {(0, 0): CoeffPoly.one(), (0, -1): -CoeffPoly.one()}),
+    # the quotient's terms fall in lexicographic order without a lowest one:
+    # 1 / (1 + x1^-1 x2^5 + x2^-1)
+    ({(0, 0): CoeffPoly.one()},
+     {(0, 0): CoeffPoly.one(), (-1, 5): CoeffPoly.one(), (0, -1): CoeffPoly.one()}),
+], ids=["a-denominator", "geometric-series", "no-lowest-term"])
+def test_laurent_check_rejects_a_non_multiple(num, den):
+    with pytest.raises(ValueError, match="non-Laurent"):
+        laurent_check(num, den)
+
+
+@pytest.mark.parametrize("expr", [
+    {(2, 0): CoeffPoly.one(), (1, 0): CoeffPoly.one()},  # x1 divides every term
+    {(1, 2): CoeffPoly.symbol("a"), (1, 1): CoeffPoly.one()},
+    {(-1, 2): CoeffPoly.symbol("a").scale(2), (1, -1): CoeffPoly.rational(3),
+     (0, 0): CoeffPoly.symbol("a") * CoeffPoly.symbol("b")},
+    {(-2, -3): CoeffPoly.one()},
+])
+def test_printer_matches_sympy_cancel(expr):
+    assert cluster_variable_text(expr, ("x1", "x2")) == str(sp.cancel(_to_sympy(expr)))
+
+
+# seeds for the reference comparison, with the word length each reaches
+REFERENCE_SEEDS = {
+    "a2": (None, 5),
+    "g31": (None, 5),
+    "kronecker": (None, 5),
+    "b2": ("rank 2\nunfrozen 1 2\nd 2 1\nr 1 1\nB 0 1 -2 0\na.1 1 1\na.2 1 1\n", 5),
+    "g2": ("rank 2\nunfrozen 1 2\nd 3 1\nr 1 1\nB 0 1 -3 0\na.1 1 1\na.2 1 1\n", 5),
+    "r41": ("rank 2\nunfrozen 1 2\nd 1 1\nr 4 1\nB 0 1 -1 0\na.1 1 a b a 1\na.2 1 1\n", 3),
+    "frozen": ("rank 3\nunfrozen 1 3\nd 1 1 1\nr 1 1 1\nB 0 1 1 -1 0 1 -1 -1 0\n"
+               "a.1 1 1\na.3 1 1\n", 5),
+    "r32": ("rank 2\nunfrozen 1 2\nd 1 1\nr 3 2\nB 0 1 -1 0\na.1 1 a a 1\na.2 1 b 1\n", 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SEEDS))
+def test_ring_exchange_matches_sympy_reference(request, name):
+    text, depth = REFERENCE_SEEDS[name]
+    fixed, seed = request.getfixturevalue(name) if text is None else parse_seed_file(text)
+    xs = sp.symbols("x1:%d" % (fixed.n + 1))
+
+    def step(pair, k):
+        st, exprs = pair
+        return mutate_cluster(st, k), _sympy_mutate(fixed, st.seed, exprs, k)
+
+    for word, (st, exprs) in mutation_walk(fixed, (ClusterState(fixed, seed), list(xs)),
+                                            depth, step):
+        for expr, ref in zip(st.exprs, exprs):
+            assert cluster_variable_text(expr, st.xs) == str(ref), word
+            assert laurent_dict(expr, st.xs) == _sympy_laurent_dict(ref, xs), word
 
 
 def test_laurent_dict_roundtrip(g31):
