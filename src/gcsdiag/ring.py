@@ -8,6 +8,8 @@ so that equal values always have identical term maps.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from fractions import Fraction
 
@@ -35,12 +37,9 @@ class ExchangeSymbol:
         self.name = name if name is not None else "a_{%d,%d}" % (direction_index + 1, step)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExchangeSymbol)
-            and self.direction_index == other.direction_index
-            and self.step == other.step
-            and self.name == other.name
-        )
+        return isinstance(other, ExchangeSymbol) and (
+            (self.direction_index, self.step, self.name)
+            == (other.direction_index, other.step, other.name))
 
     def __hash__(self):
         return hash((self.direction_index, self.step, self.name))
@@ -55,26 +54,32 @@ class ExchangeSymbol:
 # A monomial key is a tuple of (symbol_name, exponent) pairs sorted by name.
 
 
+@functools.lru_cache(maxsize=1 << 14)  # a computation meets few distinct pairs, each many times
 def _mono_mul(m1, m2):
+    if not m1 or not m2:  # a constant coefficient leaves the other monomial as it is
+        return m1 or m2
     d = dict(m1)
     for name, e in m2:
         d[name] = d.get(name, 0) + e
     return tuple(sorted((n, e) for n, e in d.items() if e))
 
 
-def _mono_degree(m):
-    return sum(e for _, e in m)
+def _exact(q):
+    """A rational as an int when its denominator is 1, else as a Fraction."""
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 class CoeffPoly:
-    """Polynomial in the exchange symbols with exact rational coefficients."""
+    """Polynomial in the exchange symbols; a coefficient is an int, or a
+    Fraction only where it is not integral, so integral polynomials stay in int."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = coeff if type(coeff) is int else _exact(coeff)
             if coeff:
                 clean[tuple(mono)] = coeff
         self.terms = clean
@@ -87,15 +92,15 @@ class CoeffPoly:
 
     @classmethod
     def one(cls):
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def rational(cls, q):
-        return cls({(): Fraction(q)})
+        return cls({(): q})
 
     @classmethod
     def symbol(cls, name):
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     # -- ring structure
 
@@ -111,11 +116,13 @@ class CoeffPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not CoeffPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented  # a series adds a polynomial itself
             other = CoeffPoly.rational(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
+            out[mono] = out.get(mono, 0) + coeff
         return CoeffPoly(out)
 
     __radd__ = __add__
@@ -130,13 +137,15 @@ class CoeffPoly:
         return CoeffPoly.rational(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not CoeffPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented  # a series multiplies by a polynomial itself
             return self.scale(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return CoeffPoly(out)
 
     __rmul__ = __mul__
@@ -150,29 +159,24 @@ class CoeffPoly:
         return out
 
     def scale(self, q):
-        q = Fraction(q)
         return CoeffPoly({m: c * q for m, c in self.terms.items()})
 
     def is_one(self):
-        return self.terms == {(): Fraction(1)}
+        return self.terms == {(): 1}
 
     def __repr__(self):
         return "CoeffPoly(%s)" % canonical_string(self)
 
 
-def _render_frac(q):
-    return str(q)  # Fraction prints as "3", "-1" or "1/2"
-
-
 def _poly_pieces(poly, zpart):
     """Render each monomial of a CoeffPoly as a flat product string."""
     pieces = []
-    for mono in sorted(poly.terms, key=lambda m: (_mono_degree(m), m)):
+    for mono in sorted(poly.terms, key=lambda m: (sum(e for _, e in m), m)):
         coeff = poly.terms[mono]
         factors = []
         symfactors = ["%s^%d" % (n, e) if e != 1 else n for n, e in mono]
         if coeff != 1 or (not symfactors and not zpart):
-            factors.append(_render_frac(coeff))
+            factors.append(str(coeff))  # "3", "-1" or "1/2"
         factors.extend(symfactors)
         if zpart:
             factors.append(zpart)
@@ -249,7 +253,7 @@ def parse_canonical(text):
 
 
 # ---------------------------------------------------------------------------
-# pairing
+# lattice pairing, grading and truncated series
 
 
 def pairing(n, m, d):
@@ -262,16 +266,12 @@ def pairing(n, m, d):
     return sum(Fraction(a) * Fraction(b) / Fraction(w) for a, b, w in zip(n, m, d))
 
 
-# ---------------------------------------------------------------------------
-# grading and truncated series
-
-
 def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 class Grading:
@@ -314,20 +314,18 @@ class Grading:
         return self._cache[m]
 
     def degree(self, m):
-        """J-adic degree of an exponent; 0 only for m = 0."""
+        """J-adic degree of an exponent, an int where integral; 0 only for m = 0."""
         m = tuple(m)
         d = self._degrees.get(m)
         if d is None:
             coeffs = self.coefficients(m)
             if coeffs is None or any(c < 0 for c in coeffs):
                 raise ValueError("exponent %r outside the grading monoid" % (m,))
-            d = self._degrees[m] = sum(coeffs, Fraction(0))
+            d = self._degrees[m] = _exact(sum(coeffs, Fraction(0)))
         return d
 
 
-def j_degree(grading, m):
-    """Linear J-adic degree of a lattice exponent under the chosen grading."""
-    return grading.degree(m)
+j_degree = Grading.degree  # j_degree(grading, m): the J-adic degree of m under a grading
 
 
 class TruncatedLaurent:
@@ -340,31 +338,31 @@ class TruncatedLaurent:
     __slots__ = ("grading", "order", "offset", "terms")
 
     def __init__(self, grading, order, offset, terms):
-        self.grading = grading
-        self.order = order
-        self.offset = tuple(offset)
+        self.grading, self.order, self.offset = grading, order, tuple(offset)
         clean = {}
         for expo, poly in terms.items():
-            if not isinstance(poly, CoeffPoly):
+            if type(poly) is not CoeffPoly:
                 poly = CoeffPoly.rational(poly)
-            if not poly:
-                continue
-            expo = tuple(expo)
-            if grading.degree(_vsub(expo, self.offset)) <= order:
-                clean[expo] = poly
+            if poly and grading.degree(_vsub(expo, self.offset)) <= order:
+                clean[tuple(expo)] = poly
         self.terms = clean
 
     # -- constructors
 
     @classmethod
     def monomial(cls, grading, order, expo, coeff=1):
-        return cls(grading, order, expo, {tuple(expo): CoeffPoly.rational(coeff)
-                                          if isinstance(coeff, (int, Fraction)) else coeff})
+        return cls(grading, order, expo, {tuple(expo): coeff})
+
+    @classmethod
+    def within(cls, grading, order, offset, terms):
+        """The series of CoeffPoly terms known to lie within the order; zeros are dropped."""
+        out = cls(grading, order, offset, {})
+        out.terms = {e: p for e, p in terms.items() if p.terms}
+        return out
 
     @classmethod
     def one(cls, grading, order):
-        zero = tuple(0 for _ in range(grading.dim))
-        return cls.monomial(grading, order, zero)
+        return cls.monomial(grading, order, (0,) * grading.dim)
 
     @classmethod
     def unit_from_terms(cls, grading, order, terms):
@@ -383,8 +381,7 @@ class TruncatedLaurent:
         return self.grading.degree(_vsub(expo, self.offset))
 
     def is_unit(self):
-        zero = tuple(0 for _ in range(self.grading.dim))
-        return self.offset == zero and self.terms.get(zero, CoeffPoly.zero()).is_one()
+        return not any(self.offset) and self.constant().is_one()
 
     def constant(self):
         return self.terms.get(self.offset, CoeffPoly.zero())
@@ -406,9 +403,7 @@ class TruncatedLaurent:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CoeffPoly)):
-            other = TruncatedLaurent(
-                self.grading, self.order, self.offset,
-                {self.offset: other if isinstance(other, CoeffPoly) else CoeffPoly.rational(other)})
+            other = TruncatedLaurent(self.grading, self.order, self.offset, {self.offset: other})
         if self.order != other.order:
             raise ValueError("mismatched truncation orders")
         if self.offset == other.offset:
@@ -422,23 +417,22 @@ class TruncatedLaurent:
                 raise ValueError("incompatible offsets in series addition")
         out = dict(self.terms)
         for expo, poly in other.terms.items():
-            out[expo] = out.get(expo, CoeffPoly.zero()) + poly
+            out[expo] = out[expo] + poly if expo in out else poly
         return TruncatedLaurent(self.grading, self.order, offset, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedLaurent(self.grading, self.order, self.offset,
-                                {e: -p for e, p in self.terms.items()})
+        return TruncatedLaurent.within(self.grading, self.order, self.offset,
+                                       {e: -p for e, p in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CoeffPoly)):
-            poly = other if isinstance(other, CoeffPoly) else CoeffPoly.rational(other)
-            return TruncatedLaurent(self.grading, self.order, self.offset,
-                                    {e: p * poly for e, p in self.terms.items()})
+            return TruncatedLaurent.within(self.grading, self.order, self.offset,
+                                           {e: p * other for e, p in self.terms.items()})
         if self.order != other.order:
             raise ValueError("mismatched truncation orders")
         if self.grading.dim != other.grading.dim:
@@ -453,11 +447,8 @@ class TruncatedLaurent:
                     continue
                 e = _vadd(e1, e2)
                 prod = p1 * p2
-                if e in out:
-                    out[e] = out[e] + prod
-                else:
-                    out[e] = prod
-        return TruncatedLaurent(self.grading, self.order, offset, out)
+                out[e] = out[e] + prod if e in out else prod
+        return TruncatedLaurent.within(self.grading, self.order, offset, out)
 
     __rmul__ = __mul__
 
@@ -471,7 +462,7 @@ class TruncatedLaurent:
             h = self - 1
             if not h.terms:
                 return self
-            n = int(self.order // min(self.grading.degree(x) for x in h.terms))
+            n = self.order // min(self.grading.degree(x) for x in h.terms)
             out = hi = TruncatedLaurent.one(self.grading, self.order)
             for c in unit_power_coeffs([1, 1], e, n)[1:]:
                 hi = hi * h
@@ -492,11 +483,8 @@ class TruncatedLaurent:
     # -- comparison
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedLaurent)
-            and self.order == other.order
-            and self.terms == other.terms
-        )
+        return (isinstance(other, TruncatedLaurent)
+                and self.order == other.order and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.order, frozenset(self.terms)))
@@ -509,10 +497,13 @@ def unit_power_coeffs(coeffs, e, n):
     """g_0..g_n with sum_d g_d t^d = f^e, for f = sum_k coeffs[k] t^k and coeffs[0] = 1.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP 4.7) from t g' f = e t f' g, for
-    any integer e: g_d = (1/d) sum_{k=1..d} ((e+1) k - d) c_k g_{d-k}.
+    any integer e: g_d = (1/d) sum_{k=1..d} ((e+1) k - d) c_k g_{d-k}.  Integral
+    coefficients have an integral power, so d divides that sum exactly in int.
     """
     zero = coeffs[0] * 0  # the zero of the coefficients' ring, shared by every empty g_d
     tail = [(k, c) for k, c in enumerate(coeffs) if k and c]
+    exact = all(type(x) is int for _, c in tail
+                for x in (c.terms.values() if type(c) is CoeffPoly else (c,)))
     g = [coeffs[0]]
     for d in range(1, n + 1):
         acc = zero
@@ -522,8 +513,17 @@ def unit_power_coeffs(coeffs, e, n):
             w = (e + 1) * k - d
             if w and g[d - k]:
                 acc = acc + c * g[d - k] * w
-        g.append(acc * Fraction(1, d) if acc else zero)
+        g.append(_divide(acc, d, exact) if acc else zero)
     return g
+
+
+def _divide(c, d, exact):
+    """c / d for an int, Fraction or CoeffPoly c; exact: c is integral and d divides it."""
+    if type(c) is CoeffPoly:
+        return CoeffPoly({m: _divide(x, d, exact) for m, x in c.terms.items()})
+    if exact and c % d:
+        raise ArithmeticError("%s / %d: a power of an integral series is integral" % (c, d))
+    return c // d if exact else _exact(Fraction(c, d))
 
 
 def series_mul(a, b):

@@ -11,6 +11,7 @@ power is a plain integer dot product with the projected exponent.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -259,23 +260,22 @@ def initial_diagram_prin(fixed, seed, order):
 
 def wall_cross(wall, sign, series, proj):
     """z^m -> z^m f^{sign * <n0', m>}, extended linearly and truncated."""
-    out = {}
-
-    def add(expo, poly):
-        out[expo] = out[expo] + poly if expo in out else poly
-
-    step = series.grading.degree(wall.base)
+    out = dict(series.terms)
+    (n0, n1), (i0, i1) = wall.normal, proj
+    base, order, step = wall.base, series.order, series.grading.degree(wall.base)
     for expo, poly in series.terms.items():
-        add(expo, poly)
-        p = sign * _dot(wall.normal, tuple(expo[i] for i in proj))
+        p = sign * (n0 * expo[i0] + n1 * expo[i1])
         if not p:
             continue
         g = wall.power(p)
-        top = min(len(g) - 1, int((series.order - series.rel_degree(expo)) // step))
-        for j in range(1, top + 1):
+        e = expo
+        for j in range(1, min(len(g) - 1, (order - series.rel_degree(expo)) // step) + 1):
+            e = tuple(map(operator.add, e, base))  # expo + j * base
             if g[j]:
-                add(tuple(x + j * b for x, b in zip(expo, wall.base)), poly * g[j])
-    return TruncatedLaurent(series.grading, series.order, series.offset, out)
+                prod = poly * g[j]
+                out[e] = out[e] + prod if e in out else prod
+    # every term is within the order: j stops at it
+    return TruncatedLaurent.within(series.grading, order, series.offset, out)
 
 
 def path_ordered_product(diag, path, series):
@@ -388,7 +388,7 @@ def complete_rank2(diag):
     """
     rays = {}  # plane direction -> {exponent: coefficient}
     walls = {}  # plane direction -> the wall of its current terms, None if they cancel
-    last_deg = Fraction(-1)
+    last_deg = -1
     while True:
         for ray_dir, terms in rays.items():
             if ray_dir not in walls:
@@ -414,7 +414,8 @@ def complete_rank2(diag):
                 pairv = _dot(normal, cur.project(basis[bi]))
                 if pairv == 0:
                     continue
-                coeff = poly.scale(Fraction(-1, eps_w * pairv))
+                den = eps_w * pairv  # the factor -1/den is an int when den is +-1
+                coeff = poly.scale(-den if den in (1, -1) else Fraction(-1, den))
                 bucket = rays.setdefault(ray_dir, {})
                 bucket[u] = bucket.get(u, CoeffPoly.zero()) + coeff
                 walls.pop(ray_dir, None)  # rebuilt from its new terms next pass
@@ -459,7 +460,7 @@ def tk_order_boost(fixed, seed, k):
     for s in (0, 1):
         for e in g1.generators + tuple(shear(v, -s) for v in g2.generators):
             try:
-                ratio = g1.degree(e) / g2.degree(shear(e, s))
+                ratio = Fraction(g1.degree(e)) / g2.degree(shear(e, s))
             except (ValueError, ZeroDivisionError):  # e or its image has no positive degree
                 continue
             boost = max(boost, math.ceil(ratio))

@@ -255,8 +255,8 @@ def g_vectors(seed):
 # initial cluster.  Arithmetic runs on a flat form {key: coefficient}, where
 # a key is the x-exponent followed by the exponents of the a-symbols `names`
 # (sorted), so products add keys and tuple order is the lexicographic order
-# on (x-exponent, a-monomial).  Integral coefficients are held as int, which
-# multiplies far faster than Fraction.
+# on (x-exponent, a-monomial).  Coefficients stay as CoeffPoly holds them:
+# ints where integral, which multiply far faster than Fractions.
 
 
 def _names(polys):
@@ -268,8 +268,7 @@ def _flat(expr, names):
     for x, poly in expr.items():
         for mono, c in poly.terms.items():
             d = dict(mono)
-            out[x + tuple(d.get(name, 0) for name in names)] = (
-                c.numerator if c.denominator == 1 else c)
+            out[x + tuple(d.get(name, 0) for name in names)] = c
     return out
 
 
@@ -372,9 +371,8 @@ def laurent_check(num, den):
         q = tuple(map(operator.sub, key, lead))
         if not all(l <= e <= h for l, e, h in zip(lo, q, hi)):
             raise ValueError("non-Laurent cluster variable; mutation data is inconsistent")
-        c = Fraction(c) / lead_c
-        if c.denominator == 1:
-            c = c.numerator
+        # an int where lead_c divides c (lead_c is +-1 for every cluster variable)
+        c = c // lead_c if not c % lead_c else Fraction(c, lead_c)
         quot[q] = c
         for key2, c2 in div.items():
             t = tuple(map(operator.add, q, key2))

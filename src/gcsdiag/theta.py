@@ -149,7 +149,7 @@ def _chains(diag, m0, order):
         found.append(BrokenLine(monos, bends))
         for wall, p in crossings:
             step = diag.grading.degree(wall.base)
-            for j in range(1, int((order - degree) // step) + 1):
+            for j in range(1, (order - degree) // step + 1):
                 factor = _bend_factor(wall, m, j)
                 if factor:
                     m2 = _vadd(m, tuple(j * x for x in wall.base))

@@ -4,6 +4,7 @@ tests/test_dump_digests.py pins the A and Aprin completions.  This file
 pins what is built from them: the T_k images, the A diagram cut to a lower
 order, the A-projection and the X slice of the principal completion.  Each
 value is the first 16 hex digits of the sha256 of the dump at order 6.
+EXTRA_DIGESTS pins seeds beyond the shipped ones at a higher order.
 """
 
 import hashlib
@@ -56,3 +57,34 @@ def test_derived_dumps_match_digests(family):
         "X": _digest(slice_to_X(prin), "X"),
     }
     assert got == DIGESTS[family]
+
+
+# seeds with multi-symbol monomials (two exchange symbols) and with d_i != 1;
+# pinned before the coefficient ring held integral coefficients as int
+EXTRA_DIGESTS = {
+    "r32": ("rank 2\nunfrozen 1 2\nd 1 1\nr 3 2\nB 0 1 -1 0\na.1 1 a a 1\na.2 1 b 1\n", 12,
+            {"A": "7d1808b7ab99e9aa", "Aprin": "fc3b9c7c7bf51258", "X": "418663204f861060",
+             "T1": "58e82d8e76b8f213", "T2": "3140458ab4e1837b"}),
+    "b2": ("rank 2\nunfrozen 1 2\nd 2 1\nr 1 1\nB 0 1 -2 0\na.1 1 1\na.2 1 1\n", 10,
+           {"A": "e2e14863aab01419", "Aprin": "db59d3b467187f2d", "X": "9833d11eeed9e7a3",
+            "T1": "5f92fa527562711c", "T2": "81da912c969500d9"}),
+    "g2": ("rank 2\nunfrozen 1 2\nd 3 1\nr 1 1\nB 0 1 -3 0\na.1 1 1\na.2 1 1\n", 10,
+           {"A": "d1dfef2918902e13", "Aprin": "b845749eb6732e95", "X": "6be50caa07e3e4b7",
+            "T1": "7516ab934fb92f14", "T2": "dad628cc54bd27f7"}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(EXTRA_DIGESTS))
+def test_extra_seed_dumps_match_digests(family):
+    text, order, digests = EXTRA_DIGESTS[family]
+    fixed, seed = parse_seed_file(text)
+    diag = complete_rank2(initial_diagram(fixed, seed, order))
+    prin = complete_rank2(initial_diagram_prin(fixed, seed, order))
+    got = {
+        "A": _digest(diag, "A"),
+        "Aprin": _digest(prin, "Aprin"),
+        "X": _digest(slice_to_X(prin), "X"),
+        "T1": _digest(apply_Tk(diag, 0), "A"),
+        "T2": _digest(apply_Tk(diag, 1), "A"),
+    }
+    assert got == digests

@@ -101,6 +101,32 @@ def test_series_pow_nonunit_negative_rejected():
         series_pow_int(m, -1)
 
 
+def test_polynomial_and_series_combine_in_either_order():
+    f = unit({(0, 1): "a", (-1, 1): 2})
+    p = CoeffPoly.symbol("b") + 3
+    assert p + f == f + p
+    assert p * f == f * p
+    assert canonical_string(p * f) == canonical_string(f * p)
+    assert (p * f).constant() == p
+
+
+# ---------------------------------------------------------------------------
+# integral coefficients
+
+
+def test_integral_coefficients_are_ints():
+    a = CoeffPoly.symbol("a")
+    assert CoeffPoly({(): Fraction(4, 2)}).terms == {(): 2}
+    assert type(CoeffPoly({(): Fraction(4, 2)}).terms[()]) is int
+    half = (a * 3 + 1).scale(Fraction(1, 2))
+    assert half.terms == {(("a", 1),): Fraction(3, 2), (): Fraction(1, 2)}
+    twice = half * 2
+    assert all(type(c) is int for c in twice.terms.values())
+    assert twice == a * 3 + 1
+    assert type(GR.degree((-2, 3))) is int
+    assert type(Grading([(0, 2), (-1, 0)]).degree((0, 4))) is int
+
+
 # ---------------------------------------------------------------------------
 # degree
 
@@ -307,3 +333,62 @@ def test_unit_power_coeffs_equal_repeated_products(tail, base, e):
     g = unit_power_coeffs(coeffs, e, int(6 // GR.degree(base)))
     assert g[0].is_one()
     assert terms(g) == {x: p for x, p in _power_by_products(f, e).terms.items() if any(x)}
+
+
+def _as_terms(c):
+    return c.terms if isinstance(c, CoeffPoly) else ({(): c} if c else {})
+
+
+def _fraction_power_coeffs(coeffs, e, n):
+    """Miller's recurrence with {monomial: Fraction} coefficients, each g_d divided by d
+    as a Fraction: the reference for unit_power_coeffs."""
+    def mul(p, q):
+        out = {}
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                m = dict(m1)
+                for name, x in m2:
+                    m[name] = m.get(name, 0) + x
+                m = tuple(sorted(m.items()))
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+        return out
+
+    cs = [{m: Fraction(x) for m, x in _as_terms(c).items()} for c in coeffs]
+    g = [cs[0]]
+    for d in range(1, n + 1):
+        acc = {}
+        for k in range(1, min(d, len(cs) - 1) + 1):
+            for m, c in mul(cs[k], g[d - k]).items():
+                acc[m] = acc.get(m, Fraction(0)) + c * ((e + 1) * k - d)
+        g.append({m: c / d for m, c in acc.items() if c})
+    return g
+
+
+coeff_entries = st.sampled_from([-2, -1, 0, 1, 3, "a", "b", Fraction(1, 2), Fraction(-2, 3)])
+
+
+@given(st.lists(coeff_entries, max_size=4), st.sampled_from(["int", "poly"]),
+       st.integers(-4, 4), st.integers(0, 7))
+@settings(max_examples=80, deadline=None)
+def test_unit_power_coeffs_equal_the_fraction_recurrence(entries, kind, e, n):
+    """Int, Fraction and CoeffPoly inputs against the recurrence run in Fractions;
+    integral inputs give int coefficients."""
+    if kind == "int":
+        entries = [c for c in entries if not isinstance(c, str)]
+        coeffs = [1] + entries
+    else:
+        coeffs = [CoeffPoly.one()] + [CoeffPoly.symbol(c) if isinstance(c, str)
+                                      else CoeffPoly.rational(c) for c in entries]
+    got = unit_power_coeffs(coeffs, e, n)
+    assert [_as_terms(c) for c in got] == _fraction_power_coeffs(coeffs, e, n)
+    if not any(isinstance(c, Fraction) for c in entries):
+        assert all(type(x) is int for c in got for x in _as_terms(c).values())
+
+
+def test_unit_power_coeffs_refuses_an_inexact_division():
+    # an integral series to a non-integral power is not integral: the
+    # division by d raises rather than floors
+    with pytest.raises(ArithmeticError):
+        unit_power_coeffs([1, 1], Fraction(1, 2), 2)
+    with pytest.raises(ArithmeticError):
+        unit_power_coeffs([CoeffPoly.one(), CoeffPoly.symbol("a")], Fraction(1, 2), 2)

@@ -304,6 +304,7 @@ def test_project_to_A_recovers_completion(g31, g31_diag9):
 # type, and a frozen direction
 EXTRA_SEEDS = {
     "b2": "rank 2\nunfrozen 1 2\nd 2 1\nr 1 1\nB 0 1 -2 0\na.1 1 1\na.2 1 1\n",
+    "g2": "rank 2\nunfrozen 1 2\nd 3 1\nr 1 1\nB 0 1 -3 0\na.1 1 1\na.2 1 1\n",
     "r32": "rank 2\nunfrozen 1 2\nd 1 1\nr 3 2\nB 0 1 -1 0\na.1 1 a a 1\na.2 1 b 1\n",
     "frozen": "rank 3\nunfrozen 1 2\nd 1 1 1\nr 1 1 1\nB 0 1 1 -1 0 1 -1 -1 0\n"
               "a.1 1 1\na.2 1 1\na.3 1 1\n",
@@ -346,6 +347,40 @@ def test_truncating_a_completion_equals_completing_lower(request, name):
     for order in (2, 3, 4, 6):
         assert (dump_diagram(_reorder(full, order))
                 == dump_diagram(complete_rank2(initial_diagram(fixed, seed, order)))), order
+
+
+def test_kronecker_closed_form_order30(kronecker):
+    # the (1,-1) wall is (1 - u)^-2 with u = z^(2*(-1,1)); every other wall
+    # is 1 + z^(2*base)
+    fixed, seed = kronecker
+    diag = complete_rank2(initial_diagram(fixed, seed, 30))
+    g = diag.grading
+    assert len(diag.walls) == 31
+    for w in diag.walls:
+        if w.direction == (1, -1):
+            u = TruncatedLaurent.monomial(g, 30, (-2, 2))
+            expected = (TruncatedLaurent.one(g, 30) - u) ** -2
+        else:
+            expected = TruncatedLaurent.one(g, 30) + TruncatedLaurent.monomial(
+                g, 30, tuple(2 * b for b in w.base))
+        assert diag.function(w) == expected
+        assert len(w.coeffs) == 30 // g.degree(w.base) + 1
+
+
+@pytest.mark.parametrize("name,walls", [("a2", 3), ("b2", 4), ("g2", 6), ("g31", 6)])
+def test_finite_type_wall_count_at_order40(request, name, walls):
+    fixed, seed = _seed(request, name)
+    assert len(complete_rank2(initial_diagram(fixed, seed, 40)).walls) == walls
+
+
+@pytest.mark.parametrize("name", ["a2", "g31", "kronecker"])
+@pytest.mark.parametrize("build", [initial_diagram, initial_diagram_prin], ids=["A", "Aprin"])
+def test_completed_wall_coefficients_are_nonnegative_ints(request, name, build):
+    # positivity of the completed walls, held in int by the ring
+    fixed, seed = request.getfixturevalue(name)
+    diag = complete_rank2(build(fixed, seed, 12))
+    coeffs = [c for w in diag.walls for poly in w.coeffs for c in poly.terms.values()]
+    assert coeffs and all(type(c) is int and c > 0 for c in coeffs)
 
 
 # ---------------------------------------------------------------------------
