@@ -181,9 +181,10 @@ class ScatteringDiagram:
                               for w in self.walls for p in _rays(w)),
                              key=lambda e: _by_angle(e[0]))
         self.directions = sorted({_prim(p) for p, _, _ in self.events}, key=_by_angle)
-        # theta's broken lines up to scaling per (m0, order); a derived
-        # diagram has other walls and starts empty
+        # theta's broken lines up to scaling per (m0, order) and monoid
+        # offsets per order; a derived diagram has other walls and starts empty
         self._chains = {}
+        self._offsets = {}
 
     def project(self, expo):
         return tuple(expo[i] for i in self.proj)

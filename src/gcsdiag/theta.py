@@ -7,6 +7,8 @@ with exponent m the next bend is on any wall that {P - t*m : t > 0} crosses.
 Bends raise the degree over m0, which the order bounds.  A chain ending at
 P with exponent m reaches exactly the Q = lam*P - t*m with lam, t > 0: the
 broken lines ending at Q are the chains whose cone holds Q, scaled by lam.
+A bend point is sc*d, d its ray's integral direction and sc > 0, so every
+test of the search and of the cone is the sign of an integer cross product.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class BrokenLine:
     """Piecewise-linear path from infinity to Q with attached monomials.
 
     segments: ordered (coeff, exponent, start, end); the first start is None
-    (from infinity).  bends: (wall, point, step) per junction.
+    (from infinity).  bends: (wall, point, step) per junction; a stored chain
+    has no points and its bends are (wall, d, sc, step), at the point sc*d.
     """
 
     __slots__ = ("segments", "bends")
@@ -58,14 +61,16 @@ class BrokenLine:
         return coeff, expo
 
     def sort_key(self):
-        return (len(self.bends), tuple(w.direction for w, _, _ in self.bends),
-                tuple(j for _, _, j in self.bends), self.segments[-1][1])
+        return (len(self.bends), tuple(b[0].direction for b in self.bends),
+                tuple(b[-1] for b in self.bends), self.segments[-1][1])
 
     def scaled(self, lam, Q):
-        """The line with every bend point scaled by lam, ending at Q."""
-        pts = [None] + [(lam * p[0], lam * p[1]) for _, p, _ in self.bends] + [Q]
-        segments = [(c, e, pts[i], pts[i + 1]) for i, (c, e, _, _) in enumerate(self.segments)]
-        return BrokenLine(segments, [(w, pts[i + 1], j) for i, (w, _, j) in enumerate(self.bends)])
+        """The line of a stored chain with its bend points lam*sc*d, ending at Q."""
+        ks = [lam * sc for _, _, sc, _ in self.bends]
+        pts = [(k * b[1][0], k * b[1][1]) for k, b in zip(ks, self.bends)]
+        segments = [(c, e, p0, p1) for (c, e, _, _), p0, p1
+                    in zip(self.segments, [None] + pts, pts + [Q])]
+        return BrokenLine(segments, [(w, p, j) for (w, _, _, j), p in zip(self.bends, pts)])
 
     def __repr__(self):
         return "BrokenLine(%s)" % " -> ".join(
@@ -82,44 +87,42 @@ def _order(diag, order):
 
 
 def _monoid_points(diag, m0, order):
-    """All exponents m0 + (monoid combos of wall steps) with degree <= order."""
-    steps = {w.base for w in diag.walls}  # primitive, so parallel bases are equal
-    seen = {m0}
-    frontier = [m0]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for s in steps:
-                m2 = _vadd(m, s)
-                if m2 in seen:
-                    continue
-                if diag.grading.degree(_vsub(m2, m0)) <= order:
-                    seen.add(m2)
-                    nxt.append(m2)
-        frontier = nxt
-    return sorted(seen)
+    """m0 + the monoid combos of wall steps of degree <= order, sorted (memoised per order)."""
+    offsets = diag._offsets.get(order)
+    if offsets is None:
+        steps = {w.base for w in diag.walls}  # primitive, so parallel bases are equal
+        seen = {(0,) * diag.dim}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for s in steps:
+                    m2 = _vadd(m, s)
+                    if m2 not in seen and diag.grading.degree(m2) <= order:
+                        seen.add(m2)
+                        nxt.append(m2)
+            frontier = nxt
+        offsets = diag._offsets[order] = sorted(seen)
+    return [_vadd(m0, o) for o in offsets]
 
 
-def _segment_hits_origin(point, mdir):
-    """Does {point + t*mdir : t > 0} pass through the origin?"""
-    return _cross(point, mdir) == 0 and (point[0] * mdir[0] + point[1] * mdir[1]) < 0
+def _segment_hits_origin(d, mdir):
+    """Does {sc*d + t*mdir : t > 0}, for any sc > 0, pass through the origin?"""
+    return _cross(d, mdir) == 0 and (d[0] * mdir[0] + d[1] * mdir[1]) < 0
 
 
-def _crossings(diag, point, mdir):
-    """Wall crossings of the ray {point + t*mdir : t > 0}.
+def _crossings(rays, d, sc, mdir):
+    """Wall crossings (wall, s, lam) of the ray {sc*d + t*mdir : t > 0}, sc > 0.
 
-    It meets the ray s at point + t*mdir = lam*s, lam > 0 (the origin is singular).
+    It meets the wall ray s at sc*d + t*mdir = lam*s, lam, t > 0 (the origin is
+    singular): lam = sc*cross(d, mdir)/cross(s, mdir), t = sc*cross(d, s)/cross(s, mdir).
     """
     out = []
-    c = _cross(point, mdir)
-    for w in diag.walls:
-        for s in _rays(w):
-            den = _cross(s, mdir)
-            if den == 0 or Fraction(c, den) <= 0:  # parallel, or lam = c/den <= 0
-                continue
-            t = Fraction(_cross(point, s), den)
-            if t > 0:
-                out.append((w, (point[0] + t * mdir[0], point[1] + t * mdir[1])))
+    c = _cross(d, mdir)
+    for w, s in rays:
+        den = _cross(s, mdir)
+        if c * den > 0 and _cross(d, s) * den > 0:
+            out.append((w, s, Fraction(sc.numerator * c, sc.denominator * den)))
     return out
 
 
@@ -144,37 +147,37 @@ def _chains(diag, m0, order):
     if memo is not None:
         return memo
     found = []
+    rays = [(w, s) for w in diag.walls for s in _rays(w)]
 
     def visit(crossings, m, degree, bends, monos):
         found.append(BrokenLine(monos, bends))
-        for wall, p in crossings:
+        for wall, d, sc in crossings:
             step = diag.grading.degree(wall.base)
             for j in range(1, (order - degree) // step + 1):
                 factor = _bend_factor(wall, m, j)
                 if factor:
                     m2 = _vadd(m, tuple(j * x for x in wall.base))
                     mdir = (-m2[0], -m2[1])
-                    nxt = [] if _segment_hits_origin(p, mdir) else _crossings(diag, p, mdir)
-                    visit(nxt, m2, degree + j * step, bends + [(wall, p, j)],
+                    nxt = [] if _segment_hits_origin(d, mdir) else _crossings(rays, d, sc, mdir)
+                    visit(nxt, m2, degree + j * step, bends + [(wall, d, sc, j)],
                           monos + [(monos[-1][0] * factor, m2, None, None)])
 
     # the segment from infinity may bend anywhere on a wall (a parallel wall
     # gives a zero bend factor)
-    visit([(w, _prim(s)) for w in diag.walls for s in _rays(w)], m0, 0, [],
-          [(CoeffPoly.one(), m0, None, None)])
+    visit([(w, _prim(s), 1) for w, s in rays], m0, 0, [], [(CoeffPoly.one(), m0, None, None)])
     index = {id(w): i for i, w in enumerate(diag.walls)}
-    found.sort(key=lambda c: (c.sort_key(), [index[id(w)] for w, _, _ in reversed(c.bends)]))
+    found.sort(key=lambda c: (c.sort_key(), [index[id(b[0])] for b in reversed(c.bends)]))
     ends = {_prim(m): m for m in reversed(_monoid_points(diag, m0, order)) if any(m)}
     memo = diag._chains[(m0, order)] = (found, ends)
     return memo
 
 
-def _through_origin(diag, m0, Q, order=None):
-    """The exponent of a final segment ending at Q that runs through the origin, or None."""
+def _through_origin(diag, m0, qdir, order=None):
+    """The exponent of a final segment ending on the ray qdir through the origin, or None."""
     if not any(m0):
         return None
-    d = _direction_of(Q)
-    return _chains(diag, tuple(int(x) for x in m0), _order(diag, order))[1].get((-d[0], -d[1]))
+    ends = _chains(diag, tuple(int(x) for x in m0), _order(diag, order))[1]
+    return ends.get((-qdir[0], -qdir[1]))
 
 
 def enumerate_broken_lines(diag, m0, Q, order=None):
@@ -192,20 +195,25 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
     Q = tuple(Fraction(x) for x in Q)
     if diag.on_support(Q):
         raise ValueError("endpoint lies on the diagram support; perturb it")
-    m_f = _through_origin(diag, m0, Q, order)
+    qi = _direction_of(Q)
+    m_f = _through_origin(diag, m0, qi, order)
     if m_f is not None:
         raise EndpointNotGeneric(
             "endpoint is not generic: a final segment with exponent %r "
             "runs through the origin; perturb it" % (m_f,))
+    qs = Q[0] / qi[0] if qi[0] else Q[1] / qi[1]  # Q = qs*qi
     lines = []
     for chain in _chains(diag, m0, order)[0]:
         lam = 1
         if chain.bends:
-            p, m = chain.bends[-1][1], chain.segments[-1][1]
-            den = _cross(p, m)
-            lam = _cross(Q, m) / den
-            if lam <= 0 or _cross(Q, p) / den <= 0:  # Q = lam*p - t*m needs lam, t > 0
+            _, d, sc, _ = chain.bends[-1]
+            m = chain.segments[-1][1]
+            den, num = _cross(d, m), _cross(qi, m)
+            # Q = lam*sc*d - t*m, lam = qs*num/(sc*den), t = qs*cross(qi, d)/den; both > 0
+            if num * den <= 0 or _cross(qi, d) * den <= 0:
                 continue
+            lam = Fraction(qs.numerator * num * sc.denominator,
+                           qs.denominator * sc.numerator * den)
         lines.append(chain.scaled(lam, Q))
     return lines
 
@@ -369,7 +377,7 @@ def generic_near(diag, q, m0=None, order=None):
     for K in primes:
         z = (Fraction(q[0]) + Fraction(1, K), Fraction(q[1]) + Fraction(1, K * K))
         if (not diag.on_support(z) and any(z)
-                and (m0 is None or _through_origin(diag, m0, z, order) is None)):
+                and (m0 is None or _through_origin(diag, m0, _direction_of(z), order) is None)):
             return z
     raise RuntimeError("no generic point found near %r" % (q,))
 

@@ -28,13 +28,14 @@ from gcsdiag import (
     theta_via_path,
     validate_broken_line,
 )
-from gcsdiag.scatter import _reorder, apply_Tk
+from gcsdiag.scatter import _cross, _rays, _reorder, apply_Tk
 from gcsdiag.theta import (
     BrokenLine,
     EndpointNotGeneric,
     ThetaResult,
     _bend_factor,
-    _crossings,
+    _chains,
+    _direction_of,
     _monoid_points,
     _segment_hits_origin,
     generic_near,
@@ -79,6 +80,24 @@ def test_broken_lines_reject_non_generic_endpoint(g31_diag8):
     value = theta(g31_diag8, q, (2, -3)).value
     assert value == theta_via_path(g31_diag8, q, (2, -3))
     assert "a*z^(-1,-2)" in canonical_string(value)
+
+
+def _crossings(diag, point, mdir):
+    """Reference wall crossings of the ray {point + t*mdir : t > 0}, in Fractions.
+
+    It meets the ray s at point + t*mdir = lam*s, lam > 0 (the origin is singular).
+    """
+    out = []
+    c = _cross(point, mdir)
+    for w in diag.walls:
+        for s in _rays(w):
+            den = _cross(s, mdir)
+            if den == 0 or Fraction(c, den) <= 0:  # parallel, or lam = c/den <= 0
+                continue
+            t = Fraction(_cross(point, s), den)
+            if t > 0:
+                out.append((w, (point[0] + t * mdir[0], point[1] + t * mdir[1])))
+    return out
 
 
 def backward_lines(diag, m0, Q, order):
@@ -195,6 +214,89 @@ def test_derived_diagrams_start_with_an_empty_chain_memo(g31_diag8):
     assert g31_diag8._chains
     assert _reorder(g31_diag8, 5)._chains == {}
     assert apply_Tk(g31_diag8, 0)._chains == {}
+
+
+def _fraction_cone_filter(chains, Q):
+    """Reference cone test: the chains with Q = lam*P - t*m, lam, t > 0, in Fractions."""
+    lines = []
+    for chain in chains:
+        lam = 1
+        if chain.bends:
+            _, d, sc, _ = chain.bends[-1]
+            p, m = (sc * d[0], sc * d[1]), chain.segments[-1][1]
+            den = _cross(p, m)
+            lam = _cross(Q, m) / den
+            if lam <= 0 or _cross(Q, p) / den <= 0:
+                continue
+        lines.append(chain.scaled(lam, Q))
+    return lines
+
+
+@pytest.mark.parametrize("name,order", [("a2", 10), ("g31", 9), ("kronecker", 7)])
+def test_integer_cone_test_keeps_the_fraction_filter_chains(request, name, order):
+    fixed, seed = request.getfixturevalue(name)
+    diag = complete_rank2(initial_diagram(fixed, seed, order))
+    rng = random.Random("cone-%d" % order)
+    compared = boundary = 0
+    for _ in range(12):
+        m0 = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if not any(m0):
+            continue
+        chains, ends = _chains(diag, m0, order)
+        last = [c for c in chains if c.bends]
+        points = [(Fraction(rng.randint(-30, 30), rng.randint(1, 13)),
+                   Fraction(rng.randint(-30, 30), rng.randint(1, 13))) for _ in range(6)]
+        # endpoints on the rays +-m and +-d of final exponents and last bend
+        # directions, where lam or t is 0 or the endpoint is not generic
+        for _ in range(2):
+            for v in (rng.choice(last).segments[-1][1], rng.choice(last).bends[-1][1]):
+                for sign in (1, -1):
+                    k = sign * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                    points.append((k * v[0], k * v[1]))
+        for Q in points:
+            if not any(Q):
+                continue
+            try:
+                got = enumerate_broken_lines(diag, m0, Q)
+            except ValueError:
+                qdir = _direction_of(Q)
+                assert diag.on_support(Q) or (-qdir[0], -qdir[1]) in ends, (m0, Q)
+                continue
+            want = _fraction_cone_filter(chains, Q)
+            assert [(l.segments, l.bends) for l in got] == [(l.segments, l.bends) for l in want]
+            compared += 1
+            boundary += any(_cross(Q, c.segments[-1][1]) == 0 or _cross(Q, c.bends[-1][1]) == 0
+                            for c in last)
+    assert compared > 60 and boundary > 10, (compared, boundary)
+
+
+def _monoid_bfs(diag, m0, order):
+    """Reference: the breadth-first search over wall steps from m0 itself."""
+    steps = {w.base for w in diag.walls}
+    seen, frontier = {m0}, [m0]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for s in steps:
+                m2 = tuple(a + b for a, b in zip(m, s))
+                rel = tuple(a - b for a, b in zip(m2, m0))
+                if m2 not in seen and diag.grading.degree(rel) <= order:
+                    seen.add(m2)
+                    nxt.append(m2)
+        frontier = nxt
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("name,order", [("a2", 10), ("g31", 9), ("kronecker", 7)])
+def test_monoid_offsets_equal_the_search_from_m0(request, name, order):
+    fixed, seed = request.getfixturevalue(name)
+    diag = complete_rank2(initial_diagram(fixed, seed, order))
+    for query in (order, order - 3, order):
+        for m0 in ((1, 0), (-2, 3), (3, -1), (0, -2), (-1, -1)):
+            assert _monoid_points(diag, m0, query) == _monoid_bfs(diag, m0, query)
+    assert sorted(diag._offsets) == [order - 3, order]
+    assert _reorder(diag, order - 1)._offsets == {}
+    assert apply_Tk(diag, 0)._offsets == {}
 
 
 @pytest.fixture(scope="module")
