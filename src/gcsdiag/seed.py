@@ -388,23 +388,61 @@ def laurent_dict(expr, xs):
     return dict(expr)
 
 
+def _factors(mono):
+    return [name if e == 1 else "%s**%d" % (name, e) for name, e in sorted(mono.items())]
+
+
+def _over(top, bottom):
+    if not bottom:
+        return top
+    return top + "/" + (bottom[0] if len(bottom) == 1 else "(%s)" % "*".join(bottom))
+
+
+def _product_text(c, num, den):
+    """c * num / den for monomials {name: exponent > 0}."""
+    c = Fraction(c)
+    if c == 1 and not num and len(den) == 1 and max(den.values()) > 1:
+        return "%s**(-%d)" % next(iter(den.items()))  # a bare power: x1**(-2)
+    top = ([str(abs(c.numerator))] if abs(c.numerator) != 1 else []) + _factors(num)
+    bottom = ([str(c.denominator)] if c.denominator != 1 else []) + _factors(den)
+    return _over(("-" if c < 0 else "") + "*".join(top or ["1"]), bottom)
+
+
 def cluster_variable_text(expr, xs):
-    """sympy's rendering of a Laurent polynomial as one fraction: `mutate`'s x.i text.
+    """A Laurent polynomial {x-exponent: CoeffPoly} in xs as one fraction: `mutate`'s x.i text.
 
-    It equals str(sympy.cancel(expr)) when the coefficients are integral, as
-    every cluster variable's are.
+    The denominator is the monomial prod x_j^-m_j, m_j the lowest exponent of
+    x_j clipped at 0.  The numerator's terms (a-monomial times shifted
+    x-monomial) are sorted by descending lex order of their exponent vectors
+    over the sorted names of all symbols that appear.  A term is its
+    coefficient (left out if 1; p/q puts q in front of the denominator),
+    then its factors sorted by name, `name**e`, joined with `*`.  Terms are
+    joined with ` + `/` - `; a numerator of several terms is parenthesised
+    if there is a denominator, a denominator of several factors always.  A
+    sum of a positive constant and a negative multiple of one factor puts
+    the constant first (`1 - 3*z**2`), and a bare power x^-e with e > 1 is
+    `x**(-e)`.  This is sympy's str form, which the tests check.
     """
-    import sympy as sp  # only this printer needs sympy
-
-    syms = [sp.Symbol(x) for x in xs]
     shift = [min(0, min(x[j] for x in expr)) for j in range(len(xs))]
+    den = {name: -m for name, m in zip(xs, shift) if m}
     terms = []
     for x, poly in expr.items():
-        mono = sp.Mul(*[s ** (e - m) for s, e, m in zip(syms, x, shift)])
+        xmono = {name: e - m for name, e, m in zip(xs, x, shift) if e != m}
         for amono, c in poly.terms.items():
-            coeff = sp.Rational(c.numerator, c.denominator)
-            terms.append(sp.Mul(coeff, *[sp.Symbol(name) ** e for name, e in amono]) * mono)
-    return str(sp.Add(*terms) / sp.Mul(*[s ** -m for s, m in zip(syms, shift)]))
+            terms.append(({**dict(amono), **xmono}, c))
+    if len(terms) == 1:
+        ((mono, c),) = terms
+        return _product_text(c, mono, den)
+    names = sorted({name for mono, _ in terms for name in mono})
+    terms.sort(key=lambda t: [t[0].get(name, 0) for name in names], reverse=True)
+    if (len(terms) == 2 and not terms[1][0] and terms[1][1] > 0
+            and len(terms[0][0]) == 1 and terms[0][1] < 0):
+        terms.reverse()
+    text = _product_text(terms[0][1], terms[0][0], {})
+    for mono, c in terms[1:]:
+        t = _product_text(c, mono, {})
+        text += " - " + t[1:] if c < 0 else " + " + t
+    return _over("(%s)" % text if den else text, _factors(den))
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +521,7 @@ def langlands_dual(fixed, seed):
 #
 # B is row-major; rationals are printed as p/q; a-lines list the full
 # coefficient tuple per unfrozen direction, entries are symbol names or 1.
+# A symbol may not be named x<digits>, the name of a cluster variable.
 
 
 def parse_seed_file(text):
@@ -511,9 +550,14 @@ def parse_seed_file(text):
                 if name != "1" and not SYMBOL_NAME_RE.fullmatch(name):
                     raise ValueError("a.%d entry %r is neither 1 nor a symbol name"
                                      % (i + 1, name))
+                if name[0] == "x" and name[1:].isdigit():
+                    raise ValueError("a.%d entry %r is the name of a cluster variable"
+                                     % (i + 1, name))
             a_names[i] = tuple(entries[1:-1])
     except KeyError as exc:
         raise ValueError("missing seed file field %s" % exc) from exc
+    except ZeroDivisionError as exc:
+        raise ValueError("zero denominator in d") from exc
     return fixed, make_initial_seed(fixed, a_names)
 
 

@@ -1,11 +1,14 @@
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gcsdiag.cli as cli
 from gcsdiag import canonical_string, complete_rank2, initial_diagram, theta_via_path
@@ -383,6 +386,81 @@ def test_malformed_seed_file_exit_2(runner, tmp_path):
         assert res.exit_code == 2, (unfrozen, a1)
 
 
+SYMBOL_SEED = "rank 2\nunfrozen 1 2\nd 1 1\nr 2 1\nB 0 1 -1 0\na.1 1 %s 1\na.2 1 1\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["mutate", "--word", "1"],
+    ["complete", "--order", "3", "--no-cache"],
+    ["theta", "--order", "4", "--m0", "1,1", "--q", "3/2,1", "--no-cache"],
+], ids=["mutate", "complete", "theta"])
+@pytest.mark.parametrize("name", ["x2", "x1", "x10"])
+def test_symbol_named_like_a_cluster_variable_exit_2(runner, tmp_path, args, name):
+    # a symbol x2 would be merged with the cluster variable x2 in mutate's text
+    seed = tmp_path / "x.seed"
+    seed.write_text(SYMBOL_SEED % name)
+    res = runner.invoke(cli.main, args[:1] + [str(seed)] + args[1:])
+    assert res.exit_code == 2, res.output
+    assert "is the name of a cluster variable" in res.output
+
+
+@pytest.mark.parametrize("name,x1,x2", [
+    ("x", "(x*x2 + x2**2 + 1)/x1", "(x*x2 + x1 + x2**2 + 1)/(x1*x2)"),
+    ("z", "(x2**2 + x2*z + 1)/x1", "(x1 + x2**2 + x2*z + 1)/(x1*x2)"),
+])
+def test_symbol_named_x_or_z_parses_and_prints(runner, tmp_path, name, x1, x2):
+    seed = tmp_path / "s.seed"
+    seed.write_text(SYMBOL_SEED % name)
+    res = runner.invoke(cli.main, ["mutate", str(seed), "--word", "1,2"])
+    assert res.exit_code == 0, res.output
+    assert res.output.endswith("x.1 %s\nx.2 %s\n" % (x1, x2))
+
+
+@st.composite
+def seed_texts(draw):
+    """Seed files of rank 2 or 3, well-formed or with one fault a user makes."""
+    n = draw(st.integers(2, 3))
+    r = [draw(st.integers(1, 4)) for _ in range(n)]
+    B = draw(st.sampled_from({2: [[0, 1, -1, 0], [0, 2, -2, 0], [0, 3, -3, 0]],
+                              3: [[0, 1, 0, -1, 0, 1, 0, -1, 0],
+                                  [0, 1, 1, -1, 0, 1, -1, -1, 0]]}[n]))
+    d = ["1"] * n
+    fault = draw(st.sampled_from([None, None, None, "d", "B", "skew", "name", "tuple", "drop"]))
+    if fault == "d":
+        d[draw(st.integers(0, n - 1))] = draw(st.sampled_from(["0", "-1", "1/0", "a"]))
+    elif fault == "B":
+        B = B[:-1]
+    elif fault == "skew":
+        B = [abs(x) for x in B]
+    names = ["1", "a", "b", "z", "x", "a_{1,1}"]
+    if fault == "name":
+        names = ["x1", "x2", "x12", "2", "1/2"]
+        r[0] = 3
+    fields = {"rank": str(n), "unfrozen": " ".join(str(i + 1) for i in range(n)),
+              "d": " ".join(d), "r": " ".join(map(str, r)), "B": " ".join(map(str, B))}
+    for i in range(n):
+        half = [draw(st.sampled_from(names)) for _ in range((r[i] - 1) // 2)]
+        mid = [draw(st.sampled_from(names))] if r[i] % 2 == 0 else []
+        extra = ["a"] if fault == "tuple" else []
+        fields["a.%d" % (i + 1)] = " ".join(["1"] + half + mid + half[::-1] + extra + ["1"])
+    dropped = draw(st.sampled_from(sorted(fields))) if fault == "drop" else None
+    return "".join("%s %s\n" % kv for kv in fields.items() if kv[0] != dropped)
+
+
+@given(seed_texts())
+@example("rank 2\nunfrozen 1 2\nd 1/0 1\nr 1 1\nB 0 1 -1 0\na.1 1 1\na.2 1 1\n")
+@settings(max_examples=60, deadline=None)
+def test_generated_seed_files_exit_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        seed = os.path.join(tmp, "fuzz.seed")
+        with open(seed, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for args in (["mutate", seed, "--word", "1,2"], ["companions", seed]):
+            res = CliRunner().invoke(cli.main, args)
+            assert res.exit_code in (0, 2, 3, 4), (text, args, res.output)
+            assert res.exception is None or isinstance(res.exception, SystemExit), text
+
+
 def test_bad_word_exit_2(runner):
     res = runner.invoke(cli.main, ["mutate", G31, "--word", "x"])
     assert res.exit_code == 2
@@ -414,13 +492,13 @@ def test_bad_endpoint_exit_2(runner, q):
 
 
 # ---------------------------------------------------------------------------
-# sympy is imported by mutate's printer alone
+# no command imports sympy
 
 
-def _run_cli(args, tmp_path):
-    env = dict(os.environ, GCSDIAG_CACHE=str(tmp_path / "cache"),
+def _run_cli(python_args, args, cache):
+    env = dict(os.environ, GCSDIAG_CACHE=str(cache),
                PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-X", "importtime", "-m", "gcsdiag.cli"] + args,
+    return subprocess.run([sys.executable] + python_args + args,
                           capture_output=True, text=True, env=env, check=False)
 
 
@@ -428,6 +506,17 @@ def _imports_sympy(importtime_stderr):
     # -X importtime names each module in the last column of its line
     return any(line.rsplit("|", 1)[-1].strip().split(".")[0] == "sympy"
                for line in importtime_stderr.splitlines() if line.startswith("import time:"))
+
+
+def _every_command(dump):
+    return [
+        ["complete", G31, "--order", "3", "--out", str(dump)],
+        ["theta", G31, "--order", "4", "--m0", "0,-1", "--q", "3/2,1"],
+        ["check", A2, "--order", "2", "--depth", "2"],
+        ["companions", G31],
+        ["plot", str(dump)],
+        ["mutate", G31, "--word", "1,2"],
+    ]
 
 
 def test_package_import_leaves_sympy_out():
@@ -439,21 +528,24 @@ def test_package_import_leaves_sympy_out():
     assert res.stdout == "False\n"
 
 
-def test_only_mutate_imports_sympy(tmp_path):
-    dump = tmp_path / "dump.txt"
-    commands = [
-        ["complete", G31, "--order", "3", "--out", str(dump)],
-        ["theta", G31, "--order", "4", "--m0", "0,-1", "--q", "3/2,1"],
-        ["check", A2, "--order", "2", "--depth", "2"],
-        ["companions", G31],
-        ["plot", str(dump)],
-    ]
-    for args in commands:
-        res = _run_cli(args, tmp_path)
+def test_no_command_imports_sympy(tmp_path):
+    for args in _every_command(tmp_path / "dump.txt"):
+        res = _run_cli(["-X", "importtime", "-m", "gcsdiag.cli"], args, tmp_path / "cache")
         assert res.returncode == 0, (args, res.stderr[-500:])
         assert not _imports_sympy(res.stderr), args
-    res = _run_cli(["mutate", G31, "--word", "1,2"], tmp_path)
-    assert res.returncode == 0
-    assert _imports_sympy(res.stderr)
     assert res.stdout.endswith("x.1 (a*x2**2 + a*x2 + x2**3 + 1)/x1\n"
                                "x.2 (a*x2**2 + a*x2 + x1 + x2**3 + 1)/(x1*x2)\n")
+
+
+# `import sympy` raises ImportError once sys.modules maps it to None
+SYMPY_ABSENT = "import sys; sys.modules['sympy'] = None; import gcsdiag.cli; gcsdiag.cli.main()"
+
+
+def test_every_command_runs_with_sympy_absent(tmp_path):
+    outputs = {}
+    for name, python_args in (("normal", ["-m", "gcsdiag.cli"]), ("absent", ["-c", SYMPY_ABSENT])):
+        dump = tmp_path / ("%s.txt" % name)
+        runs = [_run_cli(python_args, args, tmp_path / name) for args in _every_command(dump)]
+        assert [res.returncode for res in runs] == [0] * len(runs), [r.stderr[-500:] for r in runs]
+        outputs[name] = [res.stdout for res in runs] + [dump.read_text()]
+    assert outputs["absent"] == outputs["normal"]

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcsdiag import (
     ClusterState,
@@ -238,6 +240,46 @@ def test_laurent_check_rejects_a_non_multiple(num, den):
 ])
 def test_printer_matches_sympy_cancel(expr):
     assert cluster_variable_text(expr, ("x1", "x2")) == str(sp.cancel(_to_sympy(expr)))
+
+
+def _sympy_text(expr, xs):
+    """The printer as it was written with sympy: str of the Laurent polynomial
+    over the monomial denominator prod x_j^-m_j, m_j the lowest exponent of
+    x_j clipped at 0."""
+    syms = [sp.Symbol(x) for x in xs]
+    shift = [min(0, min(x[j] for x in expr)) for j in range(len(xs))]
+    terms = []
+    for x, poly in expr.items():
+        mono = sp.Mul(*[s ** (e - m) for s, e, m in zip(syms, x, shift)])
+        for amono, c in poly.terms.items():
+            coeff = sp.Rational(c.numerator, c.denominator)
+            terms.append(sp.Mul(coeff, *[sp.Symbol(name) ** e for name, e in amono]) * mono)
+    return str(sp.Add(*terms) / sp.Mul(*[s ** -m for s, m in zip(syms, shift)]))
+
+
+_coeffs = st.one_of(st.integers(-6, 6),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=5)).filter(bool)
+_a_monos = st.dictionaries(st.sampled_from(["a", "Z", "a_{1,1}", "x", "B_1", "t2"]),
+                           st.integers(1, 3), max_size=2).map(lambda m: tuple(sorted(m.items())))
+_coeff_polys = st.dictionaries(_a_monos, _coeffs, min_size=1, max_size=3).map(CoeffPoly)
+
+
+@st.composite
+def _laurent_polys(draw):
+    n = draw(st.integers(2, 3))
+    keys = st.tuples(*[st.integers(-3, 3)] * n)
+    return n, draw(st.dictionaries(keys, _coeff_polys, min_size=1, max_size=4))
+
+
+@given(_laurent_polys())
+@example((2, {(-1, -1): CoeffPoly({(): 1, (("z", 2),): -3})}))  # (1 - 3*z**2)/(x1*x2)
+@example((2, {(3, -3): CoeffPoly.rational(Fraction(1, 2))}))  # x1**3/(2*x2**3)
+@example((2, {(-2, 0): CoeffPoly.one()}))  # x1**(-2)
+@settings(max_examples=200, deadline=None)
+def test_printer_matches_sympy_on_random_laurent_polynomials(case):
+    n, expr = case
+    xs = tuple("x%d" % (i + 1) for i in range(n))
+    assert cluster_variable_text(expr, xs) == _sympy_text(expr, xs)
 
 
 # seeds for the reference comparison, with the word length each reaches
