@@ -49,15 +49,6 @@ class FixedData:
                 if Fraction(self.B[i][j], 1) / self.d[j] != -Fraction(self.B[j][i], 1) / self.d[i]:
                     raise ValueError("B is not skew-symmetrizable by d")
 
-    @property
-    def symbols(self):
-        out = []
-        for i in self.unfrozen:
-            for j in range(1, self.r[i]):
-                if j <= self.r[i] - j:
-                    out.append(ExchangeSymbol(i, j, self.r[i]))
-        return tuple(out)
-
     def __eq__(self, other):
         return isinstance(other, FixedData) and (
             (self.n, self.unfrozen, self.d, self.r, self.B)
@@ -66,26 +57,6 @@ class FixedData:
 
     def __repr__(self):
         return "FixedData(n=%d, d=%s, r=%s, B=%s)" % (self.n, self.d, self.r, self.B)
-
-
-def _det(mat):
-    n = len(mat)
-    rows = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] * inv
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
 
 
 class GeneralizedTorusSeed:
@@ -100,8 +71,6 @@ class GeneralizedTorusSeed:
         self.e_vectors = tuple(tuple(int(x) for x in v) for v in e_vectors)
         self.f_vectors = tuple(tuple(int(x) for x in v) for v in f_vectors)
         self.a_tuples = {i: tuple(t) for i, t in a_tuples.items()}
-        if abs(_det(self.e_vectors)) != 1:
-            raise ValueError("e-vectors must form a Z-basis of N")
         for i in self.a_tuples:
             t = self.a_tuples[i]
             if len(t) != fixed.r[i] + 1 or not t[0].is_one() or not t[-1].is_one():
@@ -561,16 +530,11 @@ def parse_seed_file(text):
     return fixed, make_initial_seed(fixed, a_names)
 
 
-def _frac_str(q):
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
-
-
 def serialize_seed_file(fixed, seed):
     lines = [
         "rank %d" % fixed.n,
         "unfrozen %s" % " ".join(str(i + 1) for i in fixed.unfrozen),
-        "d %s" % " ".join(_frac_str(x) for x in fixed.d),
+        "d %s" % " ".join(str(Fraction(x)) for x in fixed.d),
         "r %s" % " ".join(str(x) for x in fixed.r),
         "B %s" % " ".join(str(x) for row in fixed.B for x in row),
     ]

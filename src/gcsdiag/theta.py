@@ -1,14 +1,12 @@
 """Broken lines, theta functions, g-vectors, sign coherence, structure constants.
 
 Walls are cones from the origin, so a broken line scaled by lam > 0 is one
-too.  Enumeration runs forward from m0 once per (diagram, m0, order): the
-first bend is at the primitive vector of its ray, and from a bend point P
-with exponent m the next bend is on any wall that {P - t*m : t > 0} crosses.
-Bends raise the degree over m0, which the order bounds.  A chain ending at
-P with exponent m reaches exactly the Q = lam*P - t*m with lam, t > 0: the
-broken lines ending at Q are the chains whose cone holds Q, scaled by lam.
-A bend point is sc*d, d its ray's integral direction and sc > 0, so every
-test of the search and of the cone is the sign of an integer cross product.
+too.  Enumeration runs forward from m0 once per (diagram, m0, order) without
+points: a search state is the direction d of its last bend ray and its final
+exponent m, its next bend is on a wall that {lam*d - t*m : lam, t > 0}
+crosses, and it reaches exactly the Q in that cone, so the search and the
+cone test are signs of integer cross products.  Bends raise the degree over
+m0, which the order bounds.  A kept state gets its points walking back from Q.
 """
 
 from __future__ import annotations
@@ -45,8 +43,7 @@ class BrokenLine:
     """Piecewise-linear path from infinity to Q with attached monomials.
 
     segments: ordered (coeff, exponent, start, end); the first start is None
-    (from infinity).  bends: (wall, point, step) per junction; a stored chain
-    has no points and its bends are (wall, d, sc, step), at the point sc*d.
+    (from infinity).  bends: (wall, point, step) per junction.
     """
 
     __slots__ = ("segments", "bends")
@@ -64,14 +61,6 @@ class BrokenLine:
         return (len(self.bends), tuple(b[0].direction for b in self.bends),
                 tuple(b[-1] for b in self.bends), self.segments[-1][1])
 
-    def scaled(self, lam, Q):
-        """The line of a stored chain with its bend points lam*sc*d, ending at Q."""
-        ks = [lam * sc for _, _, sc, _ in self.bends]
-        pts = [(k * b[1][0], k * b[1][1]) for k, b in zip(ks, self.bends)]
-        segments = [(c, e, p0, p1) for (c, e, _, _), p0, p1
-                    in zip(self.segments, [None] + pts, pts + [Q])]
-        return BrokenLine(segments, [(w, p, j) for (w, _, _, j), p in zip(self.bends, pts)])
-
     def __repr__(self):
         return "BrokenLine(%s)" % " -> ".join(
             "%sz^%s" % ("" if c.is_one() else "(%s)*" % c, (e,)) for c, e, _, _ in self.segments)
@@ -84,6 +73,22 @@ def _order(diag, order):
     if order > diag.order:
         raise ValueError("order %s exceeds the diagram's order %s" % (order, diag.order))
     return order
+
+
+def _exponent(diag, m):
+    """m as a tuple of diag.dim ints; ValueError unless it is one."""
+    m = tuple(m)
+    if len(m) != diag.dim or any(Fraction(x).denominator != 1 for x in m):
+        raise ValueError("exponent %r is not an integral vector of length %d" % (m, diag.dim))
+    return tuple(int(x) for x in m)
+
+
+def _point(Q):
+    """Q as a pair of Fractions; ValueError unless it is a plane point."""
+    Q = tuple(Fraction(x) for x in Q)
+    if len(Q) != 2:
+        raise ValueError("point %r is not in the plane" % (Q,))
+    return Q
 
 
 def _monoid_points(diag, m0, order):
@@ -111,18 +116,17 @@ def _segment_hits_origin(d, mdir):
     return _cross(d, mdir) == 0 and (d[0] * mdir[0] + d[1] * mdir[1]) < 0
 
 
-def _crossings(rays, d, sc, mdir):
-    """Wall crossings (wall, s, lam) of the ray {sc*d + t*mdir : t > 0}, sc > 0.
+def _crossings(rays, d, mdir):
+    """Wall crossings (wall, s) of the ray {sc*d + t*mdir : t > 0}, for any sc > 0.
 
-    It meets the wall ray s at sc*d + t*mdir = lam*s, lam, t > 0 (the origin is
-    singular): lam = sc*cross(d, mdir)/cross(s, mdir), t = sc*cross(d, s)/cross(s, mdir).
-    """
+    It meets the wall ray s at sc*d + t*mdir = lam*s, lam, t > 0 (the origin is singular):
+    lam = sc*cross(d, mdir)/cross(s, mdir), t = sc*cross(d, s)/cross(s, mdir)."""
     out = []
     c = _cross(d, mdir)
     for w, s in rays:
         den = _cross(s, mdir)
         if c * den > 0 and _cross(d, s) * den > 0:
-            out.append((w, s, Fraction(sc.numerator * c, sc.denominator * den)))
+            out.append((w, s))
     return out
 
 
@@ -136,12 +140,13 @@ def _bend_factor(wall, m_prev, j):
 
 
 def _chains(diag, m0, order):
-    """(chains, ends) for m0 up to order, memoised on the diagram.
+    """(states, ends) for m0 up to order, memoised on the diagram.
 
-    A chain is a broken line whose first bend is the primitive vector of its
-    ray and whose segments carry no points, in report order (sort_key, then
-    the walls met walking back).  ends maps d to the least m of degree <=
-    order over m0 with prim(m) = d: a final segment z^m ending on -d hits 0.
+    A state (parent, wall, d, j, coeff, m) bends j steps on the wall ray d
+    (None at the root) after parent, with final monomial coeff*z^m; states
+    are in report order (BrokenLine.sort_key, then the walls met walking
+    back).  ends maps d to the least m of degree <= order over m0 with
+    prim(m) = d: a final segment z^m ending on -d hits 0.
     """
     memo = diag._chains.get((m0, order))
     if memo is not None:
@@ -149,35 +154,58 @@ def _chains(diag, m0, order):
     found = []
     rays = [(w, s) for w in diag.walls for s in _rays(w)]
 
-    def visit(crossings, m, degree, bends, monos):
-        found.append(BrokenLine(monos, bends))
-        for wall, d, sc in crossings:
+    def visit(state, crossings, degree):
+        found.append(state)
+        m = state[5]
+        for wall, d in crossings:
             step = diag.grading.degree(wall.base)
             for j in range(1, (order - degree) // step + 1):
                 factor = _bend_factor(wall, m, j)
                 if factor:
                     m2 = _vadd(m, tuple(j * x for x in wall.base))
                     mdir = (-m2[0], -m2[1])
-                    nxt = [] if _segment_hits_origin(d, mdir) else _crossings(rays, d, sc, mdir)
-                    visit(nxt, m2, degree + j * step, bends + [(wall, d, sc, j)],
-                          monos + [(monos[-1][0] * factor, m2, None, None)])
+                    nxt = [] if _segment_hits_origin(d, mdir) else _crossings(rays, d, mdir)
+                    visit((state, wall, d, j, state[4] * factor, m2), nxt, degree + j * step)
 
-    # the segment from infinity may bend anywhere on a wall (a parallel wall
-    # gives a zero bend factor)
-    visit([(w, _prim(s), 1) for w, s in rays], m0, 0, [], [(CoeffPoly.one(), m0, None, None)])
+    # the segment from infinity may bend anywhere on a wall (a parallel one has factor 0)
+    visit((None, None, None, 0, CoeffPoly.one(), m0), [(w, _prim(s)) for w, s in rays], 0)
     index = {id(w): i for i, w in enumerate(diag.walls)}
-    found.sort(key=lambda c: (c.sort_key(), [index[id(b[0])] for b in reversed(c.bends)]))
+
+    def key(state):
+        m, bends = state[5], []
+        while state[0] is not None:
+            bends.append(state)
+            state = state[0]
+        return (len(bends), [b[1].direction for b in reversed(bends)],
+                [b[3] for b in reversed(bends)], m, [index[id(b[1])] for b in bends])
+
+    found.sort(key=key)
     ends = {_prim(m): m for m in reversed(_monoid_points(diag, m0, order)) if any(m)}
     memo = diag._chains[(m0, order)] = (found, ends)
     return memo
 
 
+def _line(state, k, e, end):
+    """The broken line of a search state ending at k*e: walking back, a segment
+    z^m from a bend on the ray d to k*e puts it at k'*d, k' = k*cross(e, m)/cross(d, m)."""
+    segments, bends = [], []
+    while state[0] is not None:
+        parent, wall, d, j, coeff, m = state
+        k = Fraction(k.numerator * _cross(e, m), k.denominator * _cross(d, m))
+        p = (k * d[0], k * d[1])
+        segments.append((coeff, m, p, end))
+        bends.append((wall, p, j))
+        state, e, end = parent, d, p
+    segments.append((state[4], state[5], None, end))
+    return BrokenLine(segments[::-1], bends[::-1])
+
+
 def _through_origin(diag, m0, qdir, order=None):
     """The exponent of a final segment ending on the ray qdir through the origin, or None."""
+    m0 = _exponent(diag, m0)
     if not any(m0):
         return None
-    ends = _chains(diag, tuple(int(x) for x in m0), _order(diag, order))[1]
-    return ends.get((-qdir[0], -qdir[1]))
+    return _chains(diag, m0, _order(diag, order))[1].get((-qdir[0], -qdir[1]))
 
 
 def enumerate_broken_lines(diag, m0, Q, order=None):
@@ -189,10 +217,10 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
     if diag.dim != 2:
         raise ValueError("broken lines need plane exponents")
     order = _order(diag, order)
-    m0 = tuple(int(x) for x in m0)
+    m0 = _exponent(diag, m0)
     if not any(m0):
         raise ValueError("initial exponent must be nonzero")
-    Q = tuple(Fraction(x) for x in Q)
+    Q = _point(Q)
     if diag.on_support(Q):
         raise ValueError("endpoint lies on the diagram support; perturb it")
     qi = _direction_of(Q)
@@ -203,27 +231,21 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
             "runs through the origin; perturb it" % (m_f,))
     qs = Q[0] / qi[0] if qi[0] else Q[1] / qi[1]  # Q = qs*qi
     lines = []
-    for chain in _chains(diag, m0, order)[0]:
-        lam = 1
-        if chain.bends:
-            _, d, sc, _ = chain.bends[-1]
-            m = chain.segments[-1][1]
-            den, num = _cross(d, m), _cross(qi, m)
-            # Q = lam*sc*d - t*m, lam = qs*num/(sc*den), t = qs*cross(qi, d)/den; both > 0
-            if num * den <= 0 or _cross(qi, d) * den <= 0:
+    for state in _chains(diag, m0, order)[0]:
+        d, m = state[2], state[5]
+        if d is not None:
+            # Q = lam*d - t*m with lam = qs*cross(qi, m)/den, t = qs*cross(qi, d)/den, both > 0
+            den = _cross(d, m)
+            if _cross(qi, m) * den <= 0 or _cross(qi, d) * den <= 0:
                 continue
-            lam = Fraction(qs.numerator * num * sc.denominator,
-                           qs.denominator * sc.numerator * den)
-        lines.append(chain.scaled(lam, Q))
+        lines.append(_line(state, qs, qi, Q))
     return lines
 
 
 def validate_broken_line(diag, line, m0, Q):
     """Re-check the defining conditions of a broken line by expansion."""
     c0, e0 = line.segments[0][0], line.segments[0][1]
-    if not c0.is_one() or tuple(e0) != tuple(m0):
-        return False
-    if line.segments[-1][3] != tuple(Fraction(x) for x in Q):
+    if not c0.is_one() or tuple(e0) != tuple(m0) or line.segments[-1][3] != _point(Q):
         return False
     for (_, e, start, end) in line.segments:
         # a segment runs along -e
@@ -257,39 +279,36 @@ class ThetaResult:
 def theta(diag, Q, m0, order=None):
     """Sum of final monomials over all broken lines (1 when m0 = 0)."""
     order = _order(diag, order)
-    m0 = tuple(int(x) for x in m0)
+    m0, Q = _exponent(diag, m0), _point(Q)
     if not any(m0):
-        return ThetaResult(TruncatedLaurent.one(diag.grading, order), [],
-                           tuple(Fraction(x) for x in Q), m0)
+        return ThetaResult(TruncatedLaurent.one(diag.grading, order), [], Q, m0)
     lines = enumerate_broken_lines(diag, m0, Q, order)
     terms = {}
     for line in lines:
         coeff, expo = line.final_monomial
         terms[expo] = terms.get(expo, CoeffPoly.zero()) + coeff
     value = TruncatedLaurent(diag.grading, order, m0, terms)
-    return ThetaResult(value, lines, tuple(Fraction(x) for x in Q), m0)
+    return ThetaResult(value, lines, Q, m0)
 
 
 def _direction_of(point):
-    fr = [Fraction(x) for x in point]
-    den = math.lcm(*[f.denominator for f in fr])
-    return _prim(tuple(int(f * den) for f in fr))
+    den = math.lcm(*[Fraction(x).denominator for x in point])
+    return _prim(tuple(int(x * den) for x in point))
 
 
 def theta_via_path(diag, Q, m0, order=None, depth=8):
     """p_gamma(z^{m0}) from the cluster chamber of m0 to the chamber of Q."""
     order = _order(diag, order)
-    m0 = tuple(int(x) for x in m0)
+    m0 = _exponent(diag, m0)
+    end_dir = _direction_of(_point(Q))
     home = next((cone for _, cone in chambers(diag, depth) if cone_contains(cone, m0)), None)
     if home is None:
         raise ValueError("initial exponent is outside the computed cluster complex")
     start = _vadd(home[0], home[1])
     if diag.on_support(start):
         raise ValueError("degenerate chamber representative")
-    start_dir = _prim(start)
-    end_dir = _direction_of(Q)
     s = TruncatedLaurent.monomial(diag.grading, order, m0)
-    return path_ordered_product(diag, path_between(diag, start_dir, end_dir), s)
+    return path_ordered_product(diag, path_between(diag, _prim(start), end_dir), s)
 
 
 def theta_Tk_transport(diag, k, Q, m0, order=None):
@@ -297,8 +316,7 @@ def theta_Tk_transport(diag, k, Q, m0, order=None):
     order = _order(diag, order)
     fixed = diag.fixed
     shear = tk_shear(fixed, diag.seed, k)
-    Q = tuple(Fraction(x) for x in Q)
-    m0 = tuple(int(x) for x in m0)
+    Q, m0 = _point(Q), _exponent(diag, m0)
     th = theta(diag, Q, m0, order)
 
     s = 1 if Q[k] >= 0 else 0
@@ -356,13 +374,12 @@ def sign_coherence_check(fixed, seed, depth):
 def structure_constant(diag, p1, p2, q, z, order=None):
     """alpha_z(p1, p2, q) = sum of c(g1) c(g2) over broken-line pairs at z."""
     order = _order(diag, order)
-    z = tuple(Fraction(x) for x in z)
+    z, q = _point(z), _exponent(diag, q)
     if diag.on_support(z):
         raise ValueError("structure-constant base point lies on a wall")
     m1 = [line.final_monomial for line in enumerate_broken_lines(diag, p1, z, order)]
     m2 = m1 if tuple(p2) == tuple(p1) else [
         line.final_monomial for line in enumerate_broken_lines(diag, p2, z, order)]
-    q = tuple(int(x) for x in q)
     return sum((c1 * c2 for c1, e1 in m1 for c2, e2 in m2 if _vadd(e1, e2) == q),
                CoeffPoly.zero())
 
@@ -403,21 +420,16 @@ def product_expansion_check(diag, p1, p2, Q, order=None):
 
 def theta_report(diag, result):
     """Deterministic text report: header, value, one witness per line."""
-
-    def fr(x):
-        x = Fraction(x)
-        return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
-
     lines = [
         "theta m0=(%s) Q=(%s) order=%d" % (
             ",".join(str(x) for x in result.initial),
-            ",".join(fr(x) for x in result.endpoint),
+            ",".join(str(Fraction(x)) for x in result.endpoint),
             result.value.order),
         "value: %s" % canonical_string(result.value),
     ]
     for line in result.witness_lines:
         rays = ";".join("(%d,%d)" % w.direction for w, _, _ in line.bends)
-        pts = ";".join("(%s,%s)" % (fr(p[0]), fr(p[1]))
+        pts = ";".join("(%s,%s)" % (Fraction(p[0]), Fraction(p[1]))
                        for _, p, _ in line.bends) or "-"
         trail = " -> ".join(
             ("%s*" % canonical_string(c) if not c.is_one() else "") + "z^(%s)" % ",".join(str(x) for x in e)

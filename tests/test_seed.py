@@ -27,7 +27,7 @@ from gcsdiag import (
     right_companion,
     serialize_seed_file,
 )
-from gcsdiag.seed import mutation_walk
+from gcsdiag.seed import GeneralizedTorusSeed, mutation_walk
 
 import os
 
@@ -47,6 +47,20 @@ def test_fixed_data_validates_skew_symmetrizability():
 def test_fixed_data_allows_rational_and_scaled_d():
     FixedData(2, (0, 1), (Fraction(1, 3), 1), (1, 1), [[0, 3], [-1, 0]])
     FixedData(2, (0, 1), (2, 2), (1, 1), [[0, 2], [-2, 0]])
+
+
+@pytest.mark.parametrize("e,f", [
+    ([[2, 0], [0, 1]], [[1, 0], [0, 1]]),
+    ([[2, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]]),
+    ([[1, 1], [1, -1]], [[1, 1], [1, -1]]),
+])
+def test_seed_rejects_e_vectors_of_determinant_two(g31, e, f):
+    # integer dual bases have det E * det F = 1, so the duality check alone
+    # rejects e-vectors that are not a Z-basis of N
+    fixed, seed = g31
+    GeneralizedTorusSeed(fixed, seed.e_vectors, seed.f_vectors, seed.a_tuples)
+    with pytest.raises(ValueError, match="not dual"):
+        GeneralizedTorusSeed(fixed, e, f, seed.a_tuples)
 
 
 # ---------------------------------------------------------------------------

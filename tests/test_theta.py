@@ -216,19 +216,40 @@ def test_derived_diagrams_start_with_an_empty_chain_memo(g31_diag8):
     assert apply_Tk(g31_diag8, 0)._chains == {}
 
 
-def _fraction_cone_filter(chains, Q):
-    """Reference cone test: the chains with Q = lam*P - t*m, lam, t > 0, in Fractions."""
+def _forward_points(state):
+    """Reference: a search state's path from the root and its bend points,
+    built forward in Fractions with the first bend at the primitive vector of
+    its ray and each next bend where {P - t*m : t > 0} meets the next ray."""
+    path = []
+    while state is not None:
+        path.append(state)
+        state = state[0]
+    path.reverse()
+    points = []
+    for prev, (_, _, d, _, _, _) in zip(path, path[1:]):
+        if points:
+            lam = _cross(points[-1], prev[5]) / Fraction(_cross(d, prev[5]))
+        else:
+            lam = Fraction(1)
+        points.append((lam * d[0], lam * d[1]))
+    return path, points
+
+
+def _fraction_cone_filter(states, Q):
+    """Reference cone test: the states with Q = lam*P - t*m, lam, t > 0, in Fractions."""
     lines = []
-    for chain in chains:
+    for state in states:
+        path, points = _forward_points(state)
         lam = 1
-        if chain.bends:
-            _, d, sc, _ = chain.bends[-1]
-            p, m = (sc * d[0], sc * d[1]), chain.segments[-1][1]
+        if points:
+            p, m = points[-1], state[5]
             den = _cross(p, m)
             lam = _cross(Q, m) / den
             if lam <= 0 or _cross(Q, p) / den <= 0:
                 continue
-        lines.append(chain.scaled(lam, Q))
+        pts = [(lam * x, lam * y) for x, y in points]
+        segments = [(s[4], s[5], p0, p1) for s, p0, p1 in zip(path, [None] + pts, pts + [Q])]
+        lines.append(BrokenLine(segments, [(s[1], p, s[3]) for s, p in zip(path[1:], pts)]))
     return lines
 
 
@@ -243,13 +264,13 @@ def test_integer_cone_test_keeps_the_fraction_filter_chains(request, name, order
         if not any(m0):
             continue
         chains, ends = _chains(diag, m0, order)
-        last = [c for c in chains if c.bends]
+        last = [c for c in chains if c[0] is not None]
         points = [(Fraction(rng.randint(-30, 30), rng.randint(1, 13)),
                    Fraction(rng.randint(-30, 30), rng.randint(1, 13))) for _ in range(6)]
         # endpoints on the rays +-m and +-d of final exponents and last bend
         # directions, where lam or t is 0 or the endpoint is not generic
         for _ in range(2):
-            for v in (rng.choice(last).segments[-1][1], rng.choice(last).bends[-1][1]):
+            for v in (rng.choice(last)[5], rng.choice(last)[2]):
                 for sign in (1, -1):
                     k = sign * Fraction(rng.randint(1, 9), rng.randint(1, 9))
                     points.append((k * v[0], k * v[1]))
@@ -265,9 +286,23 @@ def test_integer_cone_test_keeps_the_fraction_filter_chains(request, name, order
             want = _fraction_cone_filter(chains, Q)
             assert [(l.segments, l.bends) for l in got] == [(l.segments, l.bends) for l in want]
             compared += 1
-            boundary += any(_cross(Q, c.segments[-1][1]) == 0 or _cross(Q, c.bends[-1][1]) == 0
-                            for c in last)
+            boundary += any(_cross(Q, c[5]) == 0 or _cross(Q, c[2]) == 0 for c in last)
     assert compared > 60 and boundary > 10, (compared, boundary)
+
+
+def test_chain_memo_holds_integer_states_and_no_lines(g31_diag8):
+    theta(g31_diag8, FIG2_Q, (0, -1))
+    states, _ = g31_diag8._chains[((0, -1), 8)]
+    assert len(states) > 10
+    for state in states:
+        assert type(state) is tuple and not any(isinstance(x, BrokenLine) for x in state)
+        parent, wall, d, j, coeff, m = state
+        assert type(j) is int and all(type(x) is int for x in m)
+        if parent is None:
+            assert (wall, d, m) == (None, None, (0, -1))
+        else:
+            assert parent in states and all(type(x) is int for x in d)
+            assert m == tuple(a + j * b for a, b in zip(parent[5], wall.base))
 
 
 def _monoid_bfs(diag, m0, order):
@@ -366,6 +401,26 @@ def test_theta_above_the_diagram_order_is_rejected(g31):
     # below its order a diagram answers as the diagram of that order does
     assert theta(d6, Q, (2, -3), 4).value == theta(d4, Q, (2, -3)).value
     assert theta_via_path(d6, Q, (2, -3), 4).terms == theta(d4, Q, (2, -3)).value.terms
+
+
+@pytest.mark.parametrize("m0,Q", [
+    ((Fraction(3, 2), 1), FIG2_Q),
+    ((1.9, 1), FIG2_Q),
+    ((1, 0, 5), FIG2_Q),
+    ((1,), FIG2_Q),
+    ((1, 1), (Fraction(3, 2), 1, 7)),
+    ((1, 1), (Fraction(3, 2),)),
+])
+def test_malformed_exponents_and_points_are_rejected(g31_diag8, m0, Q):
+    # a fractional entry or a wrong length must be rejected, never truncated,
+    # padded or ignored
+    d = g31_diag8
+    for call in (lambda: theta(d, Q, m0), lambda: enumerate_broken_lines(d, m0, Q),
+                 lambda: theta_via_path(d, Q, m0),
+                 lambda: structure_constant(d, (1, 0), (0, 1), m0, Q)):
+        with pytest.raises(ValueError, match="exponent|point"):
+            call()
+    assert theta(d, FIG2_Q, (1.0, 1)).value == theta(d, FIG2_Q, (1, 1)).value
 
 
 def test_theta_transport_between_adjacent_chambers(g31_diag8):
