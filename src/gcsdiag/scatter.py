@@ -268,9 +268,12 @@ def wall_cross(wall, sign, series, proj):
         p = sign * (n0 * expo[i0] + n1 * expo[i1])
         if not p:
             continue
+        jmax = (order - series.rel_degree(expo)) // step
+        if jmax < 1:  # no room for a step: the power is not needed
+            continue
         g = wall.power(p)
         e = expo
-        for j in range(1, min(len(g) - 1, (order - series.rel_degree(expo)) // step) + 1):
+        for j in range(1, min(len(g) - 1, jmax) + 1):
             e = tuple(map(operator.add, e, base))  # expo + j * base
             if g[j]:
                 prod = poly * g[j]
@@ -339,14 +342,17 @@ def path_between(diag, start_dir, end_dir):
 # consistency and completion
 
 
-def _lowest_defects(diag):
+def _lowest_defects(diag, order=None):
     """The least-degree terms of loop(z^m) - z^m over the basis monomials z^m.
 
-    Returns (degree, [(u, basis index, coefficient of z^{m+u})]), or (None, []).
+    The loop runs at order, by default the diagram's; its terms of degree
+    up to order are those of the loop at any higher order.  Returns
+    (degree, [(u, basis index, coefficient of z^{m+u})]), or (None, []).
     """
+    order = diag.order if order is None else order
     low, terms = None, []
     for bi, m in enumerate(diag.basis_exponents()):
-        res = loop_product(diag, TruncatedLaurent.monomial(diag.grading, diag.order, m))
+        res = loop_product(diag, TruncatedLaurent.monomial(diag.grading, order, m))
         for expo, poly in res.terms.items():
             if expo == m:
                 poly = poly - CoeffPoly.one()
@@ -384,6 +390,11 @@ def _reorder(diag, order):
 def complete_rank2(diag):
     """Order-by-order consistency completion; adds only outgoing walls.
 
+    Each pass cancels the lowest loop defect.  It first probes the loop at
+    order floor(last degree) + 1 (2 on the first pass): a defect found there
+    is the lowest at every order.  Only a probe that finds none runs the loop
+    at the diagram's order, which finds the next degree or proves the
+    diagram consistent, so the returned diagram is checked at its order.
     A ray's wall is rebuilt only after a pass that adds to its terms, so the
     powers memoised on every other wall carry over to the next pass.
     """
@@ -396,7 +407,10 @@ def complete_rank2(diag):
                 walls[ray_dir] = _wall("ray", ray_dir, terms, diag.grading, diag.order, diag.proj)
         cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
                                 diag.walls + [walls[d] for d in rays if walls[d]], diag.proj)
-        dmin, defects = _lowest_defects(cur)
+        probe = min(max(math.floor(last_deg) + 1, 2), diag.order)
+        dmin, defects = _lowest_defects(cur, probe)
+        if not defects and probe < diag.order:
+            dmin, defects = _lowest_defects(cur)
         if not defects:
             return cur
         if dmin <= last_deg:

@@ -19,6 +19,14 @@ def _pos(x):
     return x if x > 0 else 0
 
 
+def _ints(values, what):
+    """values as a tuple of ints; ValueError naming what if one is not an integer."""
+    values = tuple(values)
+    if any(Fraction(x).denominator != 1 for x in values):
+        raise ValueError("%s %s has a non-integral entry" % (what, list(values)))
+    return tuple(int(x) for x in values)
+
+
 # ---------------------------------------------------------------------------
 # fixed data and seeds
 
@@ -35,8 +43,8 @@ class FixedData:
         self.n = n
         self.unfrozen = tuple(unfrozen)
         self.d = tuple(Fraction(x) for x in d)
-        self.r = tuple(int(x) for x in r)
-        self.B = tuple(tuple(int(x) for x in row) for row in B)
+        self.r = _ints(r, "r")
+        self.B = tuple(_ints(row, "B row") for row in B)
         if len(self.d) != n or len(self.r) != n or len(self.B) != n:
             raise ValueError("dimension mismatch in fixed data")
         if any(x <= 0 for x in self.d) or any(x <= 0 for x in self.r):
@@ -68,8 +76,11 @@ class GeneralizedTorusSeed:
     """
 
     def __init__(self, fixed, e_vectors, f_vectors, a_tuples):
-        self.e_vectors = tuple(tuple(int(x) for x in v) for v in e_vectors)
-        self.f_vectors = tuple(tuple(int(x) for x in v) for v in f_vectors)
+        # a non-integral row is no vector of the lattice N or M
+        self.e_vectors = tuple(_ints(v, "e- and f-vectors are not dual bases: e-vector")
+                               for v in e_vectors)
+        self.f_vectors = tuple(_ints(v, "e- and f-vectors are not dual bases: f-vector")
+                               for v in f_vectors)
         self.a_tuples = {i: tuple(t) for i, t in a_tuples.items()}
         for i in self.a_tuples:
             t = self.a_tuples[i]

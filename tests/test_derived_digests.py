@@ -88,3 +88,24 @@ def test_extra_seed_dumps_match_digests(family):
         "T2": _digest(apply_Tk(diag, 1), "A"),
     }
     assert got == digests
+
+
+# A completions at orders where every pass's loop at the full order was the
+# cost; pinned before completion probed each pass at its next degree.  The
+# last seed is wild: r = (4, 3) and three exchange symbols.
+HIGH_ORDER_DIGESTS = {
+    "kronecker22": (None, 40, "0ab7351033e3555d"),
+    "r32": (EXTRA_DIGESTS["r32"][0], 20, "3258d46ca4f7d705"),
+    "wild": ("rank 2\nunfrozen 1 2\nd 1 1\nr 4 3\nB 0 -2 2 0\na.1 1 c a c 1\na.2 1 b b 1\n",
+             12, "8dcd8d1dfea1fddb"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(HIGH_ORDER_DIGESTS))
+def test_high_order_completions_match_digests(family):
+    text, order, digest = HIGH_ORDER_DIGESTS[family]
+    if text is None:
+        with open(os.path.join(SEED_DIR, family + ".seed"), "r", encoding="utf-8") as fh:
+            text = fh.read()
+    fixed, seed = parse_seed_file(text)
+    assert _digest(complete_rank2(initial_diagram(fixed, seed, order)), "A") == digest

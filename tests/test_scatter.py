@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,11 +30,15 @@ from gcsdiag import (
 )
 from gcsdiag.ring import CoeffPoly
 from gcsdiag.scatter import (
+    Wall,
     _chamber_reps,
     _cross,
+    _crossing_sign,
     _dot,
     _events_after,
     _lowest_defects,
+    _perp_normal,
+    _prim,
     _reorder,
     _wall,
     tk_order_boost,
@@ -536,6 +541,157 @@ def test_lowest_defect_does_not_depend_on_the_base_chamber(request, name):
         assert len(reps) == len(diag.directions) >= 4
         for rep in reps:
             assert _defects_from(diag, rep) == expected, rep
+
+
+# ---------------------------------------------------------------------------
+# probing the loop below the full order
+
+
+def _one_pass_completion(diag):
+    """The reference completion: every pass runs the loop at the diagram's order."""
+    rays, walls, last_deg = {}, {}, -1
+    while True:
+        for ray_dir, terms in rays.items():
+            if ray_dir not in walls:
+                walls[ray_dir] = _wall("ray", ray_dir, terms, diag.grading, diag.order, diag.proj)
+        cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
+                                diag.walls + [walls[d] for d in rays if walls[d]], diag.proj)
+        dmin, defects = _lowest_defects(cur)
+        if not defects:
+            return cur
+        if dmin <= last_deg:
+            raise RuntimeError("completion failed to make progress at degree %s" % (dmin,))
+        last_deg = dmin
+        by_u = {}
+        for u, bi, poly in defects:
+            by_u.setdefault(u, {})[bi] = poly
+        basis = cur.basis_exponents()
+        for u, per_basis in by_u.items():
+            mdir = _prim(cur.project(u))
+            normal = _perp_normal(mdir)
+            ray_dir = (-mdir[0], -mdir[1])
+            eps_w = _crossing_sign(normal, ray_dir)
+            for bi, poly in per_basis.items():
+                pairv = _dot(normal, cur.project(basis[bi]))
+                if pairv == 0:
+                    continue
+                den = eps_w * pairv
+                coeff = poly.scale(-den if den in (1, -1) else Fraction(-1, den))
+                bucket = rays.setdefault(ray_dir, {})
+                bucket[u] = bucket.get(u, CoeffPoly.zero()) + coeff
+                walls.pop(ray_dir, None)
+                break
+            else:
+                raise RuntimeError("defect %r cannot be cancelled by any wall" % (u,))
+
+
+def _wall_list(diag):
+    return [(w.kind, w.direction, w.normal, w.base, w.coeffs) for w in diag.walls]
+
+
+def _partly_completed(done, cut):
+    """done with every ray's terms of degree >= cut dropped: its lowest defect is at cut."""
+    walls = []
+    for w in done.walls:
+        coeffs = w.coeffs
+        if w.kind == "ray":
+            keep = -(-cut // done.grading.degree(w.base))  # j * deg(base) < cut
+            coeffs = coeffs[:keep] + [CoeffPoly.zero()] * (len(coeffs) - keep)
+        if any(coeffs[1:]):
+            walls.append(Wall(w.kind, w.direction, w.normal, w.base, coeffs))
+    return ScatteringDiagram(done.fixed, done.seed, done.order, done.grading, walls, done.proj)
+
+
+@pytest.mark.parametrize("variant", ["A", "Aprin"])
+@pytest.mark.parametrize("name,order", [  # the orders of their dump digests
+    ("a2", 40), ("g31", 10), ("kronecker", 9), ("r32", 12), ("b2", 10), ("g2", 10)])
+def test_completion_matches_one_pass_reference(request, name, order, variant):
+    fixed, seed = _seed(request, name)
+    build = initial_diagram if variant == "A" else initial_diagram_prin
+    assert (_wall_list(complete_rank2(build(fixed, seed, order)))
+            == _wall_list(_one_pass_completion(build(fixed, seed, order))))
+
+
+def _zoo(count, rng):
+    """(seed text, order <= 6, variant) for small rank-2 seeds.
+
+    d = (d1, 1) with d1 <= 3, r_i <= 3, B = [[0, b], [-d1 * b, 0]] with
+    |b| <= 2, and each a-entry a symbol or 1, palindromic.
+    """
+    out = []
+    while len(out) < count:
+        d1 = rng.choice((1, 2, 3))
+        b = rng.choice((-2, -1, 1, 2) if d1 == 1 else (-1, 1))
+        c = d1 * b  # d = (3, 1) forces |c| = 3|b|
+        r = (rng.randint(1, 3), rng.randint(1, 3))
+        lines = []
+        for i, (ri, sym) in enumerate(zip(r, "ab")):
+            a = ["1"] * (ri + 1)
+            for k in range(1, ri // 2 + 1):  # palindromic: a[k] = a[ri - k]
+                a[k] = a[ri - k] = rng.choice((sym + str(k), "1"))
+            lines.append("a.%d %s" % (i + 1, " ".join(a)))
+        text = ("rank 2\nunfrozen 1 2\nd %d 1\nr %d %d\nB 0 %d %d 0\n%s\n"
+                % (d1, r[0], r[1], b, -c, "\n".join(lines)))
+        out.append((text, rng.randint(2, 6), rng.choice(("A", "Aprin"))))
+    return out
+
+
+def test_completion_matches_one_pass_reference_on_a_seed_zoo():
+    for text, order, variant in _zoo(60, random.Random(13)):
+        fixed, seed = parse_seed_file(text)
+        build = initial_diagram if variant == "A" else initial_diagram_prin
+        assert (_wall_list(complete_rank2(build(fixed, seed, order)))
+                == _wall_list(_one_pass_completion(build(fixed, seed, order)))), (text, order)
+
+
+@pytest.mark.parametrize("name", ["g31", "kronecker"])
+def test_partly_completed_diagrams_complete_like_the_reference(request, name):
+    # the lowest defect sits at the cut, above the first probe's degree 2,
+    # so the first pass misses and needs the full-order loop
+    fixed, seed = request.getfixturevalue(name)
+    done = complete_rank2(initial_diagram(fixed, seed, 6))
+    for cut in range(3, 7):
+        part = _partly_completed(done, cut)
+        assert _lowest_defects(part)[0] == cut
+        assert _wall_list(complete_rank2(part)) == _wall_list(_one_pass_completion(part))
+
+
+@pytest.mark.parametrize("name", ["a2", "g31", "kronecker"])
+def test_probe_finds_the_lowest_defect_or_nothing(request, name):
+    # the terms of degree <= t of a loop run at order t are those of the
+    # loop at the full order
+    fixed, seed = request.getfixturevalue(name)
+    done = complete_rank2(initial_diagram(fixed, seed, 6))
+    diags = list(_inconsistent_diagrams(fixed, seed))
+    diags += [_partly_completed(done, cut) for cut in range(3, 7)] + [done]
+    for diag in diags:
+        full = _lowest_defects(diag)
+        for t in range(1, diag.order + 1):
+            expected = full if full[0] is not None and full[0] <= t else (None, [])
+            assert _lowest_defects(diag, t) == expected, t
+
+
+@pytest.mark.parametrize("name,order,calls", [
+    # a defect at every degree: only the last loop runs at the full order
+    ("kronecker", 14, [(t, t) for t in range(2, 15)] + [(14, None)]),
+    # no defect at degrees 7 and 8 or above 9: each miss runs the full loop
+    ("g31", 15, [(t, t) for t in range(2, 7)] + [(7, None), (15, 9), (10, None), (15, None)]),
+])
+def test_full_order_loops_run_only_after_a_probe_misses(request, monkeypatch, name, order,
+                                                         calls):
+    import gcsdiag.scatter as scatter
+
+    seen = []
+
+    def spy(diag, probe=None):
+        low, terms = _lowest_defects(diag, probe)
+        seen.append((diag.order if probe is None else probe, low))
+        return low, terms
+
+    monkeypatch.setattr(scatter, "_lowest_defects", spy)
+    fixed, seed = request.getfixturevalue(name)
+    complete_rank2(initial_diagram(fixed, seed, order))
+    assert seen == calls
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,40 @@ def test_fixed_data_allows_rational_and_scaled_d():
     FixedData(2, (0, 1), (2, 2), (1, 1), [[0, 2], [-2, 0]])
 
 
+@pytest.mark.parametrize("r,B", [
+    ((Fraction(3, 2), 1), [[0, 1], [-1, 0]]),
+    ((1, 1.5), [[0, 1], [-1, 0]]),
+    ((1, 1), [[0, 1.7], [-1.7, 0]]),
+    ((1, 1), [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]),
+])
+def test_fixed_data_rejects_non_integral_r_and_B(r, B):
+    # int() would truncate these silently
+    with pytest.raises(ValueError, match="non-integral"):
+        FixedData(2, (0, 1), (1, 1), r, B)
+
+
+def test_fixed_data_accepts_integral_non_int_entries():
+    fixed = FixedData(2, (0, 1), (1, 1), (Fraction(3), 2.0), [[0, 1.0], [Fraction(-1), 0]])
+    assert fixed.r == (3, 2) and fixed.B == ((0, 1), (-1, 0))
+    assert all(type(x) is int for x in fixed.r + fixed.B[0] + fixed.B[1])
+
+
+@pytest.mark.parametrize("e,f", [
+    ([[1.7, 0], [0, 1]], [[1, 0], [0, 1]]),
+    ([[1, 0], [0, 1]], [[1, 0], [Fraction(1, 3), 1]]),
+    ([[1, 0], [0.5, 1]], [[1, -0.5], [0, 1]]),
+])
+def test_seed_rejects_non_integral_vectors(g31, e, f):
+    # int() would truncate these silently: [[1.7, 0], [0, 1]] read as the
+    # identity, and the third pair is dual over Q
+    fixed, seed = g31
+    with pytest.raises(ValueError, match="non-integral"):
+        GeneralizedTorusSeed(fixed, e, f, seed.a_tuples)
+    ok = GeneralizedTorusSeed(fixed, [[1.0, 0], [0, Fraction(1)]], [[1, 0], [0, 1]],
+                              seed.a_tuples)
+    assert ok.e_vectors == ((1, 0), (0, 1))
+
+
 @pytest.mark.parametrize("e,f", [
     ([[2, 0], [0, 1]], [[1, 0], [0, 1]]),
     ([[2, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]]),
