@@ -27,7 +27,6 @@ from .scatter import (
     equivalence_check,
     initial_diagram,
     initial_diagram_prin,
-    project_to_A,
     slice_to_X,
     tk_order_boost,
 )
@@ -119,20 +118,21 @@ def _cached_text(key_parts, producer, no_cache, out):
             return fh.read()
     text = producer()
     os.makedirs(cdir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cdir)
+    _write_atomic(path, text)
+    return text
+
+
+def _write_atomic(path, text):
+    """Write text to path through a temporary file in its directory."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     with os.fdopen(fd, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
-    return text
 
 
 def _emit(text, out):
     if out:
-        d = os.path.dirname(os.path.abspath(out))
-        fd, tmp = tempfile.mkstemp(dir=d)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
+        _write_atomic(out, text)
     else:
         sys.stdout.write(text)
 
@@ -140,8 +140,6 @@ def _emit(text, out):
 def _build_diagram(fixed, seed, order, variant):
     if order < 1:
         raise CliError("order must be >= 1", 3)
-    if variant not in ("A", "Aprin", "X", "left", "right"):
-        raise CliError("unknown variant %r" % variant, 2)
     try:
         if variant in ("left", "right"):
             fixed, seed = (left_companion if variant == "left" else right_companion)(fixed, seed)

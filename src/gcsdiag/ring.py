@@ -393,28 +393,21 @@ class TruncatedLaurent:
 
     # -- arithmetic
 
-    def _rebased_ok(self, offset):
-        try:
-            for expo in self.terms:
-                self.grading.degree(_vsub(expo, offset))
-            return True
-        except ValueError:
-            return False
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CoeffPoly)):
-            other = TruncatedLaurent(self.grading, self.order, self.offset, {self.offset: other})
+            zero = (0,) * self.grading.dim
+            other = TruncatedLaurent(self.grading, self.order, zero, {zero: other})
         if self.order != other.order:
             raise ValueError("mismatched truncation orders")
-        if self.offset == other.offset:
-            offset = self.offset
+        # the sum lives at the lower offset (a constant c is c*z^0): above the
+        # higher offset's order only the lower series knows its terms
+        for low, high in ((self, other), (other, self)):
+            c = self.grading.coefficients(_vsub(high.offset, low.offset))
+            if c is not None and all(x >= 0 for x in c):
+                offset = low.offset
+                break
         else:
-            for cand in (self.offset, other.offset):
-                if self._rebased_ok(cand) and other._rebased_ok(cand):
-                    offset = cand
-                    break
-            else:
-                raise ValueError("incompatible offsets in series addition")
+            raise ValueError("incompatible offsets in series addition")
         out = dict(self.terms)
         for expo, poly in other.terms.items():
             out[expo] = out[expo] + poly if expo in out else poly
@@ -428,6 +421,9 @@ class TruncatedLaurent:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CoeffPoly)):

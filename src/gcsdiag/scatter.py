@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
 
 from .ring import CoeffPoly, Grading, TruncatedLaurent, canonical_string, unit_power_coeffs
-from .seed import epsilon, mutate_seed, mutation_walk, serialize_seed_file
+from .seed import epsilon, mutate_seed, mutation_walk, principal_data, serialize_seed_file
 
 # ---------------------------------------------------------------------------
 # exact 2-plane geometry
@@ -165,8 +166,9 @@ class ScatteringDiagram:
     """A finite wall collection with diagram-wide truncation order.
 
     It owns the geometry: walls stably sorted by angle, the (direction, wall,
-    sign) crossing events of a ccw loop and the distinct primitive directions.
-    Its walls never change, so theta memoises broken lines on it.
+    sign) crossing events of a ccw loop, which answer every crossing question,
+    and the distinct primitive directions.  Its walls never change, so theta
+    memoises broken lines on it.
     """
 
     def __init__(self, fixed, seed, order, grading, walls, proj):
@@ -180,6 +182,7 @@ class ScatteringDiagram:
         self.events = sorted(((p, w, _crossing_sign(w.normal, p))
                               for w in self.walls for p in _rays(w)),
                              key=lambda e: _by_angle(e[0]))
+        self._event_rays = [p for p, _, _ in self.events]
         self.directions = sorted({_prim(p) for p, _, _ in self.events}, key=_by_angle)
         # theta's broken lines up to scaling per (m0, order) and monoid
         # offsets per order; a derived diagram has other walls and starts empty
@@ -249,8 +252,6 @@ def initial_diagram(fixed, seed, order):
 
 def initial_diagram_prin(fixed, seed, order):
     """Initial diagram of the principal-coefficient data (lifted exponents)."""
-    from .seed import principal_data
-
     fixed2, seed2 = principal_data(fixed, seed)
     return initial_diagram(fixed2, seed2, order)
 
@@ -289,25 +290,10 @@ def path_ordered_product(diag, path, series):
     return series
 
 
-def _strictly_between_ccw(ref, p, end):
-    """True if direction p lies strictly inside the ccw arc ref -> end."""
-    c = _ang_cmp(ref, end)
-    pa = _ang_cmp(ref, p)
-    pb = _ang_cmp(p, end)
-    if c < 0:
-        return pa < 0 and pb < 0
-    if c > 0:
-        return pa < 0 or pb < 0
-    return False
-
-
 def _events_after(diag, start_dir):
     """The diagram's events rotated to begin at the first direction ccw after start_dir."""
-    events = diag.events
-    i = 0
-    while i < len(events) and _ang_cmp(events[i][0], start_dir) <= 0:
-        i += 1
-    return events[i:] + events[:i]
+    i = bisect_right(diag._event_rays, _by_angle(start_dir), key=_by_angle)
+    return diag.events[i:] + diag.events[:i]
 
 
 def _chamber_reps(dirs):
@@ -333,9 +319,33 @@ def loop_product(diag, series):
 
 
 def path_between(diag, start_dir, end_dir):
-    """Crossing path along the ccw arc from start_dir to end_dir."""
-    return [(w, s) for p, w, s in _events_after(diag, start_dir)
-            if _strictly_between_ccw(start_dir, p, end_dir)]
+    """Crossing path along the ccw arc from start_dir to end_dir, both excluded."""
+    c = _ang_cmp(start_dir, end_dir)
+    if c == 0:
+        return []
+    rays, events = diag._event_rays, diag.events
+    i = bisect_right(rays, _by_angle(start_dir), key=_by_angle)  # events at or before start_dir
+    j = bisect_left(rays, _by_angle(end_dir), key=_by_angle)  # events before end_dir
+    arc = events[i:j] if c < 0 else events[i:] + events[:j]
+    return [(w, s) for _, w, s in arc]
+
+
+def _crossed(diag, d, mdir):
+    """Wall crossings (wall, s) of the ray {sc*d + t*mdir : t > 0}, sc > 0, d an event direction.
+
+    They are the wall rays s strictly inside the arc (< pi) from d to mdir: a walk from d's
+    events, ccw if cross(d, mdir) > 0 and cw if < 0, while cross(d, s) and cross(s, mdir)
+    keep that sign (none if it is 0)."""
+    c = _cross(d, mdir)
+    events, first = diag.events, diag._event_rays.index(d)
+    step, i = (1, first + diag._event_rays.count(d)) if c > 0 else (-1, first - 1)
+    out = []
+    while True:  # d's own events fail the test, so the walk ends within one wrap
+        p, w, _ = events[i % len(events)]
+        if _cross(d, p) * c <= 0 or _cross(p, mdir) * c <= 0:
+            return out
+        out.append((w, p))
+        i += step
 
 
 # ---------------------------------------------------------------------------
@@ -519,18 +529,18 @@ def apply_Tk(diag, k):
 
 
 def equivalence_check(d1, d2):
-    """Path products between matching chamber points agree on basis monomials."""
+    """Path products from the first chamber agree on basis monomials in every chamber."""
     dirs = sorted(set(d1.directions) | set(d2.directions), key=_by_angle)
     if len(dirs) < 2:
         raise ValueError("too few support directions for a chamber decomposition")
-    ref, *targets = _chamber_reps(dirs)
-    for target in targets:
-        for m in d1.basis_exponents():
-            s1 = TruncatedLaurent.monomial(d1.grading, d1.order, m)
-            s2 = TruncatedLaurent.monomial(d2.grading, d2.order, m)
-            r1 = path_ordered_product(d1, path_between(d1, ref, target), s1)
-            r2 = path_ordered_product(d2, path_between(d2, ref, target), s2)
-            if r1.terms != r2.terms:
+    reps = _chamber_reps(dirs)
+    for m in d1.basis_exponents():
+        s1 = TruncatedLaurent.monomial(d1.grading, d1.order, m)
+        s2 = TruncatedLaurent.monomial(d2.grading, d2.order, m)
+        for a, b in zip(reps, reps[1:]):
+            s1 = path_ordered_product(d1, path_between(d1, a, b), s1)
+            s2 = path_ordered_product(d2, path_between(d2, a, b), s2)
+            if s1.terms != s2.terms:
                 return False
     return True
 
@@ -550,7 +560,11 @@ def chambers(diag, depth):
 
 def cone_contains(cone, m):
     """Exact membership of a plane vector in the cone spanned by two rays."""
-    return all(c >= 0 for c in Grading(cone).coefficients(m))
+    a, b = cone
+    c = _cross(a, b)
+    if c == 0:
+        raise ValueError("cone rays must be linearly independent")
+    return _cross(a, m) * c >= 0 and _cross(m, b) * c >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .ring import CoeffPoly, TruncatedLaurent, _vadd, _vsub, canonical_string
 from .scatter import (
     _cross,
+    _crossed,
     _dot,
     _prim,
     _rays,
@@ -116,20 +117,6 @@ def _segment_hits_origin(d, mdir):
     return _cross(d, mdir) == 0 and (d[0] * mdir[0] + d[1] * mdir[1]) < 0
 
 
-def _crossings(rays, d, mdir):
-    """Wall crossings (wall, s) of the ray {sc*d + t*mdir : t > 0}, for any sc > 0.
-
-    It meets the wall ray s at sc*d + t*mdir = lam*s, lam, t > 0 (the origin is singular):
-    lam = sc*cross(d, mdir)/cross(s, mdir), t = sc*cross(d, s)/cross(s, mdir)."""
-    out = []
-    c = _cross(d, mdir)
-    for w, s in rays:
-        den = _cross(s, mdir)
-        if c * den > 0 and _cross(d, s) * den > 0:
-            out.append((w, s))
-    return out
-
-
 def _bend_factor(wall, m_prev, j):
     """Coefficient of z^{j*base} in f^{|<n, m_prev>|}; zero if non-transverse."""
     power = abs(_dot(wall.normal, m_prev))
@@ -152,7 +139,6 @@ def _chains(diag, m0, order):
     if memo is not None:
         return memo
     found = []
-    rays = [(w, s) for w in diag.walls for s in _rays(w)]
 
     def visit(state, crossings, degree):
         found.append(state)
@@ -164,11 +150,12 @@ def _chains(diag, m0, order):
                 if factor:
                     m2 = _vadd(m, tuple(j * x for x in wall.base))
                     mdir = (-m2[0], -m2[1])
-                    nxt = [] if _segment_hits_origin(d, mdir) else _crossings(rays, d, mdir)
+                    nxt = [] if _segment_hits_origin(d, mdir) else _crossed(diag, d, mdir)
                     visit((state, wall, d, j, state[4] * factor, m2), nxt, degree + j * step)
 
     # the segment from infinity may bend anywhere on a wall (a parallel one has factor 0)
-    visit((None, None, None, 0, CoeffPoly.one(), m0), [(w, _prim(s)) for w, s in rays], 0)
+    root = [(w, s) for w in diag.walls for s in _rays(w)]  # s as stored: _crossed looks it up
+    visit((None, None, None, 0, CoeffPoly.one(), m0), root, 0)
     index = {id(w): i for i, w in enumerate(diag.walls)}
 
     def key(state):
@@ -296,12 +283,12 @@ def _direction_of(point):
     return _prim(tuple(int(x * den) for x in point))
 
 
-def theta_via_path(diag, Q, m0, order=None, depth=8):
-    """p_gamma(z^{m0}) from the cluster chamber of m0 to the chamber of Q."""
+def theta_via_path(diag, Q, m0, order=None):
+    """p_gamma(z^{m0}) from m0's cluster chamber (mutation words up to length 8) to Q's."""
     order = _order(diag, order)
     m0 = _exponent(diag, m0)
     end_dir = _direction_of(_point(Q))
-    home = next((cone for _, cone in chambers(diag, depth) if cone_contains(cone, m0)), None)
+    home = next((cone for _, cone in chambers(diag, 8) if cone_contains(cone, m0)), None)
     if home is None:
         raise ValueError("initial exponent is outside the computed cluster complex")
     start = _vadd(home[0], home[1])

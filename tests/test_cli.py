@@ -91,6 +91,12 @@ def test_complete_variants_run(runner):
         assert "variant %s\n" % variant in res.output
 
 
+def test_complete_unknown_variant_exit_2(runner):
+    res = runner.invoke(cli.main, ["complete", G31, "--variant", "bogus", "--no-cache"])
+    assert res.exit_code == 2
+    assert "Invalid value for '--variant'" in res.output
+
+
 @pytest.mark.parametrize("unfrozen", ["1 2", "1 3"])
 def test_complete_variant_X_with_frozen_direction_exit_3(runner, tmp_path, unfrozen):
     seed = tmp_path / "frozen.seed"

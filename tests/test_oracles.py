@@ -1,0 +1,166 @@
+"""Independent oracles for theta functions: greedy elements and structure constants."""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+from test_scatter import EXTRA_SEEDS, _seed
+
+from gcsdiag import (
+    ClusterState,
+    CoeffPoly,
+    complete_rank2,
+    enumerate_broken_lines,
+    initial_diagram,
+    laurent_dict,
+    mutate_cluster,
+    parse_seed_file,
+    structure_constant,
+    theta,
+)
+from gcsdiag.seed import epsilon
+from gcsdiag.theta import _monoid_points, generic_near
+
+# the ordinary Kronecker seed: d = (1, 1), where kronecker22.seed has d = (2, 2)
+KRONECKER_11 = "rank 2\nunfrozen 1 2\nd 1 1\nr 1 1\nB 0 2 -2 0\na.1 1 1\na.2 1 1\n"
+# a point of the positive chamber, generic for every m0 in the boxes below
+POSITIVE_Q = (Fraction(1011, 1000), Fraction(571, 1000))
+
+
+# ---------------------------------------------------------------------------
+# greedy elements
+
+
+def greedy(a1, a2, b, c):
+    """The Lee-Li-Zelevinsky greedy element x[a1, a2] of A(b, c) as {x-exponent: coefficient}.
+
+    x[a1, a2] = x1^-a1 x2^-a2 sum c(p, q) x1^(b p) x2^(c q) with c(0, 0) = 1 and
+    c(p, q) = max(sum_k (-1)^(k-1) c(p-k, q) C([a2 - c q]_+ + k - 1, k),
+                  sum_k (-1)^(k-1) c(p, q-k) C([a1 - b p]_+ + k - 1, k))
+    (arXiv:1208.2391, Definition 1.6); c(p, q) = 0 unless p <= [a2]_+ and q <= [a1]_+.
+    """
+    coeff = {}
+    for p in range(max(a2, 0) + 1):
+        for q in range(max(a1, 0) + 1):
+            if (p, q) == (0, 0):
+                coeff[p, q] = 1
+                continue
+            along_p = sum((-1) ** (k - 1) * coeff[p - k, q] * comb(max(a2 - c * q, 0) + k - 1, k)
+                          for k in range(1, p + 1))
+            along_q = sum((-1) ** (k - 1) * coeff[p, q - k] * comb(max(a1 - b * p, 0) + k - 1, k)
+                          for k in range(1, q + 1))
+            coeff[p, q] = max(along_p, along_q)
+    return {(b * p - a1, c * q - a2): v for (p, q), v in coeff.items() if v}
+
+
+def test_greedy_elements_of_a2():
+    # the five cluster variables of A(1, 1) and a cluster monomial
+    assert greedy(1, 0, 1, 1) == {(-1, 0): 1, (-1, 1): 1}
+    assert greedy(1, 1, 1, 1) == {(-1, -1): 1, (0, -1): 1, (-1, 0): 1}
+    assert greedy(-1, -2, 1, 1) == {(1, 2): 1}
+
+
+@pytest.mark.parametrize("name,order,exact", [
+    ("a2", 16, True), ("b2", 16, True), ("g2", 16, True), ("kronecker11", 10, False)])
+def test_greedy_elements_are_thetas(request, name, order, exact):
+    """theta_g = x[a1, a2] for every g in [-3, 3]^2 (Cheung et al., arXiv:1508.01404).
+
+    Convention map: theta at a point of the positive chamber is its Laurent
+    expansion in the initial cluster, z^m = x^m (as in
+    test_cluster_variables_are_thetas).  Mutating the initial cluster gives
+    x1' = (x2^c + 1) / x1 and x2' = (x1^b + 1) / x2 with c = eps_12 and
+    b = -eps_21, the exchange relations of LLZ's A(b, c).  The term of x[a1, a2]
+    with p = [a2]_+ and q = 0 has coefficient 1 and exponent g = (b [a2]_+ - a1, -a2),
+    and every other term is g + (-b i, c j) with i, j >= 0, the monoid of the
+    theta over g.  So x[a1, a2] = theta_g with a2 = -g2 and a1 = b [-g2]_+ - g1.
+    In finite type theta_g is the whole greedy element; for Kronecker it is the
+    greedy element's terms up to the truncation order.
+    """
+    fixed, seed = parse_seed_file(KRONECKER_11) if name == "kronecker11" else _seed(request, name)
+    eps = epsilon(fixed, seed)
+    b, c = -eps[1][0], eps[0][1]
+    state = ClusterState(fixed, seed)
+    for k, relation in ((0, {(-1, c): 1, (-1, 0): 1}), (1, {(b, -1): 1, (0, -1): 1})):
+        mutated = mutate_cluster(state, k)
+        assert laurent_dict(mutated.exprs[k], mutated.xs) == {
+            e: CoeffPoly.rational(v) for e, v in relation.items()}
+    diag = complete_rank2(initial_diagram(fixed, seed, order))
+    for g in ((g1, g2) for g1 in range(-3, 4) for g2 in range(-3, 4) if (g1, g2) != (0, 0)):
+        expected = {e: CoeffPoly.rational(v)
+                    for e, v in greedy(b * max(-g[1], 0) - g[0], -g[1], b, c).items()}
+        degree = {e: diag.grading.degree((e[0] - g[0], e[1] - g[1])) for e in expected}
+        if exact:
+            assert max(degree.values()) <= order
+        else:
+            expected = {e: v for e, v in expected.items() if degree[e] <= order}
+        assert theta(diag, POSITIVE_Q, g).value.terms == expected, g
+
+
+# ---------------------------------------------------------------------------
+# structure constants
+
+
+def _structure_constants(diag, p1, p2, order, cache):
+    """alpha(p1, p2; q) for every q of _monoid_points, from the final monomials at z(q).
+
+    It is structure_constant's sum; the final monomials of each (p, q) are
+    enumerated once for all the pairs that need them.
+    """
+    def finals(p, q):
+        if (p, q) not in cache:
+            out = {}
+            for line in enumerate_broken_lines(diag, p, generic_near(diag, q), order):
+                coeff, expo = line.final_monomial
+                out[expo] = out.get(expo, CoeffPoly.zero()) + coeff
+            cache[p, q] = out
+        return cache[p, q]
+
+    alphas = {}
+    for q in _monoid_points(diag, (p1[0] + p2[0], p1[1] + p2[1]), order):
+        f1, f2 = finals(p1, q), finals(p2, q)
+        alphas[q] = sum((c1 * f2[e2] for e1, c1 in f1.items()
+                         for e2 in [(q[0] - e1[0], q[1] - e1[1])] if e2 in f2), CoeffPoly.zero())
+    return alphas
+
+
+@pytest.mark.parametrize("name", ["a2", "g31", "kronecker"])
+def test_structure_constants_are_positive(request, name):
+    # alpha(p1, p2; q) lies in Z>=0[a] (GHKK, arXiv:1411.1394, carried to the
+    # reciprocal case by the source paper)
+    fixed, seed = request.getfixturevalue(name)
+    diag = complete_rank2(initial_diagram(fixed, seed, 8))
+    box = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
+    cache = {}
+    for i, p1 in enumerate(box):
+        for p2 in box[i:]:  # alpha is symmetric in p1 and p2
+            for q, alpha in _structure_constants(diag, p1, p2, 8, cache).items():
+                assert all(type(v) is int and v >= 0 for v in alpha.terms.values()), (p1, p2, q)
+    q = (1, 1)
+    assert _structure_constants(diag, (1, 0), (0, 1), 8, cache)[q] == structure_constant(
+        diag, (1, 0), (0, 1), q, generic_near(diag, q))
+
+
+@pytest.mark.parametrize("name", ["kronecker11", "kronecker"])
+def test_bracelet_relation(request, name):
+    """theta_{k delta}^2 = theta_{2k delta} + 2 for k = 1, 2 at delta = (1, -1).
+
+    On the ordinary Kronecker seed the thetas are the bracelets (Mandel-Qin,
+    arXiv:2301.11101), which satisfy the Chebyshev relation T_k^2 = T_2k + 2.
+    kronecker22.seed (d = (2, 2)) has the same B, and eps_ij = {e_i, e_j} d_j = b_ij
+    does not depend on d: its grading and initial walls are the ordinary seed's, so
+    its completed diagram is the same wall for wall and the relation holds
+    unchanged, not rescaled.  On the cluster side, (-1, 1)
+    is a cluster monomial's g-vector: its square is one theta.
+    """
+    fixed, seed = parse_seed_file(KRONECKER_11) if name == "kronecker11" else _seed(request, name)
+    diag = complete_rank2(initial_diagram(fixed, seed, 8))
+    ordinary = complete_rank2(initial_diagram(*parse_seed_file(KRONECKER_11), 8))
+    assert [(w.direction, w.normal, w.base, w.coeffs) for w in diag.walls] == [
+        (w.direction, w.normal, w.base, w.coeffs) for w in ordinary.walls]
+    cache = {}
+    for delta in ((1, -1), (2, -2)):
+        alphas = _structure_constants(diag, delta, delta, 8, cache)
+        assert {q: a for q, a in alphas.items() if a} == {
+            (2 * delta[0], 2 * delta[1]): CoeffPoly.one(), (0, 0): CoeffPoly.rational(2)}
+    alphas = _structure_constants(diag, (-1, 1), (-1, 1), 8, cache)
+    assert {q: a for q, a in alphas.items() if a} == {(-2, 2): CoeffPoly.one()}

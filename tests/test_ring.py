@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,61 @@ def test_polynomial_and_series_combine_in_either_order():
     assert p * f == f * p
     assert canonical_string(p * f) == canonical_string(f * p)
     assert (p * f).constant() == p
+
+
+# the sum of two series lives at the lower offset, whatever the operand order
+GQ = Grading([(1, 0), (0, 1)])
+
+
+def test_series_sum_does_not_depend_on_operand_order():
+    a = TruncatedLaurent(GQ, 2, (0, 0), {(1, 0): 1, (2, 0): 1})
+    b = TruncatedLaurent(GQ, 2, (1, 0), {(1, 0): 1, (3, 0): 1})
+    # z^(3,0) is above a's truncation, so neither order may keep it
+    for total in (a + b, b + a):
+        assert canonical_string(total) == "2*z^(1,0) + z^(2,0)"
+        assert total.offset == (0, 0)
+    # neither offset lies above the other in the monoid
+    c = TruncatedLaurent(GQ, 2, (1, -1), {(1, -1): 1})
+    for left, right in ((a, c), (c, a)):
+        with pytest.raises(ValueError, match="incompatible offsets"):
+            left + right
+
+
+def test_series_plus_constant_adds_at_z0():
+    s = TruncatedLaurent(GQ, 2, (1, 0), {(1, 0): 1})
+    for total in (s + 1, 1 + s):
+        assert canonical_string(total) == "1 + z^(1,0)"
+        assert total.offset == (0, 0)
+    assert canonical_string(1 - s) == "1 + -1*z^(1,0)"
+    assert canonical_string(s - 1) == "-1 + z^(1,0)"
+
+
+def test_series_sum_commutes_on_random_offsets():
+    rng = random.Random(11)
+    for _ in range(200):
+        pair = []
+        for _ in range(2):
+            offset = (rng.randint(-2, 2), rng.randint(-2, 2))
+            terms = {(offset[0] + i, offset[1] + j): rng.randint(-2, 2)
+                     for i in range(3) for j in range(3 - i) if rng.random() < 0.6}
+            pair.append(TruncatedLaurent(GQ, 2, offset, terms))
+        a, b = pair
+        steps = [y - x for x, y in zip(a.offset, b.offset)]
+        if not (all(x >= 0 for x in steps) or all(x <= 0 for x in steps)):
+            for left, right in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="incompatible offsets"):
+                    left + right
+            continue
+        ab, ba = a + b, b + a
+        assert ab.offset == ba.offset == min(a.offset, b.offset, key=sum)
+        assert ab.terms == ba.terms
+        # every kept term is within the order at the lower offset and is the sum of the two
+        for e in set(a.terms) | set(b.terms):
+            if GQ.degree(tuple(x - y for x, y in zip(e, ab.offset))) <= 2:
+                want = a.terms.get(e, CoeffPoly.zero()) + b.terms.get(e, CoeffPoly.zero())
+                assert ab.terms.get(e, CoeffPoly.zero()) == want
+            else:
+                assert e not in ab.terms
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ from gcsdiag import (
     loop_product,
     mutate_seed,
     parse_seed_file,
+    path_between,
     path_ordered_product,
     project_to_A,
     right_companion,
@@ -31,14 +33,18 @@ from gcsdiag import (
 from gcsdiag.ring import CoeffPoly
 from gcsdiag.scatter import (
     Wall,
+    _ang_cmp,
+    _by_angle,
     _chamber_reps,
     _cross,
+    _crossed,
     _crossing_sign,
     _dot,
     _events_after,
     _lowest_defects,
     _perp_normal,
     _prim,
+    _rays,
     _reorder,
     _wall,
     tk_order_boost,
@@ -692,6 +698,135 @@ def test_full_order_loops_run_only_after_a_probe_misses(request, monkeypatch, na
     fixed, seed = request.getfixturevalue(name)
     complete_rank2(initial_diagram(fixed, seed, order))
     assert seen == calls
+
+
+# ---------------------------------------------------------------------------
+# crossings read from the diagram's sorted events, against the scans they replaced
+
+
+def _scanned_crossings(diag, d, mdir):
+    """Reference: every wall ray s that sc*d + t*mdir = lam*s meets, lam, t > 0."""
+    c = _cross(d, mdir)
+    return [(w, s) for w in diag.walls for s in _rays(w)
+            if c * _cross(s, mdir) > 0 and _cross(d, s) * _cross(s, mdir) > 0]
+
+
+def _strictly_between_ccw(ref, p, end):
+    """True if direction p lies strictly inside the ccw arc ref -> end."""
+    c = _ang_cmp(ref, end)
+    pa = _ang_cmp(ref, p)
+    pb = _ang_cmp(p, end)
+    if c < 0:
+        return pa < 0 and pb < 0
+    if c > 0:
+        return pa < 0 or pb < 0
+    return False
+
+
+def _filtered_path(diag, start, end):
+    """Reference: the events rotated past start by a linear scan, filtered to the arc."""
+    events = diag.events
+    i = 0
+    while i < len(events) and _ang_cmp(events[i][0], start) <= 0:
+        i += 1
+    return [(w, s) for p, w, s in events[i:] + events[:i] if _strictly_between_ccw(start, p, end)]
+
+
+def _equivalent_per_chamber(d1, d2):
+    """Reference: a path from the first chamber to each other one, each built anew."""
+    dirs = sorted(set(d1.directions) | set(d2.directions), key=_by_angle)
+    ref, *targets = _chamber_reps(dirs)
+    for target in targets:
+        for m in d1.basis_exponents():
+            r1 = path_ordered_product(d1, _filtered_path(d1, ref, target),
+                                      TruncatedLaurent.monomial(d1.grading, d1.order, m))
+            r2 = path_ordered_product(d2, _filtered_path(d2, ref, target),
+                                      TruncatedLaurent.monomial(d2.grading, d2.order, m))
+            if r1.terms != r2.terms:
+                return False
+    return True
+
+
+def _with_ray(diag, direction, expo):
+    ray = _wall("ray", direction, {expo: CoeffPoly.one()}, diag.grading, diag.order, diag.proj)
+    return ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
+                             diag.walls + [ray], diag.proj)
+
+
+@pytest.fixture(scope="module")
+def crossing_diagrams(a2_diag6, g31, g31_diag8, kronecker):
+    return {
+        "a2@6": a2_diag6,
+        "g31@8": g31_diag8,
+        "kronecker22@10": complete_rank2(initial_diagram(*kronecker, 10)),
+        "g31-Aprin@5": complete_rank2(initial_diagram_prin(*g31, 5)),
+        # a ray wall on the ray (-1,0) of the initial line: two events share a direction
+        "g31@8+ray(-1,0)": _with_ray(g31_diag8, (-1, 0), (-1, 0)),
+    }
+
+
+CROSSING_DIAGRAMS = ["a2@6", "g31@8", "kronecker22@10", "g31-Aprin@5", "g31@8+ray(-1,0)"]
+
+
+def _ids(path):
+    return [(id(w), s) for w, s in path]
+
+
+@pytest.mark.parametrize("name", CROSSING_DIAGRAMS)
+def test_crossed_walk_equals_the_scan(crossing_diagrams, name):
+    diag = crossing_diagrams[name]
+    box = [(a, b) for a in range(-5, 6) for b in range(-5, 6) if (a, b) != (0, 0)]
+    walked = 0
+    for d, _, _ in diag.events:
+        for mdir in box:
+            got = _ids(_crossed(diag, d, mdir))
+            assert len(set(got)) == len(got)
+            assert set(got) == set(_ids(_scanned_crossings(diag, d, mdir))), (d, mdir)
+            walked += len(got) > 1
+    assert walked
+
+
+@pytest.mark.parametrize("name", CROSSING_DIAGRAMS)
+def test_path_between_is_the_filtered_arc(crossing_diagrams, name):
+    diag = crossing_diagrams[name]
+    dirs = list(diag.directions)
+    # off the support: two points in every chamber, so that a path may start and end
+    # in one chamber either way round, and a direction that is not primitive
+    inside = [_prim((2 * a[0] + b[0], 2 * a[1] + b[1]))
+              for a, b in zip(dirs, dirs[1:] + dirs[:1])]
+    probes = dirs + _chamber_reps(dirs) + inside + [(2 * dirs[0][0], 2 * dirs[0][1])]
+    assert not any(diag.on_support(p) for p in _chamber_reps(dirs) + inside)
+    for start in probes:
+        for end in probes:
+            assert _ids(path_between(diag, start, end)) == _ids(
+                _filtered_path(diag, start, end)), (start, end)
+
+
+def test_diagram_geometry_survives_deepcopy(g31_diag8):
+    # the benchmark's theta checks run on deep copies of their diagrams
+    twin = copy.deepcopy(g31_diag8)
+    assert [(p, s) for p, _, s in twin.events] == [(p, s) for p, _, s in g31_diag8.events]
+    assert [(w.direction, s) for w, s in path_between(twin, (2, 1), (-1, 3))] == [
+        (w.direction, s) for w, s in path_between(g31_diag8, (2, 1), (-1, 3))]
+
+
+def test_equivalence_check_equals_the_per_chamber_reference(a2, g31, kronecker):
+    outcomes = []
+    for fixed, seed in (a2, g31, kronecker):
+        d4 = complete_rank2(initial_diagram(fixed, seed, 4))
+        pairs = [(d4, d4), (d4, initial_diagram(fixed, seed, 4)),
+                 (_reorder(complete_rank2(initial_diagram(fixed, seed, 6)), 4), d4)]
+        for k in fixed.unfrozen:
+            big = complete_rank2(initial_diagram(fixed, seed, 4 * tk_order_boost(fixed, seed, k)))
+            image = _reorder(apply_Tk(big, k), 4)
+            mu = complete_rank2(initial_diagram(fixed, mutate_seed(fixed, seed, k), 4))
+            # the T_k image and d4 are both consistent, so their full loops agree
+            pairs += [(image, mu), (mu, image), (image, d4), (apply_Tk(big, k), mu)]
+        for d1, d2 in pairs:
+            got = equivalence_check(d1, d2)
+            assert got == _equivalent_per_chamber(d1, d2)
+            outcomes.append(got)
+    assert True in outcomes and False in outcomes
 
 
 # ---------------------------------------------------------------------------

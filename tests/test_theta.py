@@ -386,6 +386,18 @@ def test_theta_via_path_agrees(g31_diag8):
         assert theta_via_path(g31_diag8, GEN_Q, m0).terms == res.value.terms
 
 
+def test_theta_via_path_with_Q_on_a_wall_ray(g31_diag8):
+    # the path runs ccw up to the ray (1,0) of Q and does not cross it, so the value
+    # is theta's just clockwise of that ray and not just past it
+    Q, below, above = (1, 0), (1, Fraction(-1, 97)), (1, Fraction(1, 97))
+    assert canonical_string(theta_via_path(g31_diag8, Q, (2, -3))) == (
+        "z^(-1,0) + a*z^(0,-1) + a*z^(1,-2) + z^(2,-3)")
+    for m0 in [(0, -1), (-1, 0), (1, -3), (2, -3), (-1, 2)]:
+        value = theta_via_path(g31_diag8, Q, m0).terms
+        assert value == theta(g31_diag8, below, m0).value.terms
+        assert value != theta(g31_diag8, above, m0).value.terms
+
+
 def test_theta_above_the_diagram_order_is_rejected(g31):
     fixed, seed = g31
     d4 = complete_rank2(initial_diagram(fixed, seed, 4))
