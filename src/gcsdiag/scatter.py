@@ -30,6 +30,20 @@ def _prim(v):
     return tuple(int(x) // g for x in v)
 
 
+def _point(Q):
+    """Q as a pair of Fractions; ValueError unless it is a plane point."""
+    Q = tuple(Fraction(x) for x in Q)
+    if len(Q) != 2:
+        raise ValueError("point %r is not in the plane" % (Q,))
+    return Q
+
+
+def _direction_of(point):
+    """The primitive integral direction of a nonzero rational plane point."""
+    x, y = point
+    return _prim((x.numerator * y.denominator, y.numerator * x.denominator))
+
+
 def _perp_normal(mdir):
     """Primitive plane normal of an exponent direction, first nonzero > 0."""
     n = (-mdir[1], mdir[0])
@@ -61,11 +75,7 @@ def _ang_cmp(a, b):
     if ha != hb:
         return -1 if ha < hb else 1
     c = _cross(a, b)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+    return (c < 0) - (c > 0)
 
 
 _by_angle = cmp_to_key(_ang_cmp)
@@ -184,6 +194,7 @@ class ScatteringDiagram:
                              key=lambda e: _by_angle(e[0]))
         self._event_rays = [p for p, _, _ in self.events]
         self.directions = sorted({_prim(p) for p, _, _ in self.events}, key=_by_angle)
+        self._direction_set = frozenset(self.directions)
         # theta's broken lines up to scaling per (m0, order) and monoid
         # offsets per order; a derived diagram has other walls and starts empty
         self._chains = {}
@@ -201,8 +212,9 @@ class ScatteringDiagram:
         return TruncatedLaurent(self.grading, self.order, (0,) * self.dim, wall.terms())
 
     def on_support(self, point):
-        """Exact test whether a rational plane point lies on some wall."""
-        return any(_cross(d, point) == 0 and _dot(d, point) >= 0 for d in self.directions)
+        """Whether a rational plane point is on a wall ray (the origin is, if there is a wall)."""
+        point = _point(point)
+        return _direction_of(point) in self._direction_set if any(point) else bool(self.directions)
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +559,11 @@ def equivalence_check(d1, d2):
 
 def chambers(diag, depth):
     """Cluster chambers as (mutation word, g-vector cone), words up to depth."""
-    out = []
-    seen = set()
+    out = {}  # the first word that reaches each cone
     for word, sd in mutation_walk(diag.fixed, diag.seed, depth):
         cone = tuple(tuple(sd.f_vectors[i][j] for j in diag.proj) for i in diag.fixed.unfrozen)
-        key = frozenset(cone)
-        if key not in seen:
-            seen.add(key)
-            out.append((word, cone))
-    return out
+        out.setdefault(frozenset(cone), (word, cone))
+    return list(out.values())
 
 
 def cone_contains(cone, m):
@@ -573,8 +581,7 @@ def cone_contains(cone, m):
 
 def slice_to_X(prin_diag):
     """Restrict lifted exponents (p*(n), n) to z^n; supports in N-coordinates."""
-    n2 = prin_diag.dim
-    n = n2 // 2
+    n = prin_diag.dim // 2
     uf = prin_diag.proj
     if len(uf) != n:
         raise ValueError("variant X needs a seed without frozen directions: "

@@ -18,7 +18,9 @@ from .ring import CoeffPoly, TruncatedLaurent, _vadd, _vsub, canonical_string
 from .scatter import (
     _cross,
     _crossed,
+    _direction_of,
     _dot,
+    _point,
     _prim,
     _rays,
     chambers,
@@ -84,14 +86,6 @@ def _exponent(diag, m):
     return tuple(int(x) for x in m)
 
 
-def _point(Q):
-    """Q as a pair of Fractions; ValueError unless it is a plane point."""
-    Q = tuple(Fraction(x) for x in Q)
-    if len(Q) != 2:
-        raise ValueError("point %r is not in the plane" % (Q,))
-    return Q
-
-
 def _monoid_points(diag, m0, order):
     """m0 + the monoid combos of wall steps of degree <= order, sorted (memoised per order)."""
     offsets = diag._offsets.get(order)
@@ -139,13 +133,17 @@ def _chains(diag, m0, order):
     if memo is not None:
         return memo
     found = []
+    # degrees in units of 1/den, den the lcm of the step denominators: the budget is in ints
+    den = math.lcm(*(diag.grading.degree(w.base).denominator for w in diag.walls))
+    steps = {w: int(diag.grading.degree(w.base) * den) for w in diag.walls}
+    top = order * den
 
     def visit(state, crossings, degree):
         found.append(state)
         m = state[5]
         for wall, d in crossings:
-            step = diag.grading.degree(wall.base)
-            for j in range(1, (order - degree) // step + 1):
+            step = steps[wall]
+            for j in range(1, (top - degree) // step + 1):
                 factor = _bend_factor(wall, m, j)
                 if factor:
                     m2 = _vadd(m, tuple(j * x for x in wall.base))
@@ -187,12 +185,17 @@ def _line(state, k, e, end):
     return BrokenLine(segments[::-1], bends[::-1])
 
 
-def _through_origin(diag, m0, qdir, order=None):
-    """The exponent of a final segment ending on the ray qdir through the origin, or None."""
-    m0 = _exponent(diag, m0)
-    if not any(m0):
-        return None
-    return _chains(diag, m0, _order(diag, order))[1].get((-qdir[0], -qdir[1]))
+def _endpoint(diag, m0, Q, order):
+    """(qs, qi), Q = qs*qi and qi primitive integral; ValueError unless Q is generic for m0."""
+    if diag.on_support(Q):
+        raise ValueError("endpoint lies on the diagram support; perturb it")
+    qi = _direction_of(Q)
+    m_f = _chains(diag, m0, order)[1].get((-qi[0], -qi[1])) if any(m0) else None
+    if m_f is not None:
+        raise EndpointNotGeneric(
+            "endpoint is not generic: a final segment with exponent %r "
+            "runs through the origin; perturb it" % (m_f,))
+    return (Q[0] / qi[0] if qi[0] else Q[1] / qi[1]), qi
 
 
 def enumerate_broken_lines(diag, m0, Q, order=None):
@@ -208,15 +211,7 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
     if not any(m0):
         raise ValueError("initial exponent must be nonzero")
     Q = _point(Q)
-    if diag.on_support(Q):
-        raise ValueError("endpoint lies on the diagram support; perturb it")
-    qi = _direction_of(Q)
-    m_f = _through_origin(diag, m0, qi, order)
-    if m_f is not None:
-        raise EndpointNotGeneric(
-            "endpoint is not generic: a final segment with exponent %r "
-            "runs through the origin; perturb it" % (m_f,))
-    qs = Q[0] / qi[0] if qi[0] else Q[1] / qi[1]  # Q = qs*qi
+    qs, qi = _endpoint(diag, m0, Q, order)
     lines = []
     for state in _chains(diag, m0, order)[0]:
         d, m = state[2], state[5]
@@ -276,11 +271,6 @@ def theta(diag, Q, m0, order=None):
         terms[expo] = terms.get(expo, CoeffPoly.zero()) + coeff
     value = TruncatedLaurent(diag.grading, order, m0, terms)
     return ThetaResult(value, lines, Q, m0)
-
-
-def _direction_of(point):
-    den = math.lcm(*[Fraction(x).denominator for x in point])
-    return _prim(tuple(int(x * den) for x in point))
 
 
 def theta_via_path(diag, Q, m0, order=None):
@@ -377,12 +367,15 @@ def generic_near(diag, q, m0=None, order=None):
     Given m0, it also avoids the points where a broken line from m0 would
     end on a segment through the origin.
     """
-    primes = [97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149]
-    for K in primes:
-        z = (Fraction(q[0]) + Fraction(1, K), Fraction(q[1]) + Fraction(1, K * K))
-        if (not diag.on_support(z) and any(z)
-                and (m0 is None or _through_origin(diag, m0, _direction_of(z), order) is None)):
+    q, order = _point(q), _order(diag, order)
+    m0 = (0,) * diag.dim if m0 is None else _exponent(diag, m0)
+    for K in (97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149):
+        z = (q[0] + Fraction(1, K), q[1] + Fraction(1, K * K))
+        try:
+            _endpoint(diag, m0, z, order)  # the origin has no direction: ValueError
             return z
+        except ValueError:
+            pass
     raise RuntimeError("no generic point found near %r" % (q,))
 
 

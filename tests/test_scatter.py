@@ -768,6 +768,41 @@ def crossing_diagrams(a2_diag6, g31, g31_diag8, kronecker):
 CROSSING_DIAGRAMS = ["a2@6", "g31@8", "kronecker22@10", "g31-Aprin@5", "g31@8+ray(-1,0)"]
 
 
+def _scanned_on_support(diag, point):
+    """Reference: a Fraction cross and dot product of the point with every direction."""
+    point = tuple(Fraction(x) for x in point)
+    return any(_cross(d, point) == 0 and _dot(d, point) >= 0 for d in diag.directions)
+
+
+@pytest.fixture(scope="module")
+def support_diagrams(a2, g31, g31_diag8, kronecker):
+    return {
+        "a2@8": complete_rank2(initial_diagram(*a2, 8)),
+        "g31@8": g31_diag8,
+        "kronecker22@12": complete_rank2(initial_diagram(*kronecker, 12)),
+        "g31-X@8": slice_to_X(complete_rank2(initial_diagram_prin(*g31, 8))),
+    }
+
+
+@pytest.mark.parametrize("name", ["a2@8", "g31@8", "kronecker22@12", "g31-X@8"])
+def test_on_support_by_direction_equals_the_scan(support_diagrams, name):
+    diag = support_diagrams[name]
+    rng = random.Random(name)
+    dirs = list(diag.directions)
+    points = [(0, 0)] + [(Fraction(rng.randint(-30, 30), rng.randint(1, 13)),
+                          Fraction(rng.randint(-30, 30), rng.randint(1, 13))) for _ in range(300)]
+    for v in dirs + _chamber_reps(dirs):
+        for _ in range(2):
+            k = Fraction(rng.randint(1, 30), rng.randint(1, 13))
+            points += [(k * v[0], k * v[1]), (-k * v[0], -k * v[1])]
+    hits = 0
+    for p in points:
+        got = diag.on_support(p)
+        assert got == _scanned_on_support(diag, p), p
+        hits += got
+    assert 0 < hits < len(points)
+
+
 def _ids(path):
     return [(id(w), s) for w, s in path]
 

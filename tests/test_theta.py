@@ -290,6 +290,15 @@ def test_integer_cone_test_keeps_the_fraction_filter_chains(request, name, order
     assert compared > 60 and boundary > 10, (compared, boundary)
 
 
+@pytest.mark.parametrize("name,order,states", [("g31", 12, 7884), ("kronecker", 16, 14172)])
+def test_cold_sweep_keeps_every_search_state(request, name, order, states):
+    # kronecker22's wall steps have half-integer degrees: the budget, counted
+    # in ints of 1/2, must cut the search exactly where the degrees do
+    diag = complete_rank2(initial_diagram(*request.getfixturevalue(name), order))
+    m0s = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+    assert sum(len(_chains(diag, m0, order)[0]) for m0 in m0s) == states
+
+
 def test_chain_memo_holds_integer_states_and_no_lines(g31_diag8):
     theta(g31_diag8, FIG2_Q, (0, -1))
     states, _ = g31_diag8._chains[((0, -1), 8)]
@@ -429,9 +438,12 @@ def test_malformed_exponents_and_points_are_rejected(g31_diag8, m0, Q):
     d = g31_diag8
     for call in (lambda: theta(d, Q, m0), lambda: enumerate_broken_lines(d, m0, Q),
                  lambda: theta_via_path(d, Q, m0),
-                 lambda: structure_constant(d, (1, 0), (0, 1), m0, Q)):
+                 lambda: structure_constant(d, (1, 0), (0, 1), m0, Q),
+                 lambda: generic_near(d, Q, m0)):
         with pytest.raises(ValueError, match="exponent|point"):
             call()
+    with pytest.raises(ValueError, match="point"):
+        d.on_support((1, 0, 5))
     assert theta(d, FIG2_Q, (1.0, 1)).value == theta(d, FIG2_Q, (1, 1)).value
 
 
