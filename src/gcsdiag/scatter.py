@@ -178,7 +178,7 @@ class ScatteringDiagram:
     It owns the geometry: walls stably sorted by angle, the (direction, wall,
     sign) crossing events of a ccw loop, which answer every crossing question,
     and the distinct primitive directions.  Its walls never change, so theta
-    memoises broken lines on it.
+    memoises broken lines and values on it.
     """
 
     def __init__(self, fixed, seed, order, grading, walls, proj):
@@ -195,9 +195,11 @@ class ScatteringDiagram:
         self._event_rays = [p for p, _, _ in self.events]
         self.directions = sorted({_prim(p) for p, _, _ in self.events}, key=_by_angle)
         self._direction_set = frozenset(self.directions)
-        # theta's broken lines up to scaling per (m0, order) and monoid
-        # offsets per order; a derived diagram has other walls and starts empty
+        # theta's broken lines up to scaling per (m0, order), values per
+        # (m0, order, chamber) and monoid offsets per order; a derived diagram
+        # has other walls and starts empty
         self._chains = {}
+        self._thetas = {}
         self._offsets = {}
 
     def project(self, expo):

@@ -7,15 +7,18 @@ exponent m, its next bend is on a wall that {lam*d - t*m : lam, t > 0}
 crosses, and it reaches exactly the Q in that cone, so the search and the
 cone test are signs of integer cross products.  Bends raise the degree over
 m0, which the order bounds.  A kept state gets its points walking back from Q.
+A theta value is constant on a chamber (GHKK), so it is stored once per chamber.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 from .ring import CoeffPoly, TruncatedLaurent, _vadd, _vsub, canonical_string
 from .scatter import (
+    _by_angle,
     _cross,
     _crossed,
     _direction_of,
@@ -86,24 +89,43 @@ def _exponent(diag, m):
     return tuple(int(x) for x in m)
 
 
+def _int_steps(diag, order):
+    """(den*order, {wall: den * degree of its base}), den making every step degree an int."""
+    den = math.lcm(*(diag.grading.degree(w.base).denominator for w in diag.walls))
+    return order * den, {w: int(diag.grading.degree(w.base) * den) for w in diag.walls}
+
+
+def _offsets(diag, order):
+    """(frozenset of the plane's monoid combos of wall steps of degree <= order, their
+    largest |coordinate|), memoised per order; a search over the steps with int degrees."""
+    memo = diag._offsets.get(order)
+    if memo is None:
+        top, steps = _int_steps(diag, order)
+        steps = sorted((step, w.base) for w, step in steps.items())
+        seen, todo = {(0, 0): 0}, [(0, 0)]
+        for m in todo:  # breadth first: todo grows while it is walked
+            for step, (x, y) in steps:
+                if seen[m] + step > top:
+                    break
+                m2 = (m[0] + x, m[1] + y)
+                if m2 not in seen:
+                    seen[m2] = seen[m] + step
+                    todo.append(m2)
+        memo = diag._offsets[order] = (frozenset(seen), max(abs(x) for m in seen for x in m))
+    return memo
+
+
 def _monoid_points(diag, m0, order):
-    """m0 + the monoid combos of wall steps of degree <= order, sorted (memoised per order)."""
-    offsets = diag._offsets.get(order)
-    if offsets is None:
-        steps = {w.base for w in diag.walls}  # primitive, so parallel bases are equal
-        seen = {(0,) * diag.dim}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for s in steps:
-                    m2 = _vadd(m, s)
-                    if m2 not in seen and diag.grading.degree(m2) <= order:
-                        seen.add(m2)
-                        nxt.append(m2)
-            frontier = nxt
-        offsets = diag._offsets[order] = sorted(seen)
-    return [_vadd(m0, o) for o in offsets]
+    """m0 + the monoid combos of wall steps of degree <= order, sorted."""
+    return [_vadd(m0, o) for o in sorted(_offsets(diag, order)[0])]
+
+
+def _through_origin(diag, m0, qi, order):
+    """The least m (tuple order) in m0 + offsets on the ray -qi: z^m ending on qi hits 0."""
+    offsets, bound = _offsets(diag, order)
+    top = (max(map(abs, m0)) + bound) // max(map(abs, qi))  # |k*qi| <= |m0| + bound
+    return min((m for m in ((-k * qi[0], -k * qi[1]) for k in range(1, top + 1))
+                if (m[0] - m0[0], m[1] - m0[1]) in offsets), default=None)
 
 
 def _segment_hits_origin(d, mdir):
@@ -121,22 +143,18 @@ def _bend_factor(wall, m_prev, j):
 
 
 def _chains(diag, m0, order):
-    """(states, ends) for m0 up to order, memoised on the diagram.
+    """The search states for m0 up to order, memoised on the diagram.
 
     A state (parent, wall, d, j, coeff, m) bends j steps on the wall ray d
     (None at the root) after parent, with final monomial coeff*z^m; states
     are in report order (BrokenLine.sort_key, then the walls met walking
-    back).  ends maps d to the least m of degree <= order over m0 with
-    prim(m) = d: a final segment z^m ending on -d hits 0.
+    back).
     """
     memo = diag._chains.get((m0, order))
     if memo is not None:
         return memo
     found = []
-    # degrees in units of 1/den, den the lcm of the step denominators: the budget is in ints
-    den = math.lcm(*(diag.grading.degree(w.base).denominator for w in diag.walls))
-    steps = {w: int(diag.grading.degree(w.base) * den) for w in diag.walls}
-    top = order * den
+    top, steps = _int_steps(diag, order)  # the degree budget is in ints
 
     def visit(state, crossings, degree):
         found.append(state)
@@ -165,9 +183,15 @@ def _chains(diag, m0, order):
                 [b[3] for b in reversed(bends)], m, [index[id(b[1])] for b in bends])
 
     found.sort(key=key)
-    ends = {_prim(m): m for m in reversed(_monoid_points(diag, m0, order)) if any(m)}
-    memo = diag._chains[(m0, order)] = (found, ends)
-    return memo
+    diag._chains[(m0, order)] = found
+    return found
+
+
+def _kept(diag, m0, qi, order):
+    """The states whose cone {lam*d - t*m : lam, t > 0} holds the ray qi, in report order."""
+    # qi = (cross(qi, m)*d - cross(qi, d)*m) / cross(d, m): both scales must be > 0
+    return [s for s in _chains(diag, m0, order) if s[2] is None or (
+        _cross(qi, s[5]) * _cross(s[2], s[5]) > 0 and _cross(qi, s[2]) * _cross(s[2], s[5]) > 0)]
 
 
 def _line(state, k, e, end):
@@ -190,7 +214,7 @@ def _endpoint(diag, m0, Q, order):
     if diag.on_support(Q):
         raise ValueError("endpoint lies on the diagram support; perturb it")
     qi = _direction_of(Q)
-    m_f = _chains(diag, m0, order)[1].get((-qi[0], -qi[1])) if any(m0) else None
+    m_f = _through_origin(diag, m0, qi, order) if any(m0) else None
     if m_f is not None:
         raise EndpointNotGeneric(
             "endpoint is not generic: a final segment with exponent %r "
@@ -212,16 +236,7 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
         raise ValueError("initial exponent must be nonzero")
     Q = _point(Q)
     qs, qi = _endpoint(diag, m0, Q, order)
-    lines = []
-    for state in _chains(diag, m0, order)[0]:
-        d, m = state[2], state[5]
-        if d is not None:
-            # Q = lam*d - t*m with lam = qs*cross(qi, m)/den, t = qs*cross(qi, d)/den, both > 0
-            den = _cross(d, m)
-            if _cross(qi, m) * den <= 0 or _cross(qi, d) * den <= 0:
-                continue
-        lines.append(_line(state, qs, qi, Q))
-    return lines
+    return [_line(state, qs, qi, Q) for state in _kept(diag, m0, qi, order)]
 
 
 def validate_broken_line(diag, line, m0, Q):
@@ -249,13 +264,36 @@ def validate_broken_line(diag, line, m0, Q):
 
 
 class ThetaResult:
-    __slots__ = ("value", "witness_lines", "endpoint", "initial")
+    """A theta value at an endpoint; its witness lines are enumerated when first read."""
+
+    __slots__ = ("value", "endpoint", "initial", "_lines")
 
     def __init__(self, value, witness_lines, endpoint, initial):
         self.value = value
-        self.witness_lines = witness_lines
+        self._lines = witness_lines  # a list, or a function that returns it
         self.endpoint = endpoint
         self.initial = initial
+
+    @property
+    def witness_lines(self):
+        if callable(self._lines):
+            self._lines = self._lines()
+        return self._lines
+
+
+def _value_terms(diag, m0, Q, order):
+    """theta_{m0} at a generic Q as {exponent: coefficient}, the entry of Q's chamber."""
+    if diag.dim != 2:
+        raise ValueError("broken lines need plane exponents")
+    qi = _endpoint(diag, m0, Q, order)[1]
+    i = bisect_right(diag.directions, _by_angle(qi), key=_by_angle)
+    key = (m0, order, i if i < len(diag.directions) else 0)  # the last chamber wraps to the first
+    if key not in diag._thetas:
+        terms = {}
+        for state in _kept(diag, m0, qi, order):
+            terms[state[5]] = terms[state[5]] + state[4] if state[5] in terms else state[4]
+        diag._thetas[key] = terms
+    return diag._thetas[key]
 
 
 def theta(diag, Q, m0, order=None):
@@ -264,13 +302,8 @@ def theta(diag, Q, m0, order=None):
     m0, Q = _exponent(diag, m0), _point(Q)
     if not any(m0):
         return ThetaResult(TruncatedLaurent.one(diag.grading, order), [], Q, m0)
-    lines = enumerate_broken_lines(diag, m0, Q, order)
-    terms = {}
-    for line in lines:
-        coeff, expo = line.final_monomial
-        terms[expo] = terms.get(expo, CoeffPoly.zero()) + coeff
-    value = TruncatedLaurent(diag.grading, order, m0, terms)
-    return ThetaResult(value, lines, Q, m0)
+    value = TruncatedLaurent.within(diag.grading, order, m0, _value_terms(diag, m0, Q, order))
+    return ThetaResult(value, lambda: enumerate_broken_lines(diag, m0, Q, order), Q, m0)
 
 
 def theta_via_path(diag, Q, m0, order=None):
@@ -349,15 +382,14 @@ def sign_coherence_check(fixed, seed, depth):
 
 
 def structure_constant(diag, p1, p2, q, z, order=None):
-    """alpha_z(p1, p2, q) = sum of c(g1) c(g2) over broken-line pairs at z."""
+    """alpha_z(p1, p2, q) = sum of c(g1) c(g2) over broken-line pairs at z (theta_0 = 1)."""
     order = _order(diag, order)
     z, q = _point(z), _exponent(diag, q)
     if diag.on_support(z):
         raise ValueError("structure-constant base point lies on a wall")
-    m1 = [line.final_monomial for line in enumerate_broken_lines(diag, p1, z, order)]
-    m2 = m1 if tuple(p2) == tuple(p1) else [
-        line.final_monomial for line in enumerate_broken_lines(diag, p2, z, order)]
-    return sum((c1 * c2 for c1, e1 in m1 for c2, e2 in m2 if _vadd(e1, e2) == q),
+    t1, t2 = (_value_terms(diag, p, z, order) if any(p) else {p: CoeffPoly.one()}
+              for p in (_exponent(diag, p1), _exponent(diag, p2)))
+    return sum((c1 * t2[_vsub(q, e1)] for e1, c1 in t1.items() if _vsub(q, e1) in t2),
                CoeffPoly.zero())
 
 
@@ -382,9 +414,7 @@ def generic_near(diag, q, m0=None, order=None):
 def product_expansion_check(diag, p1, p2, Q, order=None):
     """Verify theta_{p1} * theta_{p2} = sum_q alpha_{z(q)}(p1,p2,q) theta_q."""
     order = _order(diag, order)
-    th1 = theta(diag, Q, p1, order).value
-    th2 = theta(diag, Q, p2, order).value
-    lhs = th1 * th2
+    lhs = theta(diag, Q, p1, order).value * theta(diag, Q, p2, order).value
     base = _vadd(p1, p2)
     rhs = TruncatedLaurent(diag.grading, order, base, {})
     for q in _monoid_points(diag, base, order):

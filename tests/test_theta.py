@@ -1,7 +1,11 @@
+import copy
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
+
+from test_scatter import _zoo
 
 from gcsdiag import (
     ClusterState,
@@ -17,6 +21,7 @@ from gcsdiag import (
     laurent_dict,
     mutate_cluster,
     mutate_word,
+    parse_seed_file,
     path_between,
     path_ordered_product,
     product_expansion_check,
@@ -28,7 +33,17 @@ from gcsdiag import (
     theta_via_path,
     validate_broken_line,
 )
-from gcsdiag.scatter import _cross, _rays, _reorder, apply_Tk
+from gcsdiag.scatter import (
+    _cross,
+    _prim,
+    _rays,
+    _reorder,
+    _rot90,
+    apply_Tk,
+    initial_diagram_prin,
+    project_to_A,
+    slice_to_X,
+)
 from gcsdiag.theta import (
     BrokenLine,
     EndpointNotGeneric,
@@ -38,6 +53,7 @@ from gcsdiag.theta import (
     _direction_of,
     _monoid_points,
     _segment_hits_origin,
+    _through_origin,
     generic_near,
 )
 
@@ -207,13 +223,42 @@ def test_chain_memo_serves_each_order_as_a_fresh_diagram(g31):
             reports.setdefault(m0, set()).add(got)
     assert all(len(r) == 2 for r in reports.values())
     assert sorted(d12._chains) == [(m0, order) for m0 in m0s for order in (7, 12)]
+    # one value per (m0, order) in Q's chamber, whatever the order
+    (c,) = {key[2] for key in d12._thetas}
+    assert sorted(d12._thetas) == [(m0, order, c) for m0 in m0s for order in (7, 12)]
 
 
-def test_derived_diagrams_start_with_an_empty_chain_memo(g31_diag8):
+def test_derived_diagrams_start_with_an_empty_chain_memo(g31, g31_diag8):
+    # and with an empty value table and offset memo
     theta(g31_diag8, FIG2_Q, (0, -1))
-    assert g31_diag8._chains
-    assert _reorder(g31_diag8, 5)._chains == {}
-    assert apply_Tk(g31_diag8, 0)._chains == {}
+    assert g31_diag8._chains and g31_diag8._thetas and g31_diag8._offsets
+    prin = complete_rank2(initial_diagram_prin(*g31, 5))
+    # theta needs plane exponents, so a marker stands in for prin's warm memos
+    prin._chains[0] = prin._thetas[0] = prin._offsets[0] = "warm"
+    for derived in (_reorder(g31_diag8, 5), apply_Tk(g31_diag8, 0), apply_Tk(g31_diag8, 1),
+                    complete_rank2(g31_diag8), slice_to_X(prin), project_to_A(prin)):
+        assert (derived._chains, derived._thetas, derived._offsets) == ({}, {}, {})
+
+
+def test_deep_copy_of_a_warm_diagram_answers_identically(g31):
+    diag = complete_rank2(initial_diagram(*g31, 8))
+    rng = random.Random("copy")
+    queries = []
+    for _ in range(12):
+        m0 = (rng.randint(-3, 3), rng.randint(-3, 3))
+        Q = (Fraction(rng.randint(-30, 30), rng.randint(1, 13)),
+             Fraction(rng.randint(-30, 30), rng.randint(1, 13)))
+        queries.append((m0, Q, rng.randint(1, 8)))
+    want = [_report_or_error(lambda: theta_report(diag, theta(diag, Q, m0, o)))
+            for m0, Q, o in queries]
+    twin = copy.deepcopy(diag)
+    assert len(twin._thetas) > 5 and twin._thetas.keys() == diag._thetas.keys()
+    got = [_report_or_error(lambda: theta_report(twin, theta(twin, Q, m0, o)))
+           for m0, Q, o in queries]
+    assert got == want
+    for p1, p2, q in (((0, -1), (-1, 0), (-1, -1)), ((1, 0), (0, 1), (1, 1))):
+        z = generic_near(diag, q)
+        assert structure_constant(twin, p1, p2, q, z) == structure_constant(diag, p1, p2, q, z)
 
 
 def _forward_points(state):
@@ -263,7 +308,7 @@ def test_integer_cone_test_keeps_the_fraction_filter_chains(request, name, order
         m0 = (rng.randint(-3, 3), rng.randint(-3, 3))
         if not any(m0):
             continue
-        chains, ends = _chains(diag, m0, order)
+        chains = _chains(diag, m0, order)
         last = [c for c in chains if c[0] is not None]
         points = [(Fraction(rng.randint(-30, 30), rng.randint(1, 13)),
                    Fraction(rng.randint(-30, 30), rng.randint(1, 13))) for _ in range(6)]
@@ -281,7 +326,7 @@ def test_integer_cone_test_keeps_the_fraction_filter_chains(request, name, order
                 got = enumerate_broken_lines(diag, m0, Q)
             except ValueError:
                 qdir = _direction_of(Q)
-                assert diag.on_support(Q) or (-qdir[0], -qdir[1]) in ends, (m0, Q)
+                assert diag.on_support(Q) or _through_origin(diag, m0, qdir, order), (m0, Q)
                 continue
             want = _fraction_cone_filter(chains, Q)
             assert [(l.segments, l.bends) for l in got] == [(l.segments, l.bends) for l in want]
@@ -296,12 +341,12 @@ def test_cold_sweep_keeps_every_search_state(request, name, order, states):
     # in ints of 1/2, must cut the search exactly where the degrees do
     diag = complete_rank2(initial_diagram(*request.getfixturevalue(name), order))
     m0s = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
-    assert sum(len(_chains(diag, m0, order)[0]) for m0 in m0s) == states
+    assert sum(len(_chains(diag, m0, order)) for m0 in m0s) == states
 
 
 def test_chain_memo_holds_integer_states_and_no_lines(g31_diag8):
     theta(g31_diag8, FIG2_Q, (0, -1))
-    states, _ = g31_diag8._chains[((0, -1), 8)]
+    states = g31_diag8._chains[((0, -1), 8)]
     assert len(states) > 10
     for state in states:
         assert type(state) is tuple and not any(isinstance(x, BrokenLine) for x in state)
@@ -341,6 +386,150 @@ def test_monoid_offsets_equal_the_search_from_m0(request, name, order):
     assert sorted(diag._offsets) == [order - 3, order]
     assert _reorder(diag, order - 1)._offsets == {}
     assert apply_Tk(diag, 0)._offsets == {}
+
+
+def _old_ends(diag, m0, order):
+    """Reference: the direction map the endpoint check once kept per m0, from each
+    primitive direction to the least monoid point over m0 on its ray."""
+    return {_prim(m): m for m in reversed(_monoid_points(diag, m0, order)) if any(m)}
+
+
+@pytest.mark.parametrize("name,order", [("a2", 10), ("g31", 9), ("kronecker", 8)])
+def test_through_origin_equals_the_direction_map(request, name, order):
+    diag = complete_rank2(initial_diagram(*request.getfixturevalue(name), order))
+    rng = random.Random("ray-%s" % name)
+    hits = 0
+    for _ in range(25):
+        m0 = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if not any(m0):
+            continue
+        query = rng.randint(1, order)
+        ends = _old_ends(diag, m0, query)
+        dirs = list(ends) + [_prim((rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(20)]
+        for d in dirs + [(-d[0], -d[1]) for d in dirs]:
+            want = ends.get(d)
+            assert _through_origin(diag, m0, (-d[0], -d[1]), query) == want, (m0, d, query)
+            hits += want is not None
+    assert hits > 100
+
+
+def _chamber_points(diag, rng, per_chamber):
+    """per_chamber random rational points strictly inside each chamber, by chamber."""
+    dirs = diag.directions
+    out = []
+    for a, b in zip(dirs[-1:] + dirs[:-1], dirs):
+        if _cross(a, b) <= 0:  # a chamber of angle >= pi holds the quarter after a
+            b = _rot90(a)
+        pts = []
+        for _ in range(per_chamber):
+            s, t = (Fraction(rng.randint(1, 20), rng.randint(1, 7)) for _ in range(2))
+            pts.append((s * a[0] + t * b[0], s * a[1] + t * b[1]))
+        out.append(pts)
+    return out
+
+
+def _line_sum(diag, m0, Q, order):
+    terms = {}
+    for line in enumerate_broken_lines(diag, m0, Q, order):
+        coeff, expo = line.final_monomial
+        terms[expo] = terms.get(expo, CoeffPoly.zero()) + coeff
+    return TruncatedLaurent(diag.grading, order, m0, terms).terms
+
+
+def _table_diagrams(request):
+    out = [complete_rank2(initial_diagram(*request.getfixturevalue(name), order))
+           for name, order in (("a2", 8), ("g31", 8), ("kronecker", 7))]
+    for text, order, variant in _zoo(12, random.Random(16)):
+        if variant == "A":
+            out.append(complete_rank2(initial_diagram(*parse_seed_file(text), order)))
+    return out
+
+
+def test_table_value_equals_the_state_scan_in_every_chamber(request):
+    cases = chambers_seen = 0
+    for diag in _table_diagrams(request):
+        rng = random.Random("table-%d" % diag.order)
+        for _ in range(4):
+            m0 = (rng.randint(-3, 3), rng.randint(-3, 3))
+            query = rng.randint(1, diag.order)
+            for pts in _chamber_points(diag, rng, 3):
+                answered = 0
+                for Q in pts:
+                    try:
+                        want = _line_sum(diag, m0, Q, query) if any(m0) else {m0: CoeffPoly.one()}
+                    except ValueError:  # an endpoint on a ray -m: not generic
+                        continue
+                    assert theta(diag, Q, m0, query).value.terms == want, (m0, Q, query)
+                    answered += 1
+                cases += answered
+                chambers_seen += answered >= 2
+    assert cases > 500 and chambers_seen > 150, (cases, chambers_seen)
+
+
+def test_adjacent_chamber_values_differ_by_the_wall_crossing(request):
+    crossed = 0
+    for diag in _table_diagrams(request):
+        rng = random.Random("walls-%d" % diag.order)
+        for _ in range(3):
+            m0 = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if not any(m0):
+                continue
+            query = rng.randint(1, diag.order)
+            reps = []
+            for pts in _chamber_points(diag, rng, 4):
+                for Q in pts:
+                    try:
+                        reps.append((Q, theta(diag, Q, m0, query).value))
+                        break
+                    except ValueError:
+                        pass
+                else:
+                    reps.append(None)
+            for here, there in zip(reps, reps[1:] + reps[:1]):
+                if here and there:
+                    path = path_between(diag, _direction_of(here[0]), _direction_of(there[0]))
+                    assert path_ordered_product(diag, path, here[1]).terms == there[1].terms
+                    crossed += 1
+    assert crossed > 100, crossed
+
+
+def test_warm_query_builds_no_line_and_scans_no_state(g31, monkeypatch):
+    diag = complete_rank2(initial_diagram(*g31, 8))
+    p, other = (Fraction(3, 2), 1), (Fraction(5, 2), Fraction(3, 2))  # one chamber
+    theta(diag, p, (0, -1))
+    structure_constant(diag, (0, -1), (-1, 0), (-1, -1), p)
+    counts = {"lines": 0, "scans": 0}
+
+    class CountedLine(BrokenLine):
+        __slots__ = ()
+
+        def __init__(self, segments, bends):
+            counts["lines"] += 1
+            super().__init__(segments, bends)
+
+    theta_mod = importlib.import_module("gcsdiag.theta")  # the package binds theta()
+    chains = theta_mod._chains
+
+    def counted_chains(*args):
+        counts["scans"] += 1
+        return chains(*args)
+
+    monkeypatch.setattr(theta_mod, "BrokenLine", CountedLine)
+    monkeypatch.setattr(theta_mod, "_chains", counted_chains)
+    res = theta(diag, other, (0, -1))
+    assert structure_constant(diag, (0, -1), (-1, 0), (-1, -1), other) is not None
+    assert counts == {"lines": 0, "scans": 0}
+    assert len(res.witness_lines) == 5 and counts["lines"] == 5  # read: built now
+
+
+def test_zero_exponent_structure_constants_follow_theta_zero_is_one(g31):
+    d = complete_rank2(initial_diagram(*g31, 6))
+    for q, want in (((1, 0), 1), ((2, 0), 0), ((1, 1), 0)):
+        z = generic_near(d, q)
+        assert structure_constant(d, (0, 0), (1, 0), q, z) == CoeffPoly.rational(want)
+        assert structure_constant(d, (1, 0), (0, 0), q, z) == CoeffPoly.rational(want)
+    assert product_expansion_check(d, (0, 0), (1, 0), (Fraction(3, 2), 1))[0]
+    assert product_expansion_check(d, (0, -1), (0, 0), GEN_Q)[0]
 
 
 @pytest.fixture(scope="module")
