@@ -1,9 +1,10 @@
 """Exact coefficient ring Q[a_{i,j}] and truncated Laurent series on lattice exponents.
 
 The coefficient ring is a polynomial ring over Q in a finite set of formal
-exchange symbols.  Series live on a lattice of integer exponent vectors and
-carry a linear grading; terms above the truncation order are dropped eagerly
-so that equal values always have identical term maps.
+exchange symbols, whose constants are held as ints or Fractions.  Series live
+on a lattice of integer exponent vectors and carry a linear grading; terms
+above the truncation order are dropped eagerly so that equal values always
+have identical term maps.
 """
 
 from __future__ import annotations
@@ -70,9 +71,18 @@ def _exact(q):
     return q.numerator if q.denominator == 1 else q
 
 
+def demote(c):
+    """A constant (a constant CoeffPoly too) as an int or non-integral Fraction; else c."""
+    if type(c) is CoeffPoly:
+        if c.terms.keys() - {()}:
+            return c
+        c = c.terms.get((), 0)
+    return c if type(c) is int else _exact(c)
+
+
 class CoeffPoly:
-    """Polynomial in the exchange symbols; a coefficient is an int, or a
-    Fraction only where it is not integral, so integral polynomials stay in int."""
+    """Polynomial in the exchange symbols with int coefficients, Fractions only where not
+    integral; a constant one equals and hashes as its number, which demote gives."""
 
     __slots__ = ("terms",)
 
@@ -109,10 +119,12 @@ class CoeffPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CoeffPoly.rational(other)
+            return self.terms == ({(): other} if other else {})
         return isinstance(other, CoeffPoly) and self.terms == other.terms
 
     def __hash__(self):
+        if not self.terms.keys() - {()}:  # a constant hashes as the number it equals
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
@@ -140,7 +152,7 @@ class CoeffPoly:
         if type(other) is not CoeffPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented  # a series multiplies by a polynomial itself
-            return self.scale(other)
+            return CoeffPoly({m: c * other for m, c in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -153,26 +165,18 @@ class CoeffPoly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative powers of coefficient polynomials")
-        out = CoeffPoly.one()
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def scale(self, q):
-        return CoeffPoly({m: c * q for m, c in self.terms.items()})
-
-    def is_one(self):
-        return self.terms == {(): 1}
+        return functools.reduce(operator.mul, [self] * e, CoeffPoly.one())
 
     def __repr__(self):
         return "CoeffPoly(%s)" % canonical_string(self)
 
 
 def _poly_pieces(poly, zpart):
-    """Render each monomial of a CoeffPoly as a flat product string."""
+    """Render each monomial of a CoeffPoly, or a nonzero number, as a flat product string."""
+    terms = poly.terms if type(poly) is CoeffPoly else {(): poly}
     pieces = []
-    for mono in sorted(poly.terms, key=lambda m: (sum(e for _, e in m), m)):
-        coeff = poly.terms[mono]
+    for mono in sorted(terms, key=lambda m: (sum(e for _, e in m), m)):
+        coeff = terms[mono]
         factors = []
         symfactors = ["%s^%d" % (n, e) if e != 1 else n for n, e in mono]
         if coeff != 1 or (not symfactors and not zpart):
@@ -185,8 +189,8 @@ def _poly_pieces(poly, zpart):
 
 
 def canonical_string(x):
-    """Deterministic rendering of a CoeffPoly or TruncatedLaurent."""
-    if isinstance(x, CoeffPoly):
+    """Deterministic rendering of a number (as its constant CoeffPoly), CoeffPoly or series."""
+    if isinstance(x, (int, Fraction, CoeffPoly)):
         if not x:
             return "0"
         return " + ".join(_poly_pieces(x, ""))
@@ -297,6 +301,9 @@ class Grading:
         self._pivot = next((p for p in minors if p[2]), None)
         if self._pivot is None:
             raise ValueError("grading generators must be linearly independent")
+        i, j, det = self._pivot
+        self.den, sg = abs(det), (1 if det > 0 else -1)  # den * degree = sg * (a + b) of _solve
+        self.form = (i, j, sg * (g2[j] - g1[j]), sg * (g1[i] - g2[i]))
 
     def _solve(self, m):
         i, j, det = self._pivot
@@ -324,12 +331,17 @@ class Grading:
             d = self._degrees[m] = _exact(sum(coeffs, Fraction(0)))
         return d
 
+    def scaled_degree(self, m):
+        """den * the degree of m, an int: a linear form, so m is not checked to be in the monoid."""
+        i, j, ci, cj = self.form
+        return ci * m[i] + cj * m[j]
+
 
 j_degree = Grading.degree  # j_degree(grading, m): the J-adic degree of m under a grading
 
 
 class TruncatedLaurent:
-    """Finite exact Laurent series z^offset * (sum of CoeffPoly * z^u).
+    """Finite exact Laurent series z^offset * (sum of c * z^u), c a number or a CoeffPoly.
 
     Exponent keys are absolute integer tuples; the relative exponent
     key - offset must lie in the grading monoid with degree <= order.
@@ -341,8 +353,7 @@ class TruncatedLaurent:
         self.grading, self.order, self.offset = grading, order, tuple(offset)
         clean = {}
         for expo, poly in terms.items():
-            if type(poly) is not CoeffPoly:
-                poly = CoeffPoly.rational(poly)
+            poly = poly.numerator if type(poly) is Fraction and poly.denominator == 1 else poly
             if poly and grading.degree(_vsub(expo, self.offset)) <= order:
                 clean[tuple(expo)] = poly
         self.terms = clean
@@ -355,9 +366,9 @@ class TruncatedLaurent:
 
     @classmethod
     def within(cls, grading, order, offset, terms):
-        """The series of CoeffPoly terms known to lie within the order; zeros are dropped."""
+        """The series of terms known to lie within the order; zeros are dropped."""
         out = cls(grading, order, offset, {})
-        out.terms = {e: p for e, p in terms.items() if p.terms}
+        out.terms = {e: p for e, p in terms.items() if p}
         return out
 
     @classmethod
@@ -367,13 +378,10 @@ class TruncatedLaurent:
     @classmethod
     def unit_from_terms(cls, grading, order, terms):
         """Build 1 + (terms); terms must not touch the constant."""
-        zero = tuple(0 for _ in range(grading.dim))
-        full = {zero: CoeffPoly.one()}
-        for expo, poly in terms.items():
-            if tuple(expo) == zero:
-                raise ValueError("unit tail must not contain a constant term")
-            full[tuple(expo)] = poly
-        return cls(grading, order, zero, full)
+        zero, tail = (0,) * grading.dim, {tuple(e): p for e, p in terms.items()}
+        if zero in tail:
+            raise ValueError("unit tail must not contain a constant term")
+        return cls(grading, order, zero, {zero: 1, **tail})
 
     # -- helpers
 
@@ -381,10 +389,10 @@ class TruncatedLaurent:
         return self.grading.degree(_vsub(expo, self.offset))
 
     def is_unit(self):
-        return not any(self.offset) and self.constant().is_one()
+        return not any(self.offset) and self.constant() == 1
 
     def constant(self):
-        return self.terms.get(self.offset, CoeffPoly.zero())
+        return self.terms.get(self.offset, 0)
 
     def truncate(self, new_order):
         if new_order > self.order:
@@ -466,15 +474,7 @@ class TruncatedLaurent:
             return out
         if e < 0:
             raise ValueError("only unit series can be inverted")
-        base = self
-        result = None
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return functools.reduce(operator.mul, [self] * (e - 1), self)
 
     # -- comparison
 

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .ring import CoeffPoly, Grading, TruncatedLaurent, canonical_string, unit_power_coeffs
+from .ring import Grading, TruncatedLaurent, canonical_string, demote, unit_power_coeffs
 from .seed import epsilon, mutate_seed, mutation_walk, principal_data, serialize_seed_file
 
 # ---------------------------------------------------------------------------
@@ -133,11 +133,11 @@ def _coeff_list(terms, grading, order):
 
     base is the primitive vector of the exponents, each of which must be a
     positive multiple of it; coeffs runs up to order / deg(base), and terms
-    above that are dropped.
+    above that are dropped.  A constant coefficient is demoted to a number.
     """
     base = _prim(next(iter(terms)))
     top = order // grading.degree(base)
-    coeffs = [CoeffPoly.one()] + [CoeffPoly.zero()] * top
+    coeffs = [1] + [0] * top
     i = next(i for i, b in enumerate(base) if b)
     for expo, poly in terms.items():
         j = expo[i] // base[i]
@@ -145,7 +145,7 @@ def _coeff_list(terms, grading, order):
             raise ValueError("wall exponent %r is not a positive multiple of %r"
                              % (expo, base))
         if j <= top:
-            coeffs[j] = poly
+            coeffs[j] = demote(poly)
     return base, coeffs
 
 
@@ -278,12 +278,16 @@ def wall_cross(wall, sign, series, proj):
     """z^m -> z^m f^{sign * <n0', m>}, extended linearly and truncated."""
     out = dict(series.terms)
     (n0, n1), (i0, i1) = wall.normal, proj
-    base, order, step = wall.base, series.order, series.grading.degree(wall.base)
+    grading, base, order = series.grading, wall.base, series.order
+    # the step budget in ints: den * degree is the linear form Grading.form
+    k0, k1, c0, c1 = grading.form
+    top = order * grading.den + grading.scaled_degree(series.offset)
+    step = grading.scaled_degree(base)
     for expo, poly in series.terms.items():
         p = sign * (n0 * expo[i0] + n1 * expo[i1])
         if not p:
             continue
-        jmax = (order - series.rel_degree(expo)) // step
+        jmax = (top - c0 * expo[k0] - c1 * expo[k1]) // step
         if jmax < 1:  # no room for a step: the power is not needed
             continue
         g = wall.power(p)
@@ -294,7 +298,7 @@ def wall_cross(wall, sign, series, proj):
                 prod = poly * g[j]
                 out[e] = out[e] + prod if e in out else prod
     # every term is within the order: j stops at it
-    return TruncatedLaurent.within(series.grading, order, series.offset, out)
+    return TruncatedLaurent.within(grading, order, series.offset, out)
 
 
 def path_ordered_product(diag, path, series):
@@ -379,7 +383,7 @@ def _lowest_defects(diag, order=None):
         res = loop_product(diag, TruncatedLaurent.monomial(diag.grading, order, m))
         for expo, poly in res.terms.items():
             if expo == m:
-                poly = poly - CoeffPoly.one()
+                poly = poly - 1
             if not poly:
                 continue
             u = tuple(x - y for x, y in zip(expo, m))
@@ -454,9 +458,9 @@ def complete_rank2(diag):
                 if pairv == 0:
                     continue
                 den = eps_w * pairv  # the factor -1/den is an int when den is +-1
-                coeff = poly.scale(-den if den in (1, -1) else Fraction(-1, den))
+                coeff = poly * (-den if den in (1, -1) else Fraction(-1, den))
                 bucket = rays.setdefault(ray_dir, {})
-                bucket[u] = bucket.get(u, CoeffPoly.zero()) + coeff
+                bucket[u] = bucket.get(u, 0) + coeff
                 walls.pop(ray_dir, None)  # rebuilt from its new terms next pass
                 break
             else:

@@ -84,7 +84,7 @@ class GeneralizedTorusSeed:
         self.a_tuples = {i: tuple(t) for i, t in a_tuples.items()}
         for i in self.a_tuples:
             t = self.a_tuples[i]
-            if len(t) != fixed.r[i] + 1 or not t[0].is_one() or not t[-1].is_one():
+            if len(t) != fixed.r[i] + 1 or t[0] != 1 or t[-1] != 1:
                 raise ValueError("coefficient tuple for direction %d is not monic" % (i + 1,))
             for j in range(len(t)):
                 if t[j] != t[len(t) - 1 - j]:
@@ -448,7 +448,7 @@ def principal_data(fixed, seed):
 def _tuple_names(a_tuple):
     names = []
     for poly in a_tuple[1:-1]:
-        if poly.is_one():
+        if poly == 1:
             names.append("1")
         else:
             ((mono, _),) = poly.terms.items()

@@ -12,11 +12,10 @@ A theta value is constant on a chamber (GHKK), so it is stored once per chamber.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from fractions import Fraction
 
-from .ring import CoeffPoly, TruncatedLaurent, _vadd, _vsub, canonical_string
+from .ring import TruncatedLaurent, _vadd, _vsub, canonical_string
 from .scatter import (
     _by_angle,
     _cross,
@@ -69,7 +68,7 @@ class BrokenLine:
 
     def __repr__(self):
         return "BrokenLine(%s)" % " -> ".join(
-            "%sz^%s" % ("" if c.is_one() else "(%s)*" % c, (e,)) for c, e, _, _ in self.segments)
+            "%sz^%s" % ("" if c == 1 else "(%s)*" % c, (e,)) for c, e, _, _ in self.segments)
 
 
 def _order(diag, order):
@@ -90,9 +89,9 @@ def _exponent(diag, m):
 
 
 def _int_steps(diag, order):
-    """(den*order, {wall: den * degree of its base}), den making every step degree an int."""
-    den = math.lcm(*(diag.grading.degree(w.base).denominator for w in diag.walls))
-    return order * den, {w: int(diag.grading.degree(w.base) * den) for w in diag.walls}
+    """(den*order, {wall: den * degree of its base}), den making every degree an int."""
+    g = diag.grading
+    return order * g.den, {w: g.scaled_degree(w.base) for w in diag.walls}
 
 
 def _offsets(diag, order):
@@ -137,9 +136,9 @@ def _bend_factor(wall, m_prev, j):
     """Coefficient of z^{j*base} in f^{|<n, m_prev>|}; zero if non-transverse."""
     power = abs(_dot(wall.normal, m_prev))
     if power == 0:
-        return CoeffPoly.zero()
+        return 0
     g = wall.power(power)
-    return g[j] if j < len(g) else CoeffPoly.zero()
+    return g[j] if j < len(g) else 0
 
 
 def _chains(diag, m0, order):
@@ -171,7 +170,7 @@ def _chains(diag, m0, order):
 
     # the segment from infinity may bend anywhere on a wall (a parallel one has factor 0)
     root = [(w, s) for w in diag.walls for s in _rays(w)]  # s as stored: _crossed looks it up
-    visit((None, None, None, 0, CoeffPoly.one(), m0), root, 0)
+    visit((None, None, None, 0, 1, m0), root, 0)
     index = {id(w): i for i, w in enumerate(diag.walls)}
 
     def key(state):
@@ -242,7 +241,7 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
 def validate_broken_line(diag, line, m0, Q):
     """Re-check the defining conditions of a broken line by expansion."""
     c0, e0 = line.segments[0][0], line.segments[0][1]
-    if not c0.is_one() or tuple(e0) != tuple(m0) or line.segments[-1][3] != _point(Q):
+    if c0 != 1 or tuple(e0) != tuple(m0) or line.segments[-1][3] != _point(Q):
         return False
     for (_, e, start, end) in line.segments:
         # a segment runs along -e
@@ -333,7 +332,7 @@ def theta_Tk_transport(diag, k, Q, m0, order=None):
     mapped = {}
     for expo, poly in th.value.terms.items():
         key = shear(expo, s)
-        mapped[key] = mapped.get(key, CoeffPoly.zero()) + poly
+        mapped[key] = mapped.get(key, 0) + poly
 
     seed2 = mutate_seed(fixed, diag.seed, k)
     diag2 = complete_rank2(initial_diagram(fixed, seed2, order))
@@ -387,10 +386,9 @@ def structure_constant(diag, p1, p2, q, z, order=None):
     z, q = _point(z), _exponent(diag, q)
     if diag.on_support(z):
         raise ValueError("structure-constant base point lies on a wall")
-    t1, t2 = (_value_terms(diag, p, z, order) if any(p) else {p: CoeffPoly.one()}
+    t1, t2 = (_value_terms(diag, p, z, order) if any(p) else {p: 1}
               for p in (_exponent(diag, p1), _exponent(diag, p2)))
-    return sum((c1 * t2[_vsub(q, e1)] for e1, c1 in t1.items() if _vsub(q, e1) in t2),
-               CoeffPoly.zero())
+    return sum(c1 * t2[_vsub(q, e1)] for e1, c1 in t1.items() if _vsub(q, e1) in t2)
 
 
 def generic_near(diag, q, m0=None, order=None):
@@ -442,7 +440,7 @@ def theta_report(diag, result):
         pts = ";".join("(%s,%s)" % (Fraction(p[0]), Fraction(p[1]))
                        for _, p, _ in line.bends) or "-"
         trail = " -> ".join(
-            ("%s*" % canonical_string(c) if not c.is_one() else "") + "z^(%s)" % ",".join(str(x) for x in e)
+            ("%s*" % canonical_string(c) if c != 1 else "") + "z^(%s)" % ",".join(str(x) for x in e)
             for c, e, _, _ in line.segments)
         lines.append("line bends=%d rays=%s points=%s trail=%s"
                      % (len(line.bends), rays, pts, trail))

@@ -170,11 +170,22 @@ def test_series_sum_commutes_on_random_offsets():
 # integral coefficients
 
 
+def test_constant_polynomials_hash_as_the_numbers_they_equal():
+    # numbers and CoeffPolys meet in one series, so equal values must collide
+    for c in (0, 3, -1, Fraction(1, 2)):
+        p = CoeffPoly.rational(c)
+        assert p == c and c == p and hash(p) == hash(c)
+        assert len({p, c}) == 1 and {c: "x"}[p] == "x" and {p: "x"}[c] == "x"
+    a = CoeffPoly.symbol("a")
+    assert a + 1 != 1 and len({a + 1, 1, a}) == 3
+    assert CoeffPoly.rational(2) != 3 and CoeffPoly.zero() != 1
+
+
 def test_integral_coefficients_are_ints():
     a = CoeffPoly.symbol("a")
     assert CoeffPoly({(): Fraction(4, 2)}).terms == {(): 2}
     assert type(CoeffPoly({(): Fraction(4, 2)}).terms[()]) is int
-    half = (a * 3 + 1).scale(Fraction(1, 2))
+    half = (a * 3 + 1) * Fraction(1, 2)
     assert half.terms == {(("a", 1),): Fraction(3, 2), (): Fraction(1, 2)}
     twice = half * 2
     assert all(type(c) is int for c in twice.terms.values())
@@ -236,7 +247,7 @@ def test_canonical_string_zero():
 
 
 def test_canonical_string_collects():
-    p = CoeffPoly.symbol("a").scale(2) + CoeffPoly.symbol("a")
+    p = CoeffPoly.symbol("a") * 2 + CoeffPoly.symbol("a")
     assert canonical_string(p) == "3*a"
 
 
@@ -265,7 +276,7 @@ def test_truncation_drops_high_terms_eagerly():
 
 def test_unit_constant_is_one():
     f = unit({(0, 1): "a"})
-    assert f.is_unit() and f.constant().is_one()
+    assert f.is_unit() and f.constant() == 1
     with pytest.raises(ValueError):
         TruncatedLaurent.unit_from_terms(GR, 4, {(0, 0): CoeffPoly.one()})
 
@@ -387,7 +398,7 @@ def test_unit_power_coeffs_equal_repeated_products(tail, base, e):
 
     f = TruncatedLaurent.unit_from_terms(GR, 6, terms(coeffs))
     g = unit_power_coeffs(coeffs, e, int(6 // GR.degree(base)))
-    assert g[0].is_one()
+    assert g[0] == 1
     assert terms(g) == {x: p for x, p in _power_by_products(f, e).terms.items() if any(x)}
 
 

@@ -390,7 +390,9 @@ def test_completed_wall_coefficients_are_nonnegative_ints(request, name, build):
     # positivity of the completed walls, held in int by the ring
     fixed, seed = request.getfixturevalue(name)
     diag = complete_rank2(build(fixed, seed, 12))
-    coeffs = [c for w in diag.walls for poly in w.coeffs for c in poly.terms.values()]
+    # a coefficient is a number or, on a symbolic seed, a CoeffPoly of numbers
+    coeffs = [c for w in diag.walls for poly in w.coeffs if poly
+              for c in (poly.terms.values() if isinstance(poly, CoeffPoly) else [poly])]
     assert coeffs and all(type(c) is int and c > 0 for c in coeffs)
 
 
@@ -582,9 +584,9 @@ def _one_pass_completion(diag):
                 if pairv == 0:
                     continue
                 den = eps_w * pairv
-                coeff = poly.scale(-den if den in (1, -1) else Fraction(-1, den))
+                coeff = poly * (-den if den in (1, -1) else Fraction(-1, den))
                 bucket = rays.setdefault(ray_dir, {})
-                bucket[u] = bucket.get(u, CoeffPoly.zero()) + coeff
+                bucket[u] = bucket.get(u, 0) + coeff
                 walls.pop(ray_dir, None)
                 break
             else:
