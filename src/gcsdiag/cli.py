@@ -9,6 +9,7 @@ byte-identical to fresh runs.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import os
@@ -113,26 +114,36 @@ def _cached_text(key_parts, producer, no_cache, out):
     key = hashlib.sha256("\x00".join([_code_digest()] + key_parts).encode("utf-8")).hexdigest()
     cdir = _cache_dir(out)
     path = os.path.join(cdir, key)
-    if os.path.exists(path):
+    # the cache is best effort: an entry that cannot be read or decoded is a
+    # miss, and a result that cannot be stored is returned uncached
+    with contextlib.suppress(OSError, UnicodeError):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     text = producer()
-    os.makedirs(cdir, exist_ok=True)
-    _write_atomic(path, text)
+    with contextlib.suppress(OSError):
+        os.makedirs(cdir, exist_ok=True)
+        _write_atomic(path, text)
     return text
 
 
 def _write_atomic(path, text):
     """Write text to path through a temporary file in its directory."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(text, out):
     if out:
-        _write_atomic(out, text)
+        try:
+            _write_atomic(out, text)
+        except OSError as exc:
+            raise CliError("cannot write %s: %s" % (out, exc.strerror or exc), 2)
     else:
         sys.stdout.write(text)
 

@@ -302,22 +302,23 @@ class Grading:
         if self._pivot is None:
             raise ValueError("grading generators must be linearly independent")
         i, j, det = self._pivot
-        self.den, sg = abs(det), (1 if det > 0 else -1)  # den * degree = sg * (a + b) of _solve
+        self.den, sg = abs(det), (1 if det > 0 else -1)  # form: the sum of scaled_coordinates
         self.form = (i, j, sg * (g2[j] - g1[j]), sg * (g1[i] - g2[i]))
 
-    def _solve(self, m):
+    def scaled_coordinates(self, m):
+        """den * the coordinates of m in the generators, two ints; m's span is not checked."""
         i, j, det = self._pivot
         g1, g2 = self.generators
         a = m[i] * g2[j] - m[j] * g2[i]
         b = g1[i] * m[j] - g1[j] * m[i]
-        if any(a * x + b * y != det * t for x, y, t in zip(g1, g2, m)):
-            return None
-        return [Fraction(a, det), Fraction(b, det)]
+        return (a, b) if det > 0 else (-a, -b)
 
     def coefficients(self, m):
         m = tuple(m)
         if m not in self._cache:
-            self._cache[m] = self._solve(m)
+            a, b = self.scaled_coordinates(m)
+            on_span = all(a * x + b * y == self.den * t for x, y, t in zip(*self.generators, m))
+            self._cache[m] = [Fraction(a, self.den), Fraction(b, self.den)] if on_span else None
         return self._cache[m]
 
     def degree(self, m):
@@ -333,8 +334,7 @@ class Grading:
 
     def scaled_degree(self, m):
         """den * the degree of m, an int: a linear form, so m is not checked to be in the monoid."""
-        i, j, ci, cj = self.form
-        return ci * m[i] + cj * m[j]
+        return sum(self.scaled_coordinates(m))
 
 
 j_degree = Grading.degree  # j_degree(grading, m): the J-adic degree of m under a grading

@@ -195,12 +195,10 @@ class ScatteringDiagram:
         self._event_rays = [p for p, _, _ in self.events]
         self.directions = sorted({_prim(p) for p, _, _ in self.events}, key=_by_angle)
         self._direction_set = frozenset(self.directions)
-        # theta's broken lines up to scaling per (m0, order), values per
-        # (m0, order, chamber) and monoid offsets per order; a derived diagram
-        # has other walls and starts empty
+        # theta's broken lines up to scaling per (m0, order) and values per
+        # (m0, order, chamber); a derived diagram has other walls and starts empty
         self._chains = {}
         self._thetas = {}
-        self._offsets = {}
 
     def project(self, expo):
         return tuple(expo[i] for i in self.proj)
@@ -495,6 +493,7 @@ def tk_order_boost(fixed, seed, k):
     one.  On each such cone old(e)/new(image) is a ratio of linear forms, so
     its maximum is at an extreme ray: an old generator or the preimage of a
     new one.  Trying both images for every ray can only raise the bound.
+    The ratio is den2 * scaled_degree1 / (den1 * scaled_degree2), in ints.
     """
     g1 = _seed_grading(fixed, seed)
     g2 = _seed_grading(fixed, mutate_seed(fixed, seed, k))
@@ -502,11 +501,11 @@ def tk_order_boost(fixed, seed, k):
     boost = 1
     for s in (0, 1):
         for e in g1.generators + tuple(shear(v, -s) for v in g2.generators):
-            try:
-                ratio = Fraction(g1.degree(e)) / g2.degree(shear(e, s))
-            except (ValueError, ZeroDivisionError):  # e or its image has no positive degree
-                continue
-            boost = max(boost, math.ceil(ratio))
+            image = shear(e, s)
+            if all(c is not None and min(c) >= 0 and any(c)  # a positive degree in each monoid
+                   for c in (g1.coefficients(e), g2.coefficients(image))):
+                num, den = g2.den * g1.scaled_degree(e), g1.den * g2.scaled_degree(image)
+                boost = max(boost, -(-num // den))  # the ceiling of the ratio
     return boost
 
 

@@ -89,15 +89,11 @@ class GeneralizedTorusSeed:
             for j in range(len(t)):
                 if t[j] != t[len(t) - 1 - j]:
                     raise ValueError("coefficient tuple for direction %d is not reciprocal" % (i + 1,))
-        # duality: d_i <e_i', f_j'> = delta_ij
-        n = fixed.n
-        for i in range(n):
-            for j in range(n):
-                val = sum(
-                    Fraction(self.e_vectors[i][a]) * Fraction(self.f_vectors[j][a]) / fixed.d[a]
-                    for a in range(n)
-                ) * fixed.d[i]
-                if val != (1 if i == j else 0):
+        # duality: d_i <e_i', f_j'> = delta_ij; zero entries are skipped, as in epsilon
+        for i, (e, di) in enumerate(zip(self.e_vectors, fixed.d)):
+            for j, f in enumerate(self.f_vectors):
+                val = sum(Fraction(x * y, d) for x, y, d in zip(e, f, fixed.d) if x and y)
+                if val * di != (1 if i == j else 0):
                     raise ValueError("e- and f-vectors are not dual bases")
 
     def __eq__(self, other):

@@ -88,43 +88,33 @@ def _exponent(diag, m):
     return tuple(int(x) for x in m)
 
 
-def _int_steps(diag, order):
-    """(den*order, {wall: den * degree of its base}), den making every degree an int."""
-    g = diag.grading
-    return order * g.den, {w: g.scaled_degree(w.base) for w in diag.walls}
-
-
-def _offsets(diag, order):
-    """(frozenset of the plane's monoid combos of wall steps of degree <= order, their
-    largest |coordinate|), memoised per order; a search over the steps with int degrees."""
-    memo = diag._offsets.get(order)
-    if memo is None:
-        top, steps = _int_steps(diag, order)
-        steps = sorted((step, w.base) for w, step in steps.items())
-        seen, todo = {(0, 0): 0}, [(0, 0)]
-        for m in todo:  # breadth first: todo grows while it is walked
-            for step, (x, y) in steps:
-                if seen[m] + step > top:
-                    break
-                m2 = (m[0] + x, m[1] + y)
-                if m2 not in seen:
-                    seen[m2] = seen[m] + step
-                    todo.append(m2)
-        memo = diag._offsets[order] = (frozenset(seen), max(abs(x) for m in seen for x in m))
-    return memo
-
-
 def _monoid_points(diag, m0, order):
-    """m0 + the monoid combos of wall steps of degree <= order, sorted."""
-    return [_vadd(m0, o) for o in sorted(_offsets(diag, order)[0])]
+    """m0 + the monoid combos of wall steps of degree <= order, sorted: every wall base is in
+    the grading's cone, and the generators' primitive vectors p1, p2 are wall steps (the
+    initial lines' bases) and a lattice basis, so the combos are a*p1 + b*p2, a, b >= 0."""
+    g, top = diag.grading, order * diag.grading.den
+    (p1, s1), (p2, s2) = ((p, g.scaled_degree(p)) for p in map(_prim, g.generators))
+    return sorted((m0[0] + a * p1[0] + b * p2[0], m0[1] + a * p1[1] + b * p2[1])
+                  for a in range(top // s1 + 1) for b in range((top - a * s1) // s2 + 1))
 
 
 def _through_origin(diag, m0, qi, order):
-    """The least m (tuple order) in m0 + offsets on the ray -qi: z^m ending on qi hits 0."""
-    offsets, bound = _offsets(diag, order)
-    top = (max(map(abs, m0)) + bound) // max(map(abs, qi))  # |k*qi| <= |m0| + bound
-    return min((m for m in ((-k * qi[0], -k * qi[1]) for k in range(1, top + 1))
-                if (m[0] - m0[0], m[1] - m0[1]) in offsets), default=None)
+    """The least m (tuple order) in _monoid_points on the ray -qi: z^m ending on qi hits 0.
+
+    m is one of them iff the scaled coordinates of m - m0 are >= 0 and sum to at most
+    den*order; on m = -k*qi each is linear in k, so the k >= 1 that fit are [lo, hi]."""
+    g, top = diag.grading, order * diag.grading.den
+    (a, b), (a0, b0) = g.scaled_coordinates(qi), g.scaled_coordinates(m0)
+    lo, hi = 1, abs(a0) + abs(b0) + top  # no bound below is larger
+    for c, r in ((a, -a0), (b, -b0), (-a - b, a0 + b0 + top)):  # c*k <= r
+        if c > 0:
+            hi = min(hi, r // c)
+        elif c < 0:
+            lo = max(lo, -(r // -c))
+        elif r < 0:
+            hi = 0
+    k = lo if qi < (0, 0) else hi  # -k*qi grows with k iff -qi > 0 in tuple order
+    return (-k * qi[0], -k * qi[1]) if lo <= hi else None
 
 
 def _segment_hits_origin(d, mdir):
@@ -152,8 +142,9 @@ def _chains(diag, m0, order):
     memo = diag._chains.get((m0, order))
     if memo is not None:
         return memo
-    found = []
-    top, steps = _int_steps(diag, order)  # the degree budget is in ints
+    found, g = [], diag.grading
+    top = order * g.den  # the degree budget is in ints, as den * degree
+    steps = {w: g.scaled_degree(w.base) for w in diag.walls}
 
     def visit(state, crossings, degree):
         found.append(state)
@@ -213,7 +204,7 @@ def _endpoint(diag, m0, Q, order):
     if diag.on_support(Q):
         raise ValueError("endpoint lies on the diagram support; perturb it")
     qi = _direction_of(Q)
-    m_f = _through_origin(diag, m0, qi, order) if any(m0) else None
+    m_f = _through_origin(diag, m0, qi, order) if any(m0) and diag.dim == 2 else None
     if m_f is not None:
         raise EndpointNotGeneric(
             "endpoint is not generic: a final segment with exponent %r "

@@ -137,6 +137,38 @@ def test_cache_key_covers_the_code(cache_env, monkeypatch):
     assert len(os.listdir(cache_env)) == 2
 
 
+def test_undecodable_cache_entry_is_a_miss_and_is_rewritten(runner, cache_env):
+    fresh = runner.invoke(cli.main, ["complete", G31, "--order", "4", "--no-cache"]).output
+    runner.invoke(cli.main, ["complete", G31, "--order", "4"])
+    (entry,) = cache_env.iterdir()
+    entry.write_bytes(b"\xff\xfe not utf-8\n")
+    res = runner.invoke(cli.main, ["complete", G31, "--order", "4"])
+    assert (res.exit_code, res.output) == (0, fresh)
+    assert entry.read_text(encoding="utf-8") == fresh
+
+
+def test_cache_that_cannot_be_written_is_skipped(runner, tmp_path, monkeypatch):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory\n")
+    monkeypatch.setenv("GCSDIAG_CACHE", str(blocker))
+    fresh = runner.invoke(cli.main, ["complete", G31, "--order", "4", "--no-cache"]).output
+    res = runner.invoke(cli.main, ["complete", G31, "--order", "4"])
+    assert (res.exit_code, res.output) == (0, fresh)
+    assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+def test_out_that_cannot_be_written_exit_2(runner, tmp_path, target):
+    # a missing directory, or a directory in place of the file
+    out = tmp_path / "run" / target
+    (tmp_path / "run").mkdir()
+    res = runner.invoke(cli.main, ["complete", G31, "--order", "3", "--no-cache",
+                                   "--out", str(out)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: cannot write %s: " % out) and res.output.count("\n") == 1
+    assert os.listdir(tmp_path / "run") == []  # no temporary file is left behind
+
+
 # ---------------------------------------------------------------------------
 # theta
 
@@ -333,6 +365,17 @@ def test_check_seed_with_frozen_direction_exit_3(runner, tmp_path):
         assert res.exit_code == 3, res.output
         assert res.output == ("Error: check needs a rank-2 seed without frozen directions: "
                               "T_k needs plane exponents\n")
+
+
+@pytest.mark.parametrize("q", ["1,0", "3/2,1"])
+def test_theta_on_a_seed_with_frozen_direction_exit_3(runner, tmp_path, q):
+    # on the support or off it, the endpoint is not perturbed in vain first
+    seed = tmp_path / "frozen.seed"
+    seed.write_text("rank 3\nunfrozen 1 2\nd 1 1 1\nr 2 1 1\nB 0 1 1 -1 0 1 -1 -1 0\n"
+                    "a.1 1 a 1\na.2 1 1\n")
+    res = runner.invoke(cli.main, ["theta", str(seed), "--order", "3", "--m0", "1,0,0",
+                                   "--q", q, "--no-cache"])
+    assert (res.exit_code, res.output) == (3, "Error: broken lines need plane exponents\n")
 
 
 def test_check_two_symbol_seed_passes(runner, tmp_path):

@@ -229,15 +229,15 @@ def test_chain_memo_serves_each_order_as_a_fresh_diagram(g31):
 
 
 def test_derived_diagrams_start_with_an_empty_chain_memo(g31, g31_diag8):
-    # and with an empty value table and offset memo
+    # and with an empty value table
     theta(g31_diag8, FIG2_Q, (0, -1))
-    assert g31_diag8._chains and g31_diag8._thetas and g31_diag8._offsets
+    assert g31_diag8._chains and g31_diag8._thetas
     prin = complete_rank2(initial_diagram_prin(*g31, 5))
     # theta needs plane exponents, so a marker stands in for prin's warm memos
-    prin._chains[0] = prin._thetas[0] = prin._offsets[0] = "warm"
+    prin._chains[0] = prin._thetas[0] = "warm"
     for derived in (_reorder(g31_diag8, 5), apply_Tk(g31_diag8, 0), apply_Tk(g31_diag8, 1),
                     complete_rank2(g31_diag8), slice_to_X(prin), project_to_A(prin)):
-        assert (derived._chains, derived._thetas, derived._offsets) == ({}, {}, {})
+        assert (derived._chains, derived._thetas) == ({}, {})
 
 
 def test_deep_copy_of_a_warm_diagram_answers_identically(g31):
@@ -376,41 +376,73 @@ def _monoid_bfs(diag, m0, order):
     return sorted(seen)
 
 
+def _plane_diagrams(fixed, seed, order):
+    """The completed A diagram of a seed, then the plane diagrams derived from it that
+    theta answers on: a _reorder cut, both T_k images and the principal X slice."""
+    diag = complete_rank2(initial_diagram(fixed, seed, order))
+    prin = complete_rank2(initial_diagram_prin(fixed, seed, order))
+    return [diag, _reorder(diag, order - 1), apply_Tk(diag, 0), apply_Tk(diag, 1),
+            slice_to_X(prin)]
+
+
+@pytest.fixture(scope="module")
+def zoo_planes():
+    return [d for text, order, _ in _zoo(60, random.Random(13))
+            for d in _plane_diagrams(*parse_seed_file(text), order)]
+
+
+def _check_monoid_points(diag, queries):
+    for query in queries:
+        for m0 in ((1, 0), (-2, 3), (3, -1), (0, -2), (-1, -1)):
+            assert _monoid_points(diag, m0, query) == _monoid_bfs(diag, m0, query), (m0, query)
+
+
 @pytest.mark.parametrize("name,order", [("a2", 10), ("g31", 9), ("kronecker", 7)])
 def test_monoid_offsets_equal_the_search_from_m0(request, name, order):
-    fixed, seed = request.getfixturevalue(name)
-    diag = complete_rank2(initial_diagram(fixed, seed, order))
-    for query in (order, order - 3, order):
-        for m0 in ((1, 0), (-2, 3), (3, -1), (0, -2), (-1, -1)):
-            assert _monoid_points(diag, m0, query) == _monoid_bfs(diag, m0, query)
-    assert sorted(diag._offsets) == [order - 3, order]
-    assert _reorder(diag, order - 1)._offsets == {}
-    assert apply_Tk(diag, 0)._offsets == {}
+    # the points are the grading's cone over m0; the reference searches the wall steps
+    for diag in _plane_diagrams(*request.getfixturevalue(name), order):
+        _check_monoid_points(diag, (diag.order, diag.order - 3))
+
+
+def test_monoid_points_equal_the_search_on_the_zoo(zoo_planes):
+    for diag in zoo_planes:
+        _check_monoid_points(diag, (diag.order, 1 + diag.order // 2))
 
 
 def _old_ends(diag, m0, order):
     """Reference: the direction map the endpoint check once kept per m0, from each
     primitive direction to the least monoid point over m0 on its ray."""
-    return {_prim(m): m for m in reversed(_monoid_points(diag, m0, order)) if any(m)}
+    return {_prim(m): m for m in reversed(_monoid_bfs(diag, m0, order)) if any(m)}
 
 
-@pytest.mark.parametrize("name,order", [("a2", 10), ("g31", 9), ("kronecker", 8)])
-def test_through_origin_equals_the_direction_map(request, name, order):
-    diag = complete_rank2(initial_diagram(*request.getfixturevalue(name), order))
-    rng = random.Random("ray-%s" % name)
+def _check_through_origin(diag, rng, tries):
+    """_through_origin against _old_ends on random m0, orders and directions; the hits."""
     hits = 0
-    for _ in range(25):
+    for _ in range(tries):
         m0 = (rng.randint(-3, 3), rng.randint(-3, 3))
         if not any(m0):
             continue
-        query = rng.randint(1, order)
+        query = rng.randint(1, diag.order)
         ends = _old_ends(diag, m0, query)
         dirs = list(ends) + [_prim((rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(20)]
         for d in dirs + [(-d[0], -d[1]) for d in dirs]:
             want = ends.get(d)
             assert _through_origin(diag, m0, (-d[0], -d[1]), query) == want, (m0, d, query)
             hits += want is not None
-    assert hits > 100
+    return hits
+
+
+@pytest.mark.parametrize("name,order", [("a2", 10), ("g31", 9), ("kronecker", 8)])
+def test_through_origin_equals_the_direction_map(request, name, order):
+    rng = random.Random("ray-%s" % name)
+    diag, *derived = _plane_diagrams(*request.getfixturevalue(name), order)
+    assert _check_through_origin(diag, rng, 25) > 100
+    assert all(_check_through_origin(d, rng, 10) > 20 for d in derived)
+
+
+def test_through_origin_equals_the_direction_map_on_the_zoo(zoo_planes):
+    rng = random.Random("ray-zoo")
+    assert sum(_check_through_origin(diag, rng, 3) for diag in zoo_planes) > 1000
 
 
 def _chamber_points(diag, rng, per_chamber):
