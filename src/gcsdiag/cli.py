@@ -55,12 +55,20 @@ class CliError(click.ClickException):
         self.exit_code = code
 
 
-def _load_seed(path):
+def _read_input(path):
+    """The text of an input file; one that cannot be read or is not UTF-8 is a parse error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise CliError(str(exc), 2)
+        reason = exc.strerror or exc
+    except UnicodeDecodeError as exc:
+        reason = exc
+    raise CliError("cannot read %s: %s" % (path, reason), 2)
+
+
+def _load_seed(path):
+    text = _read_input(path)
     try:
         fixed, seed = parse_seed_file(text)
     except (ValueError, KeyError) as exc:
@@ -341,12 +349,7 @@ def _plot_theta(text):
 @click.option("--out", default=None, type=click.Path())
 def plot(input_file, out):
     """Render a diagram dump or theta report as a deterministic SVG."""
-    try:
-        with open(input_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(str(exc), 2)
-    body = text
+    body = _read_input(input_file)
     if body.startswith("note:"):
         body = body.split("\n", 1)[1]
     if body.startswith("order "):

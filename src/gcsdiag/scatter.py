@@ -111,10 +111,6 @@ class Wall:
         self.coeffs = coeffs
         self._powers = {}
 
-    def terms(self):
-        """The function as a term map {j * base: coeffs[j]}."""
-        return {tuple(j * b for b in self.base): c for j, c in enumerate(self.coeffs) if c}
-
     def power(self, p):
         """The coefficient list of the function ** p, computed once per wall and exponent."""
         g = self._powers.get(p)
@@ -128,34 +124,22 @@ class Wall:
             ", ".join(canonical_string(c) for c in self.coeffs))
 
 
-def _coeff_list(terms, grading, order):
-    """(base, coeffs) of the unit 1 + sum(terms) as a series in z^base.
+def _wall(kind, direction, step, coeffs, grading, order, proj):
+    """The wall of sum_j coeffs[j] z^{j*step}, coeffs[0] = 1, or None if that is 1 at this order.
 
-    base is the primitive vector of the exponents, each of which must be a
-    positive multiple of it; coeffs runs up to order / deg(base), and terms
-    above that are dropped.  A constant coefficient is demoted to a number.
+    step is a positive multiple g of the primitive base, so coeffs[j] moves
+    to index g*j of the list in z^base, which is cut at order / deg(base).
+    A constant coefficient is demoted to a number.
     """
-    base = _prim(next(iter(terms)))
+    base, g = _prim(step), math.gcd(*step)
     top = order // grading.degree(base)
-    coeffs = [1] + [0] * top
-    i = next(i for i, b in enumerate(base) if b)
-    for expo, poly in terms.items():
-        j = expo[i] // base[i]
-        if j < 1 or tuple(j * b for b in base) != expo:
-            raise ValueError("wall exponent %r is not a positive multiple of %r"
-                             % (expo, base))
-        if j <= top:
-            coeffs[j] = demote(poly)
-    return base, coeffs
-
-
-def _wall(kind, direction, terms, grading, order, proj):
-    """The wall of 1 + sum(terms) on a support, or None if that is 1 at this order."""
-    base, coeffs = _coeff_list(terms, grading, order)
-    if not any(coeffs[1:]):
+    out = [1] + [0] * top
+    for j in range(1, min(len(coeffs) - 1, top // g) + 1):
+        out[g * j] = demote(coeffs[j])
+    if not any(out[1:]):
         return None
     pb = _prim(tuple(base[i] for i in proj))
-    return Wall(kind, direction, _perp_normal(pb), base, coeffs)
+    return Wall(kind, direction, _perp_normal(pb), base, out)
 
 
 def _rays(wall):
@@ -209,7 +193,9 @@ class ScatteringDiagram:
 
     def function(self, wall):
         """A wall's function as a series in the diagram's grading and at its order."""
-        return TruncatedLaurent(self.grading, self.order, (0,) * self.dim, wall.terms())
+        return TruncatedLaurent.within(
+            self.grading, self.order, (0,) * self.dim,
+            {tuple(j * b for b in wall.base): c for j, c in enumerate(wall.coeffs)})
 
     def on_support(self, point):
         """Whether a rational plane point is on a wall ray (the origin is, if there is a wall)."""
@@ -254,12 +240,9 @@ def initial_diagram(fixed, seed, order):
         raise ValueError("p* is not injective on the unfrozen span; "
                          "use principal coefficients")
     grading = Grading([vs[i] for i in uf])
-    walls = []
-    for i in uf:
-        terms = {tuple(s * x for x in vs[i]): seed.a_tuples[i][s]
-                 for s in range(1, fixed.r[i] + 1)}
-        walls.append(_wall("line", _line_rep(pv[i]), terms, grading, order, proj))
-    return ScatteringDiagram(fixed, seed, order, grading, walls, proj)
+    walls = [_wall("line", _line_rep(pv[i]), vs[i], seed.a_tuples[i], grading, order, proj)
+             for i in uf]
+    return ScatteringDiagram(fixed, seed, order, grading, [w for w in walls if w], proj)
 
 
 def initial_diagram_prin(fixed, seed, order):
@@ -421,16 +404,17 @@ def complete_rank2(diag):
     is the lowest at every order.  Only a probe that finds none runs the loop
     at the diagram's order, which finds the next degree or proves the
     diagram consistent, so the returned diagram is checked at its order.
-    A ray's wall is rebuilt only after a pass that adds to its terms, so the
+    A ray's wall is rebuilt only after a pass that adds to its list, so the
     powers memoised on every other wall carry over to the next pass.
     """
-    rays = {}  # plane direction -> {exponent: coefficient}
-    walls = {}  # plane direction -> the wall of its current terms, None if they cancel
+    rays = {}  # plane direction -> (primitive step, [1, c_1, ...] in z^step)
+    walls = {}  # plane direction -> the wall of its current list, None if it is 1
     last_deg = -1
     while True:
-        for ray_dir, terms in rays.items():
+        for ray_dir, (step, coeffs) in rays.items():
             if ray_dir not in walls:
-                walls[ray_dir] = _wall("ray", ray_dir, terms, diag.grading, diag.order, diag.proj)
+                walls[ray_dir] = _wall("ray", ray_dir, step, coeffs, diag.grading, diag.order,
+                                       diag.proj)
         cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
                                 diag.walls + [walls[d] for d in rays if walls[d]], diag.proj)
         probe = min(max(math.floor(last_deg) + 1, 2), diag.order)
@@ -457,9 +441,13 @@ def complete_rank2(diag):
                     continue
                 den = eps_w * pairv  # the factor -1/den is an int when den is +-1
                 coeff = poly * (-den if den in (1, -1) else Fraction(-1, den))
-                bucket = rays.setdefault(ray_dir, {})
-                bucket[u] = bucket.get(u, 0) + coeff
-                walls.pop(ray_dir, None)  # rebuilt from its new terms next pass
+                # the ray's exponents lie in a rank-2 lattice that projects
+                # injectively, so u is gcd(u) times the ray's primitive step
+                _, coeffs = rays.setdefault(ray_dir, (_prim(u), [1]))
+                j = math.gcd(*u)
+                coeffs.extend([0] * (j + 1 - len(coeffs)))
+                coeffs[j] += coeff
+                walls.pop(ray_dir, None)  # rebuilt from its new list next pass
                 break
             else:
                 raise RuntimeError("defect %r cannot be cancelled by any wall" % (u,))
@@ -527,16 +515,14 @@ def apply_Tk(diag, k):
     for w in diag.walls:
         if w.kind == "line" and w.normal == tuple(1 if j == k else 0 for j in range(2)):
             # the k-wall: function replaced by the mutated exchange polynomial
-            terms = {tuple(-s * x for x in vk): diag.seed.a_tuples[k][s]
-                     for s in range(1, fixed.r[k] + 1)}
-            walls.append(_wall("line", w.direction, terms, grading2, diag.order, diag.proj))
+            walls.append(_wall("line", w.direction, tuple(-x for x in vk),
+                               diag.seed.a_tuples[k], grading2, diag.order, diag.proj))
             continue
         # T_k is injective on supports, so no two images share one
         for pdir in _rays(w):
             s = 1 if pdir[k] > 0 else 0  # H_{k,+}: map geometry and exponents
-            terms = {shear(e, s): p for e, p in w.terms().items() if any(e)}
-            walls.append(_wall("ray", _prim(shear(pdir, s)), terms, grading2, diag.order,
-                               diag.proj))
+            walls.append(_wall("ray", _prim(shear(pdir, s)), shear(w.base, s), w.coeffs,
+                               grading2, diag.order, diag.proj))
     return ScatteringDiagram(fixed, seed2, diag.order, grading2, [w for w in walls if w],
                              diag.proj)
 
@@ -585,7 +571,11 @@ def cone_contains(cone, m):
 
 
 def slice_to_X(prin_diag):
-    """Restrict lifted exponents (p*(n), n) to z^n; supports in N-coordinates."""
+    """Restrict lifted exponents (p*(n), n) to z^n; supports in N-coordinates.
+
+    Both gradings give (p*(n), n) and n the degree sum(n_i), so each wall
+    keeps its coefficient list.
+    """
     n = prin_diag.dim // 2
     uf = prin_diag.proj
     if len(uf) != n:
@@ -604,14 +594,12 @@ def slice_to_X(prin_diag):
     grading = Grading([tuple(1 if j == i else 0 for j in range(n)) for i in uf])
     walls = []
     for w in prin_diag.walls:
-        base, coeffs = _coeff_list({e[n:]: p for e, p in w.terms().items() if any(e)},
-                                   grading, prin_diag.order)
-        nx = normal_x(w.normal)
+        base, nx = w.base[n:], normal_x(w.normal)
         if w.kind == "line":
             direction = _line_rep(_perp_normal(nx))
         else:
             direction = tuple(-x for x in base)
-        walls.append(Wall(w.kind, direction, nx, base, coeffs))
+        walls.append(Wall(w.kind, direction, nx, base, w.coeffs))
     return ScatteringDiagram(prin_diag.fixed, prin_diag.seed, prin_diag.order,
                              grading, walls, tuple(range(2)))
 
@@ -624,8 +612,8 @@ def project_to_A(prin_diag):
     """
     n = prin_diag.dim // 2
     grading = Grading([tuple(g)[:n] for g in prin_diag.grading.generators])
-    walls = [_wall(w.kind, w.direction, {e[:n]: p for e, p in w.terms().items() if any(e)},
-                   grading, prin_diag.order, prin_diag.proj)
+    walls = [_wall(w.kind, w.direction, w.base[:n], w.coeffs, grading, prin_diag.order,
+                   prin_diag.proj)
              for w in prin_diag.walls]
     return ScatteringDiagram(prin_diag.fixed, prin_diag.seed, prin_diag.order,
                              grading, walls, prin_diag.proj)

@@ -508,6 +508,8 @@ def parse_seed_file(text):
             continue
         key, _, rest = line.partition(" ")
         fields[key] = rest.split()
+        if not fields[key]:
+            raise ValueError("field %s has no value" % key)
     try:
         n = int(fields["rank"][0])
         unfrozen = tuple(int(x) - 1 for x in fields["unfrozen"])

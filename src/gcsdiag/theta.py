@@ -72,11 +72,13 @@ class BrokenLine:
 
 
 def _order(diag, order):
-    """The truncation order of a query, by default the diagram's; never above it."""
+    """The truncation order of a query, by default the diagram's; in 0..diag.order."""
     if order is None:
         return diag.order
     if order > diag.order:
         raise ValueError("order %s exceeds the diagram's order %s" % (order, diag.order))
+    if order < 0:
+        raise ValueError("order must be >= 0, got %s" % (order,))
     return order
 
 

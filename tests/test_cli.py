@@ -422,6 +422,7 @@ def test_companions_output(runner):
 def test_missing_seed_file_exit_2(runner):
     res = runner.invoke(cli.main, ["complete", "no-such.seed", "--no-cache"])
     assert res.exit_code == 2
+    assert res.output == "Error: cannot read no-such.seed: No such file or directory\n"
 
 
 def test_malformed_seed_file_exit_2(runner, tmp_path):
@@ -433,6 +434,36 @@ def test_malformed_seed_file_exit_2(runner, tmp_path):
                        "a.3 1 1\n" % (unfrozen, a1))
         res = runner.invoke(cli.main, ["mutate", str(bad)])
         assert res.exit_code == 2, (unfrozen, a1)
+
+
+@pytest.mark.parametrize("field", ["rank", "unfrozen", "d", "r", "B", "a.1"])
+def test_seed_field_with_no_value_exit_2(runner, tmp_path, field):
+    with open(G31, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    seed = tmp_path / "empty.seed"
+    seed.write_text("\n".join(field if line.split()[0] == field else line for line in lines))
+    res = runner.invoke(cli.main, ["mutate", str(seed)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "field %s has no value" % field in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["complete", "--no-cache"],
+    ["mutate"],
+    ["theta", "--m0", "0,-1", "--q", "3/2,1", "--no-cache"],
+    ["check", "--order", "3"],
+    ["companions"],
+    ["plot"],
+], ids=lambda args: args[0])
+def test_input_that_is_not_utf8_exit_2(runner, tmp_path, args):
+    bad = tmp_path / "bad.seed"
+    with open(G31, "rb") as fh:
+        bad.write_bytes(fh.read().replace(b"a a", b"a \xff"))
+    res = runner.invoke(cli.main, args[:1] + [str(bad)] + args[1:])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: cannot read %s: 'utf-8' codec can't decode" % bad)
 
 
 SYMBOL_SEED = "rank 2\nunfrozen 1 2\nd 1 1\nr 2 1\nB 0 1 -1 0\na.1 1 %s 1\na.2 1 1\n"
@@ -474,7 +505,8 @@ def seed_texts(draw):
                               3: [[0, 1, 0, -1, 0, 1, 0, -1, 0],
                                   [0, 1, 1, -1, 0, 1, -1, -1, 0]]}[n]))
     d = ["1"] * n
-    fault = draw(st.sampled_from([None, None, None, "d", "B", "skew", "name", "tuple", "drop"]))
+    fault = draw(st.sampled_from([None, None, None, "d", "B", "skew", "name", "tuple", "drop",
+                                  "empty"]))
     if fault == "d":
         d[draw(st.integers(0, n - 1))] = draw(st.sampled_from(["0", "-1", "1/0", "a"]))
     elif fault == "B":
@@ -492,8 +524,10 @@ def seed_texts(draw):
         mid = [draw(st.sampled_from(names))] if r[i] % 2 == 0 else []
         extra = ["a"] if fault == "tuple" else []
         fields["a.%d" % (i + 1)] = " ".join(["1"] + half + mid + half[::-1] + extra + ["1"])
-    dropped = draw(st.sampled_from(sorted(fields))) if fault == "drop" else None
-    return "".join("%s %s\n" % kv for kv in fields.items() if kv[0] != dropped)
+    if fault in ("drop", "empty"):  # a field left out, or a key with no value
+        key = draw(st.sampled_from(sorted(fields)))
+        fields[key] = None if fault == "drop" else ""
+    return "".join(("%s %s" % kv).rstrip() + "\n" for kv in fields.items() if kv[1] is not None)
 
 
 @given(seed_texts())

@@ -30,7 +30,7 @@ from gcsdiag import (
     slice_to_X,
     wall_cross,
 )
-from gcsdiag.ring import CoeffPoly
+from gcsdiag.ring import CoeffPoly, Grading, demote
 from gcsdiag.scatter import (
     Wall,
     _ang_cmp,
@@ -41,14 +41,19 @@ from gcsdiag.scatter import (
     _crossing_sign,
     _dot,
     _events_after,
+    _line_rep,
     _lowest_defects,
     _perp_normal,
     _prim,
     _rays,
     _reorder,
+    _seed_grading,
+    _v_rows,
     _wall,
     tk_order_boost,
+    tk_shear,
 )
+from gcsdiag.seed import epsilon, principal_data
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
 
@@ -94,10 +99,28 @@ def test_initial_diagram_needs_injective_projection():
         initial_diagram(fixed, make_initial_seed(fixed), 4)
 
 
-def test_wall_function_exponents_validated(g31_diag8):
-    terms = {(0, 1): CoeffPoly.one(), (-1, 1): CoeffPoly.one()}
-    with pytest.raises(ValueError, match="not a positive multiple"):
-        _wall("ray", (1, -1), terms, g31_diag8.grading, 8, g31_diag8.proj)
+def test_wall_step_is_validated(g31_diag8):
+    grading, proj = g31_diag8.grading, g31_diag8.proj
+    with pytest.raises(ValueError, match="zero vector"):
+        _wall("ray", (1, -1), (0, 0), [1, 1], grading, 8, proj)
+    # the monoid of g31's grading is the cone of (0, 1) and (-1, 0)
+    with pytest.raises(ValueError, match="outside the grading monoid"):
+        _wall("ray", (1, -1), (1, -1), [1, 1], grading, 8, proj)
+
+
+def test_wall_moves_coefficients_of_a_multiple_step(kronecker):
+    # kronecker22's grading gives (0, 2) degree 1, so (0, 1) has degree 1/2
+    grading, proj = initial_diagram(*kronecker, 2).grading, (0, 1)
+    w = _wall("ray", (0, -1), (0, 2), [1, 3, 5, 7], grading, 2, proj)
+    assert (w.base, w.normal, w.coeffs) == ((0, 1), (1, 0), [1, 0, 3, 0, 5])
+    assert _wall("ray", (0, -1), (0, 2), [1, 0, 3], grading, 1, proj) is None
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_initial_diagram_below_order_1_has_no_walls(g31, order):
+    for build in (initial_diagram, initial_diagram_prin):
+        diag = build(*g31, order)
+        assert (diag.walls, diag.directions, diag.order) == ([], [], order)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +508,7 @@ def _right_companion_and_printed_variant(g31):
     f2, s2 = right_companion(fixed, seed)
     rc = complete_rank2(initial_diagram(f2, s2, 8))
     walls = [w for w in rc.walls if w.direction != (1, -1)]
-    walls.append(_wall("ray", (3, -2), {(-3, 2): CoeffPoly.one()}, rc.grading, 8, rc.proj))
+    walls.append(_wall("ray", (3, -2), (-3, 2), [1, 1], rc.grading, 8, rc.proj))
     return rc, ScatteringDiagram(rc.fixed, rc.seed, 8, rc.grading, walls, rc.proj)
 
 
@@ -556,12 +579,14 @@ def test_lowest_defect_does_not_depend_on_the_base_chamber(request, name):
 
 
 def _one_pass_completion(diag):
-    """The reference completion: every pass runs the loop at the diagram's order."""
+    """The reference completion: every pass runs the loop at the diagram's order,
+    and each ray's wall is built from a term map."""
     rays, walls, last_deg = {}, {}, -1
     while True:
         for ray_dir, terms in rays.items():
             if ray_dir not in walls:
-                walls[ray_dir] = _wall("ray", ray_dir, terms, diag.grading, diag.order, diag.proj)
+                walls[ray_dir] = _term_map_wall("ray", ray_dir, terms, diag.grading, diag.order,
+                                                diag.proj)
         cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
                                 diag.walls + [walls[d] for d in rays if walls[d]], diag.proj)
         dmin, defects = _lowest_defects(cur)
@@ -650,6 +675,151 @@ def test_completion_matches_one_pass_reference_on_a_seed_zoo():
         build = initial_diagram if variant == "A" else initial_diagram_prin
         assert (_wall_list(complete_rank2(build(fixed, seed, order)))
                 == _wall_list(_one_pass_completion(build(fixed, seed, order)))), (text, order)
+
+
+# ---------------------------------------------------------------------------
+# the term-map wall builders that the coefficient-list builder replaced
+
+
+def _term_map_coeff_list(terms, grading, order):
+    """(base, coeffs) of the unit 1 + sum(terms) as a series in z^base."""
+    base = _prim(next(iter(terms)))
+    top = order // grading.degree(base)
+    coeffs = [1] + [0] * top
+    i = next(i for i, b in enumerate(base) if b)
+    for expo, poly in terms.items():
+        j = expo[i] // base[i]
+        if j < 1 or tuple(j * b for b in base) != expo:
+            raise ValueError("wall exponent %r is not a positive multiple of %r"
+                             % (expo, base))
+        if j <= top:
+            coeffs[j] = demote(poly)
+    return base, coeffs
+
+
+def _term_map_wall(kind, direction, terms, grading, order, proj):
+    base, coeffs = _term_map_coeff_list(terms, grading, order)
+    if not any(coeffs[1:]):
+        return None
+    pb = _prim(tuple(base[i] for i in proj))
+    return Wall(kind, direction, _perp_normal(pb), base, coeffs)
+
+
+def _terms(w):
+    """A wall's function as a term map {j * base: coeffs[j]}."""
+    return {tuple(j * b for b in w.base): c for j, c in enumerate(w.coeffs) if c}
+
+
+def _term_map_initial(fixed, seed, order):
+    vs, uf = _v_rows(fixed, seed), tuple(sorted(fixed.unfrozen))
+    grading = Grading([vs[i] for i in uf])
+    walls = []
+    for i in uf:
+        terms = {tuple(s * x for x in vs[i]): seed.a_tuples[i][s]
+                 for s in range(1, fixed.r[i] + 1)}
+        pv = tuple(vs[i][j] for j in uf)
+        walls.append(_term_map_wall("line", _line_rep(pv), terms, grading, order, uf))
+    return ScatteringDiagram(fixed, seed, order, grading, walls, uf)
+
+
+def _term_map_apply_Tk(diag, k):
+    fixed = diag.fixed
+    seed2 = mutate_seed(fixed, diag.seed, k)
+    shear = tk_shear(fixed, diag.seed, k)
+    vk = _v_rows(fixed, diag.seed)[k]
+    grading2 = _seed_grading(fixed, seed2)
+    walls = []
+    for w in diag.walls:
+        if w.kind == "line" and w.normal == tuple(1 if j == k else 0 for j in range(2)):
+            terms = {tuple(-s * x for x in vk): diag.seed.a_tuples[k][s]
+                     for s in range(1, fixed.r[k] + 1)}
+            walls.append(_term_map_wall("line", w.direction, terms, grading2, diag.order,
+                                        diag.proj))
+            continue
+        for pdir in _rays(w):
+            s = 1 if pdir[k] > 0 else 0
+            terms = {shear(e, s): p for e, p in _terms(w).items() if any(e)}
+            walls.append(_term_map_wall("ray", _prim(shear(pdir, s)), terms, grading2,
+                                        diag.order, diag.proj))
+    return ScatteringDiagram(fixed, seed2, diag.order, grading2, [w for w in walls if w],
+                             diag.proj)
+
+
+def _term_map_slice_to_X(prin_diag):
+    n, uf = prin_diag.dim // 2, prin_diag.proj
+    eps = epsilon(prin_diag.fixed, prin_diag.seed)
+
+    def normal_x(normal):
+        full = [0] * n
+        for idx, i in enumerate(uf):
+            full[i] = normal[idx]
+        return tuple(sum(eps[i][j] * full[j] for j in range(n)) for i in range(n))
+
+    grading = Grading([tuple(1 if j == i else 0 for j in range(n)) for i in uf])
+    walls = []
+    for w in prin_diag.walls:
+        base, coeffs = _term_map_coeff_list({e[n:]: p for e, p in _terms(w).items() if any(e)},
+                                            grading, prin_diag.order)
+        nx = normal_x(w.normal)
+        direction = _line_rep(_perp_normal(nx)) if w.kind == "line" else tuple(-x for x in base)
+        walls.append(Wall(w.kind, direction, nx, base, coeffs))
+    return ScatteringDiagram(prin_diag.fixed, prin_diag.seed, prin_diag.order,
+                             grading, walls, tuple(range(2)))
+
+
+def _term_map_project_to_A(prin_diag):
+    n = prin_diag.dim // 2
+    grading = Grading([tuple(g)[:n] for g in prin_diag.grading.generators])
+    walls = [_term_map_wall(w.kind, w.direction,
+                            {e[:n]: p for e, p in _terms(w).items() if any(e)},
+                            grading, prin_diag.order, prin_diag.proj)
+             for w in prin_diag.walls]
+    return ScatteringDiagram(prin_diag.fixed, prin_diag.seed, prin_diag.order,
+                             grading, walls, prin_diag.proj)
+
+
+def _term_map_reorder(diag, order):
+    walls = (_term_map_wall(w.kind, w.direction, {e: p for e, p in _terms(w).items() if any(e)},
+                            diag.grading, order, diag.proj)
+             for w in diag.walls)
+    return ScatteringDiagram(diag.fixed, diag.seed, order, diag.grading,
+                             [w for w in walls if w], diag.proj)
+
+
+def _builder_pairs(fixed, seed, order):
+    """(name, engine diagram, term-map diagram) for every wall builder but completion's.
+
+    The completion tests above hold complete_rank2 to the term-map reference."""
+    yield "initial", initial_diagram(fixed, seed, order), _term_map_initial(fixed, seed, order)
+    yield "initial Aprin", initial_diagram_prin(fixed, seed, order), _term_map_initial(
+        *principal_data(fixed, seed), order)
+    done_prin = complete_rank2(initial_diagram_prin(fixed, seed, order))
+    yield "project_to_A", project_to_A(done_prin), _term_map_project_to_A(done_prin)
+    if len(fixed.unfrozen) == fixed.n:  # the X slice needs a seed without frozen directions
+        yield "slice_to_X", slice_to_X(done_prin), _term_map_slice_to_X(done_prin)
+    if fixed.n == 2:  # T_k needs plane exponents
+        done = complete_rank2(initial_diagram(fixed, seed, order))
+        for k in fixed.unfrozen:
+            yield "apply_Tk %d" % k, apply_Tk(done, k), _term_map_apply_Tk(done, k)
+        yield "_reorder", _reorder(done, order - 1), _term_map_reorder(done, order - 1)
+
+
+def _function_by_term_map(diag, w):
+    return TruncatedLaurent(diag.grading, diag.order, (0,) * diag.dim, _terms(w))
+
+
+def test_list_builders_equal_the_term_map_reference(request):
+    seeds = [(request.getfixturevalue(name), 6) for name in ("a2", "g31", "kronecker")]
+    seeds += [(parse_seed_file(text), 5) for text in EXTRA_SEEDS.values()]
+    seeds += [(parse_seed_file(text), order) for text, order, _ in _zoo(60, random.Random(13))]
+    count = 0
+    for (fixed, seed), order in seeds:
+        for name, engine, reference in _builder_pairs(fixed, seed, order):
+            assert _wall_list(engine) == _wall_list(reference), (name, fixed, order)
+            for w in engine.walls:  # the function read off the list, as the term map gave it
+                assert engine.function(w) == _function_by_term_map(engine, w), (name, w)
+            count += 1
+    assert count == 7 * (3 + 3 + 60) + 3  # the frozen seed has no X slice and no T_k
 
 
 @pytest.mark.parametrize("name", ["g31", "kronecker"])
@@ -750,7 +920,7 @@ def _equivalent_per_chamber(d1, d2):
 
 
 def _with_ray(diag, direction, expo):
-    ray = _wall("ray", direction, {expo: CoeffPoly.one()}, diag.grading, diag.order, diag.proj)
+    ray = _wall("ray", direction, expo, [1, 1], diag.grading, diag.order, diag.proj)
     return ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
                              diag.walls + [ray], diag.proj)
 

@@ -645,6 +645,19 @@ def test_theta_above_the_diagram_order_is_rejected(g31):
     assert theta_via_path(d6, Q, (2, -3), 4).terms == theta(d4, Q, (2, -3)).value.terms
 
 
+def test_theta_below_order_0_is_rejected(g31):
+    # a negative order would answer z^m0 as a series of negative order
+    d = complete_rank2(initial_diagram(*g31, 6))
+    for call in (lambda: theta(d, FIG2_Q, (0, -1), order=-5),
+                 lambda: enumerate_broken_lines(d, (0, -1), FIG2_Q, -5),
+                 lambda: structure_constant(d, (0, -1), (1, 0), (1, -1), FIG2_Q, -5),
+                 lambda: theta_via_path(d, FIG2_Q, (0, -1), -1)):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            call()
+    # at order 0 only the initial monomial is left
+    assert canonical_string(theta(d, FIG2_Q, (0, -1), order=0).value) == "z^(0,-1)"
+
+
 @pytest.mark.parametrize("m0,Q", [
     ((Fraction(3, 2), 1), FIG2_Q),
     ((1.9, 1), FIG2_Q),
