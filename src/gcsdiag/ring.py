@@ -16,40 +16,6 @@ from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
-# exchange symbols
-
-
-class ExchangeSymbol:
-    """A formal exchange coefficient a_{i,j} for direction i, step j.
-
-    Canonicalized under reciprocity: (i, j) and (i, r_i - j) denote the same
-    generator, the stored step is min(j, r_i - j).
-    """
-
-    __slots__ = ("direction_index", "step", "name")
-
-    def __init__(self, direction_index, step, r, name=None):
-        if not 1 <= step <= r - 1:
-            raise ValueError("step must satisfy 1 <= j <= r-1")
-        step = min(step, r - step)
-        self.direction_index = direction_index
-        self.step = step
-        # default display name is 1-based, matching the written convention
-        self.name = name if name is not None else "a_{%d,%d}" % (direction_index + 1, step)
-
-    def __eq__(self, other):
-        return isinstance(other, ExchangeSymbol) and (
-            (self.direction_index, self.step, self.name)
-            == (other.direction_index, other.step, other.name))
-
-    def __hash__(self):
-        return hash((self.direction_index, self.step, self.name))
-
-    def __repr__(self):
-        return "ExchangeSymbol(%r, %r, name=%r)" % (self.direction_index, self.step, self.name)
-
-
-# ---------------------------------------------------------------------------
 # coefficient polynomials
 
 # A monomial key is a tuple of (symbol_name, exponent) pairs sorted by name.

@@ -162,7 +162,7 @@ class ScatteringDiagram:
     It owns the geometry: walls stably sorted by angle, the (direction, wall,
     sign) crossing events of a ccw loop, which answer every crossing question,
     and the distinct primitive directions.  Its walls never change, so theta
-    memoises broken lines and values on it.
+    memoises its values per chamber on it.
     """
 
     def __init__(self, fixed, seed, order, grading, walls, proj):
@@ -179,9 +179,8 @@ class ScatteringDiagram:
         self._event_rays = [p for p, _, _ in self.events]
         self.directions = sorted({_prim(p) for p, _, _ in self.events}, key=_by_angle)
         self._direction_set = frozenset(self.directions)
-        # theta's broken lines up to scaling per (m0, order) and values per
-        # (m0, order, chamber); a derived diagram has other walls and starts empty
-        self._chains = {}
+        # theta's values per (m0, order, chamber); a derived diagram has
+        # other walls and starts empty
         self._thetas = {}
 
     def project(self, expo):

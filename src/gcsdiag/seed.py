@@ -10,9 +10,10 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+import re
 from fractions import Fraction
 
-from .ring import SYMBOL_NAME_RE, CoeffPoly, ExchangeSymbol
+from .ring import SYMBOL_NAME_RE, CoeffPoly
 
 
 def _pos(x):
@@ -117,8 +118,8 @@ def make_initial_seed(fixed, a_names=None):
         for j in range(1, r):
             if a_names and i in a_names:
                 name = a_names[i][j - 1]
-            else:
-                name = ExchangeSymbol(i, j, r).name
+            else:  # a_{i,j} = a_{i,r-j}: reciprocity names the pair once
+                name = "a_{%d,%d}" % (i + 1, min(j, r - j))
             entries.append(CoeffPoly.one() if name == "1" else CoeffPoly.symbol(name))
         entries.append(CoeffPoly.one())
         a_tuples[i] = tuple(entries)
@@ -498,6 +499,10 @@ def langlands_dual(fixed, seed):
 # B is row-major; rationals are printed as p/q; a-lines list the full
 # coefficient tuple per unfrozen direction, entries are symbol names or 1.
 # A symbol may not be named x<digits>, the name of a cluster variable.
+# Each key appears once, an a.i has 1 <= i <= rank, and no other key exists.
+
+
+_A_KEY_RE = re.compile(r"a\.[1-9][0-9]*")
 
 
 def parse_seed_file(text):
@@ -507,11 +512,20 @@ def parse_seed_file(text):
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
+        if key in fields:
+            raise ValueError("field %s is repeated" % key)
+        if key not in ("rank", "unfrozen", "d", "r", "B") and not _A_KEY_RE.fullmatch(key):
+            raise ValueError("unknown field %s" % key)
         fields[key] = rest.split()
         if not fields[key]:
             raise ValueError("field %s has no value" % key)
     try:
+        if len(fields["rank"]) != 1:
+            raise ValueError("field rank takes one value")
         n = int(fields["rank"][0])
+        for key in fields:
+            if key.startswith("a.") and int(key[2:]) > n:
+                raise ValueError("field %s names a direction outside 1..%d" % (key, n))
         unfrozen = tuple(int(x) - 1 for x in fields["unfrozen"])
         d = tuple(Fraction(x) for x in fields["d"])
         r = tuple(int(x) for x in fields["r"])

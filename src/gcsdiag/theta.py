@@ -1,13 +1,13 @@
 """Broken lines, theta functions, g-vectors, sign coherence, structure constants.
 
-Walls are cones from the origin, so a broken line scaled by lam > 0 is one
-too.  Enumeration runs forward from m0 once per (diagram, m0, order) without
-points: a search state is the direction d of its last bend ray and its final
-exponent m, its next bend is on a wall that {lam*d - t*m : lam, t > 0}
-crosses, and it reaches exactly the Q in that cone, so the search and the
-cone test are signs of integer cross products.  Bends raise the degree over
-m0, which the order bounds.  A kept state gets its points walking back from Q.
-A theta value is constant on a chamber (GHKK), so it is stored once per chamber.
+Walls are cones from the origin, so a broken line scaled by lam > 0 is one too.
+The search runs forward from m0 without points: a search state is the direction d
+of its last bend ray and its final exponent m, its next bend is on a wall that
+{lam*d - t*m : lam, t > 0} crosses, and it reaches exactly the Q in that cone, so
+the search and the cone test are signs of integer cross products.  Bends raise the
+degree over m0, which the order bounds.  A theta value is constant on a chamber
+(GHKK): one search per (diagram, m0, order) fills every chamber's entry and keeps
+no state.  A witness line's state gets its points walking back from Q.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .scatter import (
     _point,
     _prim,
     _rays,
+    _rot90,
     chambers,
     cone_contains,
     complete_rank2,
@@ -134,23 +135,20 @@ def _bend_factor(wall, m_prev, j):
 
 
 def _chains(diag, m0, order):
-    """The search states for m0 up to order, memoised on the diagram.
-
-    A state (parent, wall, d, j, coeff, m) bends j steps on the wall ray d
-    (None at the root) after parent, with final monomial coeff*z^m; states
-    are in report order (BrokenLine.sort_key, then the walls met walking
-    back).
-    """
-    memo = diag._chains.get((m0, order))
-    if memo is not None:
-        return memo
-    found, g = [], diag.grading
+    """The search states for m0 up to order, depth first; a generator that keeps none.  It
+    yields each state (parent, wall, d, j, coeff, m), which bends j steps on the wall ray d
+    (None at the root) after parent, with final monomial coeff*z^m, together with the wall
+    rays (wall, s) that its last segment crosses, in order (all of them at the root)."""
+    g = diag.grading
     top = order * g.den  # the degree budget is in ints, as den * degree
     steps = {w: g.scaled_degree(w.base) for w in diag.walls}
-
-    def visit(state, crossings, degree):
-        found.append(state)
-        m = state[5]
+    # the segment from infinity may bend anywhere on a wall (a parallel one has factor 0)
+    root = [(w, s) for w in diag.walls for s in _rays(w)]  # s as stored: _crossed looks it up
+    stack = [((None, None, None, 0, 1, m0), root, 0)]
+    while stack:
+        state, crossings, degree = stack.pop()
+        yield state, crossings
+        m, children = state[5], []
         for wall, d in crossings:
             step = steps[wall]
             for j in range(1, (top - degree) // step + 1):
@@ -159,31 +157,55 @@ def _chains(diag, m0, order):
                     m2 = _vadd(m, tuple(j * x for x in wall.base))
                     mdir = (-m2[0], -m2[1])
                     nxt = [] if _segment_hits_origin(d, mdir) else _crossed(diag, d, mdir)
-                    visit((state, wall, d, j, state[4] * factor, m2), nxt, degree + j * step)
-
-    # the segment from infinity may bend anywhere on a wall (a parallel one has factor 0)
-    root = [(w, s) for w in diag.walls for s in _rays(w)]  # s as stored: _crossed looks it up
-    visit((None, None, None, 0, 1, m0), root, 0)
-    index = {id(w): i for i, w in enumerate(diag.walls)}
-
-    def key(state):
-        m, bends = state[5], []
-        while state[0] is not None:
-            bends.append(state)
-            state = state[0]
-        return (len(bends), [b[1].direction for b in reversed(bends)],
-                [b[3] for b in reversed(bends)], m, [index[id(b[1])] for b in bends])
-
-    found.sort(key=key)
-    diag._chains[(m0, order)] = found
-    return found
+                    children.append(((state, wall, d, j, state[4] * factor, m2), nxt,
+                                     degree + j * step))
+        stack.extend(reversed(children))  # the first child is searched next
 
 
-def _kept(diag, m0, qi, order):
-    """The states whose cone {lam*d - t*m : lam, t > 0} holds the ray qi, in report order."""
-    # qi = (cross(qi, m)*d - cross(qi, d)*m) / cross(d, m): both scales must be > 0
-    return [s for s in _chains(diag, m0, order) if s[2] is None or (
-        _cross(qi, s[5]) * _cross(s[2], s[5]) > 0 and _cross(qi, s[2]) * _cross(s[2], s[5]) > 0)]
+def _in_cone(q, d, m):
+    """Is the ray q in the cone {lam*d - t*m : lam, t > 0} of a state bent on d, exponent m?"""
+    c = _cross(d, m)  # q = (cross(q, m)*d - cross(q, d)*m) / c: both scales must be > 0
+    return _cross(q, m) * c > 0 and _cross(q, d) * c > 0
+
+
+def _chamber_point(diag, m0, order, k):
+    """A ray inside chamber k, generic for m0.  The chamber lies between directions a = k-1
+    and b = k (b is a quarter turn past a if that arc is pi or more), and its ray is the
+    first of a + b, 4a + 5b, 20a + 21b, ... that _through_origin misses: finitely many
+    directions hit, and these outgrow them in degree."""
+    a, b = diag.directions[k - 1], diag.directions[k]
+    b, i, j = b if _cross(a, b) > 0 else _rot90(a), 1, 1
+    while True:
+        p = _prim((i * a[0] + j * b[0], i * a[1] + j * b[1]))
+        if _through_origin(diag, m0, p, order) is None:
+            return p
+        i, j = 4 * j, 4 * j + 1
+
+
+def _fill(diag, m0, order):
+    """Store theta_{m0} at order in every chamber of diag, from one search.  A state bent on
+    the ray d reaches the chambers whose ray is in its cone: from d towards -m (ccw if
+    cross(d, m) < 0), those up to the last ray its segment crosses, and the next one if its
+    ray is in the cone; only such a last chamber needs its ray, found once per chamber."""
+    n, where = max(len(diag.directions), 1), {d: i for i, d in enumerate(diag.directions)}
+    at = {p: where[_prim(p)] for p in diag._event_rays}
+    tables, points = [{m0: 1} for _ in range(n)], {}  # the root reaches every chamber
+    states = _chains(diag, m0, order)
+    next(states)
+    for (_, _, d, _, coeff, m), crossed in states:
+        c = _cross(d, m)
+        if not c:  # the cone is empty
+            continue
+        i, step = at[d], 1 if c < 0 else -1
+        full = step * (at[crossed[-1][1]] - i) % n if crossed else 0
+        first = i + (step > 0)  # the chamber next to d
+        last = (first + step * full) % n
+        if last not in points:
+            points[last] = _chamber_point(diag, m0, order, last)
+        for k in range(first, first + step * (full + _in_cone(points[last], d, m)), step):
+            terms = tables[k % n]
+            terms[m] = terms[m] + coeff if m in terms else coeff
+    diag._thetas.update(((m0, order, k), terms) for k, terms in enumerate(tables))
 
 
 def _line(state, k, e, end):
@@ -215,11 +237,11 @@ def _endpoint(diag, m0, Q, order):
 
 
 def enumerate_broken_lines(diag, m0, Q, order=None):
-    """All broken lines with initial exponent m0 and endpoint Q.
+    """All broken lines with initial exponent m0 and endpoint Q, from a search of their own.
 
-    Q must be generic: off the support, and off every line through the
-    origin that a final segment could run along; else ValueError.
-    """
+    Q must be generic: off the support, and off every line through the origin that a final
+    segment could run along; else ValueError.  The states whose cone holds Q are sorted by
+    BrokenLine.sort_key, then the walls met walking back (ties keep search order)."""
     if diag.dim != 2:
         raise ValueError("broken lines need plane exponents")
     order = _order(diag, order)
@@ -228,7 +250,18 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
         raise ValueError("initial exponent must be nonzero")
     Q = _point(Q)
     qs, qi = _endpoint(diag, m0, Q, order)
-    return [_line(state, qs, qi, Q) for state in _kept(diag, m0, qi, order)]
+    index = {id(w): i for i, w in enumerate(diag.walls)}
+
+    def key(state):
+        m, bends = state[5], []
+        while state[0] is not None:
+            bends.append(state)
+            state = state[0]
+        return (len(bends), [b[1].direction for b in reversed(bends)],
+                [b[3] for b in reversed(bends)], m, [index[id(b[1])] for b in bends])
+
+    kept = [s for s, _ in _chains(diag, m0, order) if s[2] is None or _in_cone(qi, s[2], s[5])]
+    return [_line(state, qs, qi, Q) for state in sorted(kept, key=key)]
 
 
 def validate_broken_line(diag, line, m0, Q):
@@ -281,10 +314,7 @@ def _value_terms(diag, m0, Q, order):
     i = bisect_right(diag.directions, _by_angle(qi), key=_by_angle)
     key = (m0, order, i if i < len(diag.directions) else 0)  # the last chamber wraps to the first
     if key not in diag._thetas:
-        terms = {}
-        for state in _kept(diag, m0, qi, order):
-            terms[state[5]] = terms[state[5]] + state[4] if state[5] in terms else state[4]
-        diag._thetas[key] = terms
+        _fill(diag, m0, order)
     return diag._thetas[key]
 
 

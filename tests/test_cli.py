@@ -11,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gcsdiag.cli as cli
-from gcsdiag import canonical_string, complete_rank2, initial_diagram, theta_via_path
+from gcsdiag import (
+    canonical_string,
+    complete_rank2,
+    initial_diagram,
+    parse_seed_file,
+    theta_via_path,
+)
 
 SEED_DIR = os.path.join(os.path.dirname(__file__), "..", "seeds")
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -427,13 +433,13 @@ def test_missing_seed_file_exit_2(runner):
 
 def test_malformed_seed_file_exit_2(runner, tmp_path):
     bad = tmp_path / "bad.seed"
-    cases = [("1 2", a1) for a1 in ("1 a 1", "1 2 2 1", "1 1/2 1/2 1")]
-    cases += [(unfrozen, "1 a a 1") for unfrozen in ("1 3", "1 1")]
-    for unfrozen, a1 in cases:
+    cases = [("1 2", a1, "a.1 ") for a1 in ("1 a 1", "1 2 2 1", "1 1/2 1/2 1")]
+    cases += [(unfrozen, "1 a a 1", "unfrozen") for unfrozen in ("1 3", "1 1")]
+    for unfrozen, a1, message in cases:
         bad.write_text("rank 2\nunfrozen %s\nd 1 1\nr 3 1\nB 0 1 -1 0\na.1 %s\na.2 1 1\n"
-                       "a.3 1 1\n" % (unfrozen, a1))
+                       % (unfrozen, a1))
         res = runner.invoke(cli.main, ["mutate", str(bad)])
-        assert res.exit_code == 2, (unfrozen, a1)
+        assert res.exit_code == 2 and message in res.output, (unfrozen, a1, res.output)
 
 
 @pytest.mark.parametrize("field", ["rank", "unfrozen", "d", "r", "B", "a.1"])
@@ -446,6 +452,29 @@ def test_seed_field_with_no_value_exit_2(runner, tmp_path, field):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert "field %s has no value" % field in res.output
+
+
+STRICT_SEED_FAULTS = [
+    ("rank 2\n", "rank 2 7\n", "field rank takes one value"),
+    ("a.1 1 a a 1\n", "a.1 1 a a 1\na.1 1 b b 1\n", "field a.1 is repeated"),
+    ("a.2 1 1\n", "a.2 1 1\nfoo 3\n", "unknown field foo"),
+    ("a.2 1 1\n", "a.2 1 1\na.3 1 1\n", "field a.3 names a direction outside 1..2"),
+]
+
+
+@pytest.mark.parametrize("line,bad,message", STRICT_SEED_FAULTS,
+                         ids=["rank-extra", "repeated", "unknown", "a-index"])
+def test_seed_file_fault_exit_2(runner, tmp_path, line, bad, message):
+    with open(G31, encoding="utf-8") as fh:
+        text = fh.read()
+    assert line in text
+    with pytest.raises(ValueError, match=message):
+        parse_seed_file(text.replace(line, bad))
+    seed = tmp_path / "bad.seed"
+    seed.write_text(text.replace(line, bad))
+    res = runner.invoke(cli.main, ["mutate", str(seed)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit) and message in res.output
 
 
 @pytest.mark.parametrize("args", [
@@ -506,7 +535,7 @@ def seed_texts(draw):
                                   [0, 1, 1, -1, 0, 1, -1, -1, 0]]}[n]))
     d = ["1"] * n
     fault = draw(st.sampled_from([None, None, None, "d", "B", "skew", "name", "tuple", "drop",
-                                  "empty"]))
+                                  "empty", "rank", "repeat", "unknown", "index"]))
     if fault == "d":
         d[draw(st.integers(0, n - 1))] = draw(st.sampled_from(["0", "-1", "1/0", "a"]))
     elif fault == "B":
@@ -527,7 +556,16 @@ def seed_texts(draw):
     if fault in ("drop", "empty"):  # a field left out, or a key with no value
         key = draw(st.sampled_from(sorted(fields)))
         fields[key] = None if fault == "drop" else ""
-    return "".join(("%s %s" % kv).rstrip() + "\n" for kv in fields.items() if kv[1] is not None)
+    elif fault == "rank":
+        fields["rank"] += " %d" % draw(st.integers(0, 9))
+    text = "".join(("%s %s" % kv).rstrip() + "\n" for kv in fields.items() if kv[1] is not None)
+    if fault == "repeat":  # a field given twice
+        key = draw(st.sampled_from(sorted(fields)))
+        text += "%s %s\n" % (key, fields[key])
+    elif fault in ("unknown", "index"):  # a key the format does not have
+        key = "foo" if fault == "unknown" else "a.%d" % (n + 1)
+        text += "%s 1 1\n" % key
+    return text
 
 
 @given(seed_texts())

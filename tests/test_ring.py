@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gcsdiag.ring import (
     CoeffPoly,
-    ExchangeSymbol,
     Grading,
     TruncatedLaurent,
     canonical_string,
@@ -26,17 +25,6 @@ def unit(terms, order=6):
     return TruncatedLaurent.unit_from_terms(
         GR, order, {e: CoeffPoly.symbol(c) if isinstance(c, str) else CoeffPoly.rational(c)
                     for e, c in terms.items()})
-
-
-# ---------------------------------------------------------------------------
-# exchange symbols
-
-
-def test_symbol_reciprocity_canonicalization():
-    assert ExchangeSymbol(0, 1, 3).step == ExchangeSymbol(0, 2, 3).step == 1
-    assert ExchangeSymbol(0, 1, 3).name == "a_{1,1}"
-    with pytest.raises(ValueError):
-        ExchangeSymbol(0, 0, 3)
 
 
 # ---------------------------------------------------------------------------

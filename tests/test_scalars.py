@@ -69,7 +69,7 @@ def test_numeric_seed_theta_values_and_structure_constants_are_numbers(request):
             for rep in _chamber_reps(diag.directions):
                 Q = generic_near(diag, rep, m0)
                 assert all(_is_number(c) for c in theta(diag, Q, m0).value.terms.values())
-            assert all(_is_number(s[4]) for s in _chains(diag, m0, order))
+            assert all(_is_number(s[4]) for s, _ in _chains(diag, m0, order))
         for terms in diag._thetas.values():
             assert all(_is_number(c) for c in terms.values())
             tables += 1

@@ -1,6 +1,7 @@
 import copy
 import importlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,10 @@ from gcsdiag import (
     validate_broken_line,
 )
 from gcsdiag.scatter import (
+    _chamber_reps,
     _cross,
+    _crossed,
+    _point,
     _prim,
     _rays,
     _reorder,
@@ -51,6 +55,7 @@ from gcsdiag.theta import (
     _bend_factor,
     _chains,
     _direction_of,
+    _endpoint,
     _monoid_points,
     _segment_hits_origin,
     _through_origin,
@@ -208,7 +213,7 @@ def test_forward_enumeration_equals_backward_search(request, name, order):
     assert cases > 80 and non_generic > 5
 
 
-def test_chain_memo_serves_each_order_as_a_fresh_diagram(g31):
+def test_value_table_serves_each_order_as_a_fresh_diagram(g31):
     fixed, seed = g31
     d12 = complete_rank2(initial_diagram(fixed, seed, 12))
     # at this endpoint each of these thetas has more broken lines at 12 than at 7
@@ -222,22 +227,20 @@ def test_chain_memo_serves_each_order_as_a_fresh_diagram(g31):
             assert got == theta_report(fresh, theta(fresh, Q, m0))
             reports.setdefault(m0, set()).add(got)
     assert all(len(r) == 2 for r in reports.values())
-    assert sorted(d12._chains) == [(m0, order) for m0 in m0s for order in (7, 12)]
-    # one value per (m0, order) in Q's chamber, whatever the order
-    (c,) = {key[2] for key in d12._thetas}
-    assert sorted(d12._thetas) == [(m0, order, c) for m0 in m0s for order in (7, 12)]
+    # the first query of each (m0, order) filled one entry per chamber, whatever the order
+    assert sorted(d12._thetas) == [(m0, order, c) for m0 in m0s for order in (7, 12)
+                                   for c in range(len(d12.directions))]
 
 
-def test_derived_diagrams_start_with_an_empty_chain_memo(g31, g31_diag8):
-    # and with an empty value table
+def test_derived_diagrams_start_with_an_empty_value_table(g31, g31_diag8):
     theta(g31_diag8, FIG2_Q, (0, -1))
-    assert g31_diag8._chains and g31_diag8._thetas
+    assert g31_diag8._thetas
     prin = complete_rank2(initial_diagram_prin(*g31, 5))
-    # theta needs plane exponents, so a marker stands in for prin's warm memos
-    prin._chains[0] = prin._thetas[0] = "warm"
+    # theta needs plane exponents, so a marker stands in for prin's warm table
+    prin._thetas[0] = "warm"
     for derived in (_reorder(g31_diag8, 5), apply_Tk(g31_diag8, 0), apply_Tk(g31_diag8, 1),
                     complete_rank2(g31_diag8), slice_to_X(prin), project_to_A(prin)):
-        assert (derived._chains, derived._thetas) == ({}, {})
+        assert derived._thetas == {}
 
 
 def test_deep_copy_of_a_warm_diagram_answers_identically(g31):
@@ -259,6 +262,51 @@ def test_deep_copy_of_a_warm_diagram_answers_identically(g31):
     for p1, p2, q in (((0, -1), (-1, 0), (-1, -1)), ((1, 0), (0, 1), (1, 1))):
         z = generic_near(diag, q)
         assert structure_constant(twin, p1, p2, q, z) == structure_constant(diag, p1, p2, q, z)
+
+
+def _sorted_states(diag, m0, order):
+    """Reference: every search state for m0 up to order, from a recursive search that
+    keeps them all, sorted into report order (BrokenLine.sort_key, then the walls met
+    walking back)."""
+    found, g = [], diag.grading
+    top = order * g.den
+    steps = {w: g.scaled_degree(w.base) for w in diag.walls}
+
+    def visit(state, crossings, degree):
+        found.append(state)
+        for wall, d in crossings:
+            for j in range(1, (top - degree) // steps[wall] + 1):
+                factor = _bend_factor(wall, state[5], j)
+                if factor:
+                    m2 = tuple(a + j * b for a, b in zip(state[5], wall.base))
+                    mdir = (-m2[0], -m2[1])
+                    nxt = [] if _segment_hits_origin(d, mdir) else _crossed(diag, d, mdir)
+                    visit((state, wall, d, j, state[4] * factor, m2), nxt,
+                          degree + j * steps[wall])
+
+    visit((None, None, None, 0, 1, m0), [(w, s) for w in diag.walls for s in _rays(w)], 0)
+    index = {id(w): i for i, w in enumerate(diag.walls)}
+
+    def key(state):
+        m, bends = state[5], []
+        while state[0] is not None:
+            bends.append(state)
+            state = state[0]
+        return (len(bends), [b[1].direction for b in reversed(bends)],
+                [b[3] for b in reversed(bends)], m, [index[id(b[1])] for b in bends])
+
+    return sorted(found, key=key)
+
+
+def _scan_terms(diag, m0, Q, order):
+    """Reference value of theta_{m0} at Q: a scan of the sorted states for those whose
+    cone {lam*d - t*m : lam, t > 0} holds Q; ValueError where theta raises one."""
+    qi = _endpoint(diag, m0, _point(Q), order)[1]
+    terms = {}
+    for _, _, d, _, coeff, m in _sorted_states(diag, m0, order):
+        if d is None or (_cross(qi, m) * _cross(d, m) > 0 and _cross(qi, d) * _cross(d, m) > 0):
+            terms[m] = terms.get(m, 0) + coeff
+    return {m: c for m, c in terms.items() if c}
 
 
 def _forward_points(state):
@@ -308,7 +356,7 @@ def test_integer_cone_test_keeps_the_fraction_filter_chains(request, name, order
         m0 = (rng.randint(-3, 3), rng.randint(-3, 3))
         if not any(m0):
             continue
-        chains = _chains(diag, m0, order)
+        chains = _sorted_states(diag, m0, order)
         last = [c for c in chains if c[0] is not None]
         points = [(Fraction(rng.randint(-30, 30), rng.randint(1, 13)),
                    Fraction(rng.randint(-30, 30), rng.randint(1, 13))) for _ in range(6)]
@@ -341,12 +389,20 @@ def test_cold_sweep_keeps_every_search_state(request, name, order, states):
     # in ints of 1/2, must cut the search exactly where the degrees do
     diag = complete_rank2(initial_diagram(*request.getfixturevalue(name), order))
     m0s = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
-    assert sum(len(_chains(diag, m0, order)) for m0 in m0s) == states
+    assert sum(sum(1 for _ in _chains(diag, m0, order)) for m0 in m0s) == states
 
 
-def test_chain_memo_holds_integer_states_and_no_lines(g31_diag8):
-    theta(g31_diag8, FIG2_Q, (0, -1))
-    states = g31_diag8._chains[((0, -1), 8)]
+def test_value_table_holds_no_search_state(g31):
+    diag = complete_rank2(initial_diagram(*g31, 8))
+    attributes = set(vars(diag))
+    theta(diag, FIG2_Q, (0, -1))
+    # one entry per chamber, each a map from exponents to coefficients, and nothing else
+    assert set(vars(diag)) == attributes
+    assert sorted(diag._thetas) == [((0, -1), 8, c) for c in range(len(diag.directions))]
+    for terms in diag._thetas.values():
+        assert all(type(e) is tuple and all(type(x) is int for x in e) for e in terms)
+        assert all(isinstance(c, (int, Fraction, CoeffPoly)) for c in terms.values())
+    states = [state for state, _ in _chains(diag, (0, -1), 8)]
     assert len(states) > 10
     for state in states:
         assert type(state) is tuple and not any(isinstance(x, BrokenLine) for x in state)
@@ -460,14 +516,6 @@ def _chamber_points(diag, rng, per_chamber):
     return out
 
 
-def _line_sum(diag, m0, Q, order):
-    terms = {}
-    for line in enumerate_broken_lines(diag, m0, Q, order):
-        coeff, expo = line.final_monomial
-        terms[expo] = terms.get(expo, CoeffPoly.zero()) + coeff
-    return TruncatedLaurent(diag.grading, order, m0, terms).terms
-
-
 def _table_diagrams(request):
     out = [complete_rank2(initial_diagram(*request.getfixturevalue(name), order))
            for name, order in (("a2", 8), ("g31", 8), ("kronecker", 7))]
@@ -488,7 +536,7 @@ def test_table_value_equals_the_state_scan_in_every_chamber(request):
                 answered = 0
                 for Q in pts:
                     try:
-                        want = _line_sum(diag, m0, Q, query) if any(m0) else {m0: CoeffPoly.one()}
+                        want = _scan_terms(diag, m0, Q, query) if any(m0) else {m0: 1}
                     except ValueError:  # an endpoint on a ray -m: not generic
                         continue
                     assert theta(diag, Q, m0, query).value.terms == want, (m0, Q, query)
@@ -551,7 +599,36 @@ def test_warm_query_builds_no_line_and_scans_no_state(g31, monkeypatch):
     res = theta(diag, other, (0, -1))
     assert structure_constant(diag, (0, -1), (-1, 0), (-1, -1), other) is not None
     assert counts == {"lines": 0, "scans": 0}
-    assert len(res.witness_lines) == 5 and counts["lines"] == 5  # read: built now
+    # read: a search of their own runs now, and only its kept states become lines
+    assert len(res.witness_lines) == 5 and counts == {"lines": 5, "scans": 1}
+
+
+def test_answers_do_not_depend_on_query_order(g31):
+    # an uncompleted diagram is not consistent, so the sum of broken lines varies
+    # within a chamber; the table answers each chamber at its own fixed ray
+    diag = initial_diagram(*g31, 6)
+    m0, q1, q2 = (-2, -2), (14, 1), (7, Fraction(13, 4))
+    one, two = copy.deepcopy(diag), copy.deepcopy(diag)
+    first = {Q: theta(one, Q, m0).value.terms for Q in (q1, q2)}
+    second = {Q: theta(two, Q, m0).value.terms for Q in (q2, q1)}
+    assert first == second
+
+
+def test_value_sweep_keeps_little_memory(kronecker):
+    diag = complete_rank2(initial_diagram(*kronecker, 16))
+    m0s = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+    points = {m0: [generic_near(diag, rep, m0) for rep in _chamber_reps(diag.directions)]
+              for m0 in m0s}
+    tracemalloc.start()
+    try:
+        for m0 in m0s:
+            for Q in points[m0]:
+                theta(diag, Q, m0)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(diag._thetas) == len(m0s) * len(diag.directions)
+    assert kept < 2.5e6, kept
 
 
 def test_zero_exponent_structure_constants_follow_theta_zero_is_one(g31):
