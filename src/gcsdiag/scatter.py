@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .ring import Grading, TruncatedLaurent, canonical_string, demote, unit_power_coeffs
-from .seed import epsilon, mutate_seed, mutation_walk, principal_data, serialize_seed_file
+from .seed import (_check_direction, epsilon, mutate_seed, mutation_walk, principal_data,
+                   serialize_seed_file)
 
 # ---------------------------------------------------------------------------
 # exact 2-plane geometry
@@ -350,16 +351,16 @@ def _crossed(diag, d, mdir):
 # consistency and completion
 
 
-def _lowest_defects(diag, order=None):
-    """The least-degree terms of loop(z^m) - z^m over the basis monomials z^m.
+def _lowest_defects(diag, order=None, monomials=None):
+    """The least-degree terms of loop(z^m) - z^m over the monomials z^m, by default the basis.
 
     The loop runs at order, by default the diagram's; its terms of degree
     up to order are those of the loop at any higher order.  Returns
-    (degree, [(u, basis index, coefficient of z^{m+u})]), or (None, []).
+    (degree, [(u, index of m, coefficient of z^{m+u})]), or (None, []).
     """
     order = diag.order if order is None else order
     low, terms = None, []
-    for bi, m in enumerate(diag.basis_exponents()):
+    for bi, m in enumerate(diag.basis_exponents() if monomials is None else monomials):
         res = loop_product(diag, TruncatedLaurent.monomial(diag.grading, order, m))
         for expo, poly in res.terms.items():
             if expo == m:
@@ -376,7 +377,10 @@ def _lowest_defects(diag, order=None):
 
 
 def check_consistency(diag):
-    """(True, None) if every loop acts as the identity, else (False, monomial)."""
+    """(True, None) if every loop acts as the identity, else (False, monomial).
+
+    It reads every basis monomial on purpose: it is the check of completion's single loop.
+    """
     _, terms = _lowest_defects(diag)
     if not terms:
         return True, None
@@ -398,14 +402,23 @@ def _reorder(diag, order):
 def complete_rank2(diag):
     """Order-by-order consistency completion; adds only outgoing walls.
 
-    Each pass cancels the lowest loop defect.  It first probes the loop at
-    order floor(last degree) + 1 (2 on the first pass): a defect found there
-    is the lowest at every order.  Only a probe that finds none runs the loop
-    at the diagram's order, which finds the next degree or proves the
-    diagram consistent, so the returned diagram is checked at its order.
+    Each pass cancels the lowest loop defect, read off the loop of z^g1 (g1
+    the grading's first generator) alone: lines cancel modulo the terms
+    a*g1 + b*g2 with b > 0, so unless a ray's base is parallel to g1 the
+    loop's log has b > 0 and <n_u, g1> != 0 (README, Performance).  A
+    diagram with such a ray reads every basis monomial.  A pass first probes
+    the loop at order floor(last degree) + 1 (2 on the first pass): a defect
+    found there is the lowest at every order.  Only a probe that finds none
+    runs the loop at the diagram's order, which finds the next degree or
+    proves the diagram consistent, so the returned diagram is checked at its
+    order.
     A ray's wall is rebuilt only after a pass that adds to its list, so the
     powers memoised on every other wall carry over to the next pass.
     """
+    g1 = diag.grading.generators[0]
+    monomials = (diag.basis_exponents()
+                 if any(w.kind == "ray" and not _cross(diag.project(w.base), diag.project(g1))
+                        for w in diag.walls) else [g1])
     rays = {}  # plane direction -> (primitive step, [1, c_1, ...] in z^step)
     walls = {}  # plane direction -> the wall of its current list, None if it is 1
     last_deg = -1
@@ -417,9 +430,9 @@ def complete_rank2(diag):
         cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
                                 diag.walls + [walls[d] for d in rays if walls[d]], diag.proj)
         probe = min(max(math.floor(last_deg) + 1, 2), diag.order)
-        dmin, defects = _lowest_defects(cur, probe)
+        dmin, defects = _lowest_defects(cur, probe, monomials)
         if not defects and probe < diag.order:
-            dmin, defects = _lowest_defects(cur)
+            dmin, defects = _lowest_defects(cur, None, monomials)
         if not defects:
             return cur
         if dmin <= last_deg:
@@ -428,14 +441,13 @@ def complete_rank2(diag):
         by_u = {}
         for u, bi, poly in defects:
             by_u.setdefault(u, {})[bi] = poly
-        basis = cur.basis_exponents()
         for u, per_basis in by_u.items():
             mdir = _prim(cur.project(u))
             normal = _perp_normal(mdir)
             ray_dir = (-mdir[0], -mdir[1])
             eps_w = _crossing_sign(normal, ray_dir)
             for bi, poly in per_basis.items():
-                pairv = _dot(normal, cur.project(basis[bi]))
+                pairv = _dot(normal, cur.project(monomials[bi]))
                 if pairv == 0:
                     continue
                 den = eps_w * pairv  # the factor -1/den is an int when den is +-1
@@ -463,6 +475,7 @@ def tk_shear(fixed, seed, k):
     elsewhere; v_k[k] = 0, so s = -1 inverts it.  m is a lattice exponent,
     or a plane point where the plane is the lattice (rank 2, no frozen).
     """
+    _check_direction(fixed, k)
     rk = fixed.r[k]
     vk = _v_rows(fixed, seed)[k]
 
@@ -502,8 +515,7 @@ def apply_Tk(diag, k):
     Only implemented for diagrams whose exponent lattice is the plane itself.
     """
     fixed = diag.fixed
-    if k not in fixed.unfrozen:
-        raise ValueError("cannot mutate frozen direction %d" % (k + 1,))
+    _check_direction(fixed, k)
     if diag.dim != 2:
         raise ValueError("apply_Tk requires plane exponents")
     seed2 = mutate_seed(fixed, diag.seed, k)

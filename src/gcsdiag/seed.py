@@ -152,6 +152,14 @@ def epsilon(fixed, seed):
     return tuple(out)
 
 
+def _check_direction(fixed, k, unfrozen=True):
+    """ValueError unless k indexes a direction of the rank, an unfrozen one if asked."""
+    if not 0 <= k < fixed.n:
+        raise ValueError("direction index %d is out of range 0..%d" % (k, fixed.n - 1))
+    if unfrozen and k not in fixed.unfrozen:
+        raise ValueError("cannot mutate frozen direction %d" % (k + 1,))
+
+
 def mutate_seed(fixed, seed, k):
     """Seed mutation in an unfrozen direction k.
 
@@ -160,8 +168,7 @@ def mutate_seed(fixed, seed, k):
     mutation an involution on the basis rows and keeps the e-/f-rows equal
     to the c-/g-vectors along arbitrary mutation words.
     """
-    if k not in fixed.unfrozen:
-        raise ValueError("cannot mutate frozen direction %d" % (k + 1,))
+    _check_direction(fixed, k)
     eps = epsilon(fixed, seed)
     rk = fixed.r[k]
     n = fixed.n
@@ -286,8 +293,7 @@ def mutate_cluster(state, k):
     the current cluster; laurent_check divides it by x_k exactly.
     """
     fixed, seed = state.fixed, state.seed
-    if k not in fixed.unfrozen:
-        raise ValueError("cannot mutate frozen direction %d" % (k + 1,))
+    _check_direction(fixed, k)
     b = epsilon(fixed, seed)[k]
     rk = fixed.r[k]
     n = fixed.n

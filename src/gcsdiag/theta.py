@@ -34,7 +34,7 @@ from .scatter import (
     path_ordered_product,
     tk_shear,
 )
-from .seed import mutate_seed, mutate_word, mutation_walk
+from .seed import _check_direction, mutate_seed, mutate_word, mutation_walk
 
 
 class EndpointNotGeneric(ValueError):
@@ -385,6 +385,7 @@ def theta_Tk_transport(diag, k, Q, m0, order=None):
 
 def g_vector(fixed, seed, word, i):
     """f_i of the seed at the mutation word, in the initial f-basis."""
+    _check_direction(fixed, i, unfrozen=False)
     return mutate_word(fixed, seed, word).f_vectors[i]
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gcsdiag import (
+    ClusterState,
     ScatteringDiagram,
     TruncatedLaurent,
     apply_Tk,
@@ -21,7 +22,9 @@ from gcsdiag import (
     initial_diagram,
     initial_diagram_prin,
     loop_product,
+    mutate_cluster,
     mutate_seed,
+    mutate_word,
     parse_seed_file,
     path_between,
     path_ordered_product,
@@ -53,7 +56,7 @@ from gcsdiag.scatter import (
     tk_order_boost,
     tk_shear,
 )
-from gcsdiag.seed import epsilon, principal_data
+from gcsdiag.seed import epsilon, mutation_walk, principal_data
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
 
@@ -446,6 +449,17 @@ def test_apply_Tk_frozen_rejected(g31_diag8):
         apply_Tk(g31_diag8, 5)
 
 
+@pytest.mark.parametrize("k", [7, 2, -1])
+def test_direction_index_out_of_range_is_named(g31, g31_diag8, k):
+    fixed, seed = g31
+    calls = [lambda: mutate_seed(fixed, seed, k), lambda: mutate_word(fixed, seed, (0, k)),
+             lambda: mutate_cluster(ClusterState(fixed, seed), k),
+             lambda: apply_Tk(g31_diag8, k), lambda: tk_order_boost(fixed, seed, k)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^direction index %d is out of range 0\.\.1$" % k):
+            call()
+
+
 def test_equivalence_reflexive_and_discriminating(g31, g31_diag8):
     fixed, seed = g31
     assert equivalence_check(g31_diag8, g31_diag8)
@@ -643,6 +657,21 @@ def test_completion_matches_one_pass_reference(request, name, order, variant):
     build = initial_diagram if variant == "A" else initial_diagram_prin
     assert (_wall_list(complete_rank2(build(fixed, seed, order)))
             == _wall_list(_one_pass_completion(build(fixed, seed, order))))
+
+
+@pytest.mark.parametrize("name", ["a2", "g31", "kronecker"] + list(EXTRA_SEEDS))
+def test_mutated_seeds_complete_like_the_reference(request, name):
+    # the seed each mutation word of length <= 2 reaches has its own g1,
+    # the monomial of completion's single loop; the (word, variant) cases
+    # take orders 4, 6, 8 and 5, 7 by turns, which keeps the test fast
+    fixed, seed = _seed(request, name)
+    cases = [(word, sd, build) for word, sd in mutation_walk(fixed, seed, 2)
+             for build in (initial_diagram, initial_diagram_prin)]
+    for i, (word, sd, build) in enumerate(cases):
+        for order in range(4 + i % 2, 9, 2):
+            assert (_wall_list(complete_rank2(build(fixed, sd, order)))
+                    == _wall_list(_one_pass_completion(build(fixed, sd, order)))), \
+                (word, build.__name__, order)
 
 
 def _zoo(count, rng):
@@ -859,17 +888,35 @@ def test_full_order_loops_run_only_after_a_probe_misses(request, monkeypatch, na
                                                          calls):
     import gcsdiag.scatter as scatter
 
-    seen = []
+    seen, loops = [], []
 
-    def spy(diag, probe=None):
-        low, terms = _lowest_defects(diag, probe)
+    def spy(diag, probe=None, monomials=None):
+        low, terms = _lowest_defects(diag, probe, monomials)
         seen.append((diag.order if probe is None else probe, low))
         return low, terms
 
+    def loop_spy(diag, series):
+        loops.append(len(seen))  # the pass it runs in
+        return loop_product(diag, series)
+
     monkeypatch.setattr(scatter, "_lowest_defects", spy)
+    monkeypatch.setattr(scatter, "loop_product", loop_spy)
     fixed, seed = request.getfixturevalue(name)
     complete_rank2(initial_diagram(fixed, seed, order))
     assert seen == calls
+    # one loop per pass: the loop of z^g1 sees every defect
+    assert loops == list(range(len(calls)))
+
+
+@pytest.mark.parametrize("direction,expo,single", [
+    ((0, -1), (0, 1), False),  # a ray along g1: z^g1 misses it, so every basis monomial is read
+    ((-1, 0), (-1, 0), True),  # a ray along g2 stays on the single loop
+])
+def test_a_ray_along_g1_reads_every_basis_monomial(g31_diag8, direction, expo, single):
+    diag = _with_ray(g31_diag8, direction, expo)
+    g1 = diag.grading.generators[0]
+    assert (_lowest_defects(diag, None, [g1])[0] == _lowest_defects(diag)[0]) == single
+    assert _wall_list(complete_rank2(diag)) == _wall_list(_one_pass_completion(diag))
 
 
 # ---------------------------------------------------------------------------

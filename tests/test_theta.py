@@ -810,6 +810,13 @@ def test_g_vector_examples(g31):
     assert g_vector(fixed, seed, (1, 1), 1) == (0, 1)
 
 
+@pytest.mark.parametrize("i", [5, 2, -1])
+def test_g_vector_index_out_of_range_is_named(g31, i):
+    fixed, seed = g31
+    with pytest.raises(ValueError, match=r"^direction index %d is out of range 0\.\.1$" % i):
+        g_vector(fixed, seed, (0,), i)
+
+
 def test_cluster_variables_are_thetas(g31, g31_diag9):
     fixed, seed = g31
     st = mutate_cluster(mutate_cluster(ClusterState(fixed, seed), 1), 0)
