@@ -360,7 +360,7 @@ def plot(input_file, out):
         raise CliError("unrecognized input: expected a diagram dump or theta report", 2)
     try:
         svg = render(body)
-    except (ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, IndexError, ZeroDivisionError, OverflowError) as exc:
         raise CliError("malformed %s: %r" % (what, exc), 2)
     _emit(svg, out)
 

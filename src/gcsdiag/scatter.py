@@ -178,7 +178,8 @@ class ScatteringDiagram:
                               for w in self.walls for p in _rays(w)),
                              key=lambda e: _by_angle(e[0]))
         self._event_rays = [p for p, _, _ in self.events]
-        self.directions = sorted({_prim(p) for p, _, _ in self.events}, key=_by_angle)
+        prims = [_prim(p) for p in self._event_rays]  # equal directions are adjacent
+        self.directions = [p for i, p in enumerate(prims) if not i or p != prims[i - 1]]
         self._direction_set = frozenset(self.directions)
         # theta's values per (m0, order, chamber); a derived diagram has
         # other walls and starts empty
@@ -295,14 +296,23 @@ def _events_after(diag, start_dir):
     return diag.events[i:] + diag.events[:i]
 
 
+def _chamber_ray(dirs, k, hits=None):
+    """A ray strictly inside chamber k, the ccw arc from dirs[k-1] to dirs[k], for which hits
+    (by default none) is false.  With a, b those directions (b a quarter turn past a if the
+    arc is pi or more), it is the first of a + b, 4a + 5b, 20a + 21b, ... that hits misses:
+    these outgrow in degree any finite set of directions that hits."""
+    a, b = dirs[k - 1], dirs[k]
+    b, i, j = b if _cross(a, b) > 0 else _rot90(a), 1, 1
+    while True:
+        p = _prim((i * a[0] + j * b[0], i * a[1] + j * b[1]))
+        if hits is None or not hits(p):
+            return p
+        i, j = 4 * j, 4 * j + 1
+
+
 def _chamber_reps(dirs):
-    """One direction strictly inside each chamber between consecutive sorted directions."""
-    reps = []
-    for i, a in enumerate(dirs):
-        b = dirs[(i + 1) % len(dirs)]
-        mid = (a[0] + b[0], a[1] + b[1])
-        reps.append(_prim(mid if mid != (0, 0) else _rot90(a)))
-    return reps
+    """One ray inside each chamber of the sorted directions, chamber k ending at dirs[k]."""
+    return [_chamber_ray(dirs, k) for k in range(len(dirs))]
 
 
 def loop_product(diag, series):
@@ -411,24 +421,21 @@ def complete_rank2(diag):
     found there is the lowest at every order.  Only a probe that finds none
     runs the loop at the diagram's order, which finds the next degree or
     proves the diagram consistent, so the returned diagram is checked at its
-    order.
-    A ray's wall is rebuilt only after a pass that adds to its list, so the
-    powers memoised on every other wall carry over to the next pass.
+    order.  Each defect z^u is read off the first monomial z^m that shows it:
+    the loop's lowest terms send z^m to z^m (1 + c <n_u, m> z^u), so the
+    pairing is nonzero there and every such monomial gives the same c.  One
+    table holds each ray's wall; a pass rebuilds at once the walls it adds
+    to, so every other wall keeps its memoised powers.
     """
     g1 = diag.grading.generators[0]
     monomials = (diag.basis_exponents()
                  if any(w.kind == "ray" and not _cross(diag.project(w.base), diag.project(g1))
                         for w in diag.walls) else [g1])
-    rays = {}  # plane direction -> (primitive step, [1, c_1, ...] in z^step)
-    walls = {}  # plane direction -> the wall of its current list, None if it is 1
+    rays = {}  # plane direction -> its wall
     last_deg = -1
     while True:
-        for ray_dir, (step, coeffs) in rays.items():
-            if ray_dir not in walls:
-                walls[ray_dir] = _wall("ray", ray_dir, step, coeffs, diag.grading, diag.order,
-                                       diag.proj)
         cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
-                                diag.walls + [walls[d] for d in rays if walls[d]], diag.proj)
+                                diag.walls + list(rays.values()), diag.proj)
         probe = min(max(math.floor(last_deg) + 1, 2), diag.order)
         dmin, defects = _lowest_defects(cur, probe, monomials)
         if not defects and probe < diag.order:
@@ -438,30 +445,25 @@ def complete_rank2(diag):
         if dmin <= last_deg:
             raise RuntimeError("completion failed to make progress at degree %s" % (dmin,))
         last_deg = dmin
-        by_u = {}
+        first = {}  # each defect u -> (monomial index, coefficient) where it first shows
         for u, bi, poly in defects:
-            by_u.setdefault(u, {})[bi] = poly
-        for u, per_basis in by_u.items():
+            first.setdefault(u, (bi, poly))
+        for u, (bi, poly) in first.items():
             mdir = _prim(cur.project(u))
             normal = _perp_normal(mdir)
             ray_dir = (-mdir[0], -mdir[1])
-            eps_w = _crossing_sign(normal, ray_dir)
-            for bi, poly in per_basis.items():
-                pairv = _dot(normal, cur.project(monomials[bi]))
-                if pairv == 0:
-                    continue
-                den = eps_w * pairv  # the factor -1/den is an int when den is +-1
-                coeff = poly * (-den if den in (1, -1) else Fraction(-1, den))
-                # the ray's exponents lie in a rank-2 lattice that projects
-                # injectively, so u is gcd(u) times the ray's primitive step
-                _, coeffs = rays.setdefault(ray_dir, (_prim(u), [1]))
-                j = math.gcd(*u)
-                coeffs.extend([0] * (j + 1 - len(coeffs)))
-                coeffs[j] += coeff
-                walls.pop(ray_dir, None)  # rebuilt from its new list next pass
-                break
-            else:
+            den = _crossing_sign(normal, ray_dir) * _dot(normal, cur.project(monomials[bi]))
+            if not den:
                 raise RuntimeError("defect %r cannot be cancelled by any wall" % (u,))
+            # the ray's exponents lie in a rank-2 lattice that projects
+            # injectively, so u is gcd(u) times the ray's primitive step, and
+            # the degree rises each pass, so index gcd(u) is new to the ray;
+            # the factor -1/den is an int when den is +-1
+            j = math.gcd(*u)
+            coeffs = list(rays[ray_dir].coeffs) if ray_dir in rays else [1] + [0] * j
+            coeffs[j] = poly * (-den if den in (1, -1) else Fraction(-1, den))
+            rays[ray_dir] = _wall("ray", ray_dir, _prim(u), coeffs, diag.grading, diag.order,
+                                  diag.proj)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .ring import TruncatedLaurent, _vadd, _vsub, canonical_string
 from .scatter import (
     _by_angle,
+    _chamber_ray,
     _cross,
     _crossed,
     _direction_of,
@@ -25,7 +26,6 @@ from .scatter import (
     _point,
     _prim,
     _rays,
-    _rot90,
     chambers,
     cone_contains,
     complete_rank2,
@@ -168,20 +168,6 @@ def _in_cone(q, d, m):
     return _cross(q, m) * c > 0 and _cross(q, d) * c > 0
 
 
-def _chamber_point(diag, m0, order, k):
-    """A ray inside chamber k, generic for m0.  The chamber lies between directions a = k-1
-    and b = k (b is a quarter turn past a if that arc is pi or more), and its ray is the
-    first of a + b, 4a + 5b, 20a + 21b, ... that _through_origin misses: finitely many
-    directions hit, and these outgrow them in degree."""
-    a, b = diag.directions[k - 1], diag.directions[k]
-    b, i, j = b if _cross(a, b) > 0 else _rot90(a), 1, 1
-    while True:
-        p = _prim((i * a[0] + j * b[0], i * a[1] + j * b[1]))
-        if _through_origin(diag, m0, p, order) is None:
-            return p
-        i, j = 4 * j, 4 * j + 1
-
-
 def _fill(diag, m0, order):
     """Store theta_{m0} at order in every chamber of diag, from one search.  A state bent on
     the ray d reaches the chambers whose ray is in its cone: from d towards -m (ccw if
@@ -201,7 +187,8 @@ def _fill(diag, m0, order):
         first = i + (step > 0)  # the chamber next to d
         last = (first + step * full) % n
         if last not in points:
-            points[last] = _chamber_point(diag, m0, order, last)
+            points[last] = _chamber_ray(diag.directions, last,
+                                        lambda p: _through_origin(diag, m0, p, order) is not None)
         for k in range(first, first + step * (full + _in_cone(points[last], d, m)), step):
             terms = tables[k % n]
             terms[m] = terms[m] + coeff if m in terms else coeff

@@ -290,6 +290,18 @@ def test_plot_rejects_garbage(runner, tmp_path):
         assert res.exit_code == 2, text
 
 
+def test_plot_rejects_numbers_outside_float_range(runner, tmp_path):
+    huge = "1" + "0" * 400  # float() of it raises OverflowError
+    bad = tmp_path / "huge.txt"
+    for text in ("order 4\nline direction=(%s,1) normal=(0,1) f=1\n" % huge,
+                 "theta m0=(1,0) Q=(%s,1) order=4\nvalue: z^(1,0)\n"
+                 "line bends=0 rays= points=- trail=z^(1,0)\n" % huge):
+        bad.write_text(text)
+        res = runner.invoke(cli.main, ["plot", str(bad)])
+        assert res.exit_code == 2, text
+        assert res.output.startswith("Error: malformed "), res.output
+
+
 # ---------------------------------------------------------------------------
 # check
 

@@ -1,14 +1,16 @@
-"""Independent oracles for theta functions: greedy elements and structure constants."""
+"""Independent oracles: cluster walls from mutation, greedy elements and structure constants."""
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
-from test_scatter import EXTRA_SEEDS, _seed
+from test_scatter import EXTRA_SEEDS, _seed, _zoo
 
 from gcsdiag import (
     ClusterState,
     CoeffPoly,
+    ScatteringDiagram,
     complete_rank2,
     enumerate_broken_lines,
     initial_diagram,
@@ -18,13 +20,84 @@ from gcsdiag import (
     structure_constant,
     theta,
 )
-from gcsdiag.seed import epsilon
+from gcsdiag.scatter import Wall, _prim, _rays, _v_rows, _wall
+from gcsdiag.seed import epsilon, mutation_walk, principal_data
 from gcsdiag.theta import _monoid_points, generic_near
 
 # the ordinary Kronecker seed: d = (1, 1), where kronecker22.seed has d = (2, 2)
 KRONECKER_11 = "rank 2\nunfrozen 1 2\nd 1 1\nr 1 1\nB 0 2 -2 0\na.1 1 1\na.2 1 1\n"
 # a point of the positive chamber, generic for every m0 in the boxes below
 POSITIVE_Q = (Fraction(1011, 1000), Fraction(571, 1000))
+
+
+# ---------------------------------------------------------------------------
+# cluster walls from mutation
+
+
+def _predicted_cluster_walls(fixed, seed, diag, depth):
+    """The cluster walls of diag = the completion of initial_diagram(fixed, seed, ...), from
+    mutation alone, as {(ray, base, coeffs)} over the seeds of words of length <= depth.
+
+    Each chamber such a word reaches is its seed's g-vector cone (GHKK, arXiv:1411.1394,
+    carried to the reciprocal generalized case by the source paper), and the wall across
+    its face k, the ray of the other g-vector, carries that seed's exchange polynomial
+    sum_s a_{k,s} z^(s*v_k).  A v_k outside the grading monoid is negated: the a-tuple is
+    palindromic, so the list is the same.
+    """
+    out = set()
+    uf = tuple(fixed.unfrozen)
+    for _, sd in mutation_walk(fixed, seed, depth):
+        vs = _v_rows(fixed, sd)
+        for k, other in (uf, uf[::-1]):
+            ray = _prim(tuple(sd.f_vectors[other][j] for j in diag.proj))
+            v = vs[k]
+            if any(c < 0 for c in diag.grading.coefficients(v)):
+                v = tuple(-x for x in v)
+            w = _wall("ray", ray, v, sd.a_tuples[k], diag.grading, diag.order, diag.proj)
+            if w:  # None where the wall is 1 at this order
+                out.add((w.direction, w.base, tuple(w.coeffs)))
+    return out
+
+
+def _wall_rays(diag):
+    return {(p, w.base, tuple(w.coeffs)) for w in diag.walls for p in _rays(w)}
+
+
+def test_mutation_predicts_cluster_walls(request):
+    # the shipped seeds and EXTRA_SEEDS at order 8 and the zoo at its orders, in A and
+    # Aprin (the Aprin diagram is the initial diagram of the principal data)
+    cases = [(_seed(request, name), 8) for name in ["a2", "g31", "kronecker"] + list(EXTRA_SEEDS)]
+    cases += [(parse_seed_file(text), order) for text, order, _ in _zoo(60, random.Random(13))]
+    predicted = 0
+    for (fixed0, seed0), order in cases:
+        for fixed, seed in ((fixed0, seed0), principal_data(fixed0, seed0)):
+            diag = complete_rank2(initial_diagram(fixed, seed, order))
+            walls = _predicted_cluster_walls(fixed, seed, diag, 6)
+            assert walls <= _wall_rays(diag), (fixed, seed, walls - _wall_rays(diag))
+            predicted += len(walls)
+    assert predicted == 740
+
+
+@pytest.mark.parametrize("name", ["a2", "g31", "b2", "g2"])
+def test_mutation_predicts_every_wall_in_finite_type(request, name):
+    fixed0, seed0 = _seed(request, name)
+    for order in (10, 25, 40):
+        for fixed, seed in ((fixed0, seed0), principal_data(fixed0, seed0)):
+            diag = complete_rank2(initial_diagram(fixed, seed, order))
+            assert _predicted_cluster_walls(fixed, seed, diag, 6) == _wall_rays(diag), order
+
+
+def test_mutation_oracle_catches_a_perturbed_coefficient(kronecker):
+    fixed, seed = kronecker
+    diag = complete_rank2(initial_diagram(fixed, seed, 10))
+    walls = _predicted_cluster_walls(fixed, seed, diag, 6)
+    target = next(w for w in diag.walls
+                  if w.kind == "ray" and (w.direction, w.base, tuple(w.coeffs)) in walls)
+    bent = Wall("ray", target.direction, target.normal, target.base,
+                [1, target.coeffs[1] + 1] + target.coeffs[2:])
+    other = ScatteringDiagram(fixed, seed, diag.order, diag.grading,
+                              [bent if w is target else w for w in diag.walls], diag.proj)
+    assert walls - _wall_rays(other) == {(target.direction, target.base, tuple(target.coeffs))}
 
 
 # ---------------------------------------------------------------------------

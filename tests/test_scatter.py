@@ -1083,6 +1083,27 @@ def test_equivalence_check_equals_the_per_chamber_reference(a2, g31, kronecker):
     assert True in outcomes and False in outcomes
 
 
+def test_chamber_reps_lie_inside_arcs_of_pi_or_more(a2):
+    # two rays a quarter turn apart leave one chamber of 3*pi/2, where a + b
+    # lies in the other chamber; with one direction a + b is on the support
+    din = initial_diagram(*a2, 4)
+
+    def diagram(c):
+        walls = [_wall("ray", (1, 0), (-1, 0), [1, c], din.grading, 4, din.proj),
+                 _wall("ray", (0, -1), (0, 1), [1, 1], din.grading, 4, din.proj)]
+        return ScatteringDiagram(din.fixed, din.seed, 4, din.grading, walls, din.proj)
+
+    d1, d2 = diagram(1), diagram(5)
+    assert d1.directions == [(1, 0), (0, -1)]
+    assert _chamber_reps(d1.directions) == [(1, -1), (1, 1)]
+    assert _chamber_reps([(1, 0)]) == [(1, 1)]
+    m = TruncatedLaurent.monomial(din.grading, 4, (0, 1))
+    assert (path_ordered_product(d1, path_between(d1, (1, -1), (1, 1)), m).terms
+            != path_ordered_product(d2, path_between(d2, (1, -1), (1, 1)), m).terms)
+    assert not equivalence_check(d1, d2)
+    assert equivalence_check(d1, d1)
+
+
 # ---------------------------------------------------------------------------
 # dumps
 

@@ -257,6 +257,15 @@ def test_laurent_check_positive_negative():
         laurent_check({(1, 0): one, (0, 0): one}, {(0, 1): one, (0, 0): one})
 
 
+def test_laurent_check_adds_remainder_terms():
+    # dividing by x1 - 1 puts terms into the remainder that the numerator lacks
+    one = CoeffPoly.one()
+    den = {(1, 0): one, (0, 0): -one}
+    assert laurent_check({(2, 0): one, (0, 0): -one}, den) == {(1, 0): one, (0, 0): one}
+    with pytest.raises(ValueError, match="non-Laurent"):
+        laurent_check({(2, 0): one, (0, 0): one}, den)  # (x1^2 + 1) / (x1 - 1)
+
+
 def test_laurent_check_divides_over_the_coefficient_ring():
     a, b = CoeffPoly.symbol("a"), CoeffPoly.symbol("b")
     one = CoeffPoly.one()

@@ -85,6 +85,25 @@ def test_broken_lines_validate(g31_diag8):
         assert validate_broken_line(g31_diag8, line, (0, -1), FIG2_Q)
 
 
+def test_validate_broken_line_rejects_each_perturbation(g31_diag8):
+    line = next(l for l in enumerate_broken_lines(g31_diag8, (0, -1), FIG2_Q)
+                if len(l.bends) == 2)
+    segs, bends = line.segments, line.bends
+    (c0, _, _, end0), (c1, e1, start1, end1) = segs[0], segs[1]
+    wall, p, j = bends[0]
+    cf, ef, startf, endf = segs[-1]
+    perturbed = [
+        BrokenLine([(c0, (0, -2), None, end0)] + segs[1:], bends),  # its start
+        BrokenLine([segs[0], (c1, e1, start1, (end1[0] + 1, end1[1]))] + segs[2:],
+                   bends),  # a segment's direction
+        BrokenLine(segs, [(wall, p, j + 1)] + bends[1:]),  # a bend's exponent step
+        BrokenLine(segs[:-1] + [(2 * cf, ef, startf, endf)], bends),  # a coefficient
+    ]
+    assert validate_broken_line(g31_diag8, line, (0, -1), FIG2_Q)
+    for bad in perturbed:
+        assert not validate_broken_line(g31_diag8, bad, (0, -1), FIG2_Q), bad
+
+
 def test_broken_line_rejects_support_endpoint(g31_diag8):
     with pytest.raises(ValueError):
         enumerate_broken_lines(g31_diag8, (0, -1), (1, 0))
