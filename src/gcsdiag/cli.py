@@ -9,6 +9,7 @@ byte-identical to fresh runs.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -16,8 +17,6 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-
-import click
 
 from .scatter import (
     _reorder,
@@ -49,7 +48,9 @@ from .seed import (
 from .theta import EndpointNotGeneric, generic_near, sign_coherence_check, theta, theta_report
 
 
-class CliError(click.ClickException):
+class CliError(Exception):
+    """A failure that `main` prints as `Error: <message>` on stderr and exits with code."""
+
     def __init__(self, message, code):
         super().__init__(message)
         self.exit_code = code
@@ -171,15 +172,6 @@ def _build_diagram(fixed, seed, order, variant):
         raise CliError(str(exc), 4)
 
 
-@click.group()
-def main():
-    """Generalized cluster scattering diagrams with exact arithmetic."""
-
-
-@main.command()
-@click.argument("seed_file", type=click.Path())
-@click.option("--word", default="", help="comma-separated 1-based mutation word")
-@click.option("--out", default=None, type=click.Path())
 def mutate(seed_file, word, out):
     """Mutate a seed and report basis vectors and cluster variables."""
     _, fixed, seed = _load_seed(seed_file)
@@ -200,13 +192,6 @@ def mutate(seed_file, word, out):
     _emit("\n".join(lines) + "\n", out)
 
 
-@main.command()
-@click.argument("seed_file", type=click.Path())
-@click.option("--order", default=6, type=int)
-@click.option("--variant", default="A",
-              type=click.Choice(["A", "Aprin", "X", "left", "right"]))
-@click.option("--out", default=None, type=click.Path())
-@click.option("--no-cache", is_flag=True)
 def complete(seed_file, order, variant, out, no_cache):
     """Complete the scattering diagram and dump its walls."""
     text, fixed, seed = _load_seed(seed_file)
@@ -217,13 +202,6 @@ def complete(seed_file, order, variant, out, no_cache):
     _emit(_cached_text(["complete", text, str(order), variant], produce, no_cache, out), out)
 
 
-@main.command("theta")
-@click.argument("seed_file", type=click.Path())
-@click.option("--order", default=6, type=int)
-@click.option("--m0", required=True, help="initial exponent, e.g. 0,-1")
-@click.option("--q", "--Q", "q", required=True, help="endpoint, e.g. 3/2,1")
-@click.option("--out", default=None, type=click.Path())
-@click.option("--no-cache", is_flag=True)
 def theta_cmd(seed_file, order, m0, q, out, no_cache):
     """Enumerate broken lines and print the theta report."""
     text, fixed, seed = _load_seed(seed_file)
@@ -344,9 +322,6 @@ def _plot_theta(text):
     return _svg(elems, size)
 
 
-@main.command()
-@click.argument("input_file", type=click.Path())
-@click.option("--out", default=None, type=click.Path())
 def plot(input_file, out):
     """Render a diagram dump or theta report as a deterministic SVG."""
     body = _read_input(input_file)
@@ -369,11 +344,6 @@ def plot(input_file, out):
 # verification
 
 
-@main.command()
-@click.argument("seed_file", type=click.Path())
-@click.option("--order", default=8, type=int)
-@click.option("--depth", default=5, type=int)
-@click.option("--out", default=None, type=click.Path())
 def check(seed_file, order, depth, out):
     """Run consistency, mutation-equivalence, sign-coherence and Laurent checks."""
     _, fixed, seed = _load_seed(seed_file)
@@ -433,9 +403,6 @@ def check(seed_file, order, depth, out):
         raise CliError("verification failed", 4)
 
 
-@main.command()
-@click.argument("seed_file", type=click.Path())
-@click.option("--out", default=None, type=click.Path())
 def companions(seed_file, out):
     """Print the left/right companion and Langlands dual data."""
     _, fixed, seed = _load_seed(seed_file)
@@ -449,6 +416,85 @@ def companions(seed_file, out):
             continue
         blocks.append("%s:\n%s" % (name, serialize_seed_file(f2, s2).rstrip("\n")))
     _emit("\n".join(blocks) + "\n", out)
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+def _parser(prog):
+    """The argument parser, and the option strings that take a value."""
+    parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Generalized cluster scattering diagrams with exact arithmetic.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    actions = []
+
+    def command(func, name, infile="SEED_FILE"):
+        cmd = commands.add_parser(name, help=func.__doc__, description=func.__doc__,
+                                  allow_abbrev=False)
+        cmd.set_defaults(func=func)
+        cmd.add_argument(infile.lower(), metavar=infile)
+
+        def option(*names, **kwargs):
+            actions.append(cmd.add_argument(*names, **kwargs))
+
+        option("--out", help="write to this file instead of stdout")
+        return option
+
+    option = command(mutate, "mutate")
+    option("--word", default="", help="comma-separated 1-based mutation word")
+    option = command(complete, "complete")
+    option("--order", default=6, type=int)
+    option("--variant", default="A", choices=["A", "Aprin", "X", "left", "right"])
+    option("--no-cache", action="store_true")
+    option = command(theta_cmd, "theta")
+    option("--order", default=6, type=int)
+    option("--m0", required=True, help="initial exponent, e.g. 0,-1")
+    option("--q", "--Q", dest="q", required=True, help="endpoint, e.g. 3/2,1")
+    option("--no-cache", action="store_true")
+    command(plot, "plot", "INPUT_FILE")
+    option = command(check, "check")
+    option("--order", default=8, type=int)
+    option("--depth", default=5, type=int)
+    command(companions, "companions")
+    return parser, {name for a in actions if a.nargs is None for name in a.option_strings}
+
+
+def _join_values(argv, valued):
+    """argv with each option that takes a value joined to the next token as `--opt=value`.
+
+    An option takes the next token whatever it begins with.  argparse alone
+    refuses a separate value that begins with "-" unless it reads as a plain
+    number, so `--m0 -2,-2` would be a usage error.
+    """
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        if tok == "--":  # every token after it is positional
+            return out + [tok] + list(tokens)
+        value = next(tokens, None) if tok in valued else None
+        out.append(tok if value is None else tok + "=" + value)
+    return out
+
+
+def main(args=None, prog_name=None):
+    """Run one command and exit: 0 on success, 2 on a usage error, else the CliError's code."""
+    parser, valued = _parser(prog_name or "gcsdiag")
+    opts = vars(parser.parse_args(_join_values(sys.argv[1:] if args is None else args, valued)))
+    run = opts.pop("func")
+    try:
+        run(**opts)
+    except CliError as exc:
+        sys.stderr.write("Error: %s\n" % exc)
+        sys.exit(exc.exit_code)
+    except KeyboardInterrupt:
+        sys.stderr.write("\nAborted!\n")
+        sys.exit(1)
+    except BrokenPipeError:  # the reader of stdout has gone
+        # stdout's buffer is flushed again at exit, so send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

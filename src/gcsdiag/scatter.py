@@ -545,7 +545,8 @@ def apply_Tk(diag, k):
 
 
 def equivalence_check(d1, d2):
-    """Path products from the first chamber agree on basis monomials in every chamber."""
+    """Path products from the first chamber agree on basis monomials in every chamber,
+    and around the full loop back to the first."""
     dirs = sorted(set(d1.directions) | set(d2.directions), key=_by_angle)
     if len(dirs) < 2:
         raise ValueError("too few support directions for a chamber decomposition")
@@ -553,7 +554,8 @@ def equivalence_check(d1, d2):
     for m in d1.basis_exponents():
         s1 = TruncatedLaurent.monomial(d1.grading, d1.order, m)
         s2 = TruncatedLaurent.monomial(d2.grading, d2.order, m)
-        for a, b in zip(reps, reps[1:]):
+        # step k crosses dirs[k]; the last step, back to the first chamber, crosses dirs[-1]
+        for a, b in zip(reps, reps[1:] + reps[:1]):
             s1 = path_ordered_product(d1, path_between(d1, a, b), s1)
             s2 = path_ordered_product(d2, path_between(d2, a, b), s2)
             if s1.terms != s2.terms:

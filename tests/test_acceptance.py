@@ -8,7 +8,7 @@ import os
 import random
 from fractions import Fraction
 
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from gcsdiag import (
     ClusterState,

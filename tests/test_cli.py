@@ -6,11 +6,11 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gcsdiag.cli as cli
+from cli_runner import CliRunner
 from gcsdiag import (
     canonical_string,
     complete_rank2,
@@ -74,19 +74,22 @@ def test_mutate_out_file(runner, tmp_path):
 # complete
 
 
+G31_ORDER4_DUMP = (
+    "order 4\nvariant A\n"
+    "rank 2\nunfrozen 1 2\nd 1 1\nr 3 1\nB 0 1 -1 0\n"
+    "a.1 1 a a 1\na.2 1 1\n"
+    "walls:\n"
+    "line direction=(1,0) normal=(0,1) f=1 + z^(-1,0)\n"
+    "line direction=(0,1) normal=(1,0) f=1 + a*z^(0,1) + a*z^(0,2) + z^(0,3)\n"
+    "ray direction=(1,-3) normal=(3,1) f=1 + z^(-1,3)\n"
+    "ray direction=(1,-2) normal=(2,1) f=1 + a*z^(-1,2)\n"
+    "ray direction=(1,-1) normal=(1,1) f=1 + a*z^(-2,2) + a*z^(-1,1)\n")
+
+
 def test_complete_dump(runner):
     res = runner.invoke(cli.main, ["complete", G31, "--order", "4", "--no-cache"])
     assert res.exit_code == 0
-    assert res.output == (
-        "order 4\nvariant A\n"
-        "rank 2\nunfrozen 1 2\nd 1 1\nr 3 1\nB 0 1 -1 0\n"
-        "a.1 1 a a 1\na.2 1 1\n"
-        "walls:\n"
-        "line direction=(1,0) normal=(0,1) f=1 + z^(-1,0)\n"
-        "line direction=(0,1) normal=(1,0) f=1 + a*z^(0,1) + a*z^(0,2) + z^(0,3)\n"
-        "ray direction=(1,-3) normal=(3,1) f=1 + z^(-1,3)\n"
-        "ray direction=(1,-2) normal=(2,1) f=1 + a*z^(-1,2)\n"
-        "ray direction=(1,-1) normal=(1,1) f=1 + a*z^(-2,2) + a*z^(-1,1)\n")
+    assert res.output == G31_ORDER4_DUMP
 
 
 def test_complete_variants_run(runner):
@@ -100,7 +103,7 @@ def test_complete_variants_run(runner):
 def test_complete_unknown_variant_exit_2(runner):
     res = runner.invoke(cli.main, ["complete", G31, "--variant", "bogus", "--no-cache"])
     assert res.exit_code == 2
-    assert "Invalid value for '--variant'" in res.output
+    assert "--variant" in res.output
 
 
 @pytest.mark.parametrize("unfrozen", ["1 2", "1 3"])
@@ -225,6 +228,31 @@ def test_theta_skips_a_non_generic_candidate(runner, request, seed_file, name):
     diag = complete_rank2(initial_diagram(fixed, seed, 4))
     expected = canonical_string(theta_via_path(diag, q, (1, -1)))
     assert "\nvalue: %s\n" % expected in res.output
+
+
+# requests with option values that begin with "-", as separate tokens and
+# joined with "=", and their reports
+DASH_VALUES = [
+    (["theta", G31, "--order", "8", "--m0", "-2,-2", "--Q", "-409/309,-21215/31827",
+      "--no-cache"],
+     "theta m0=(-2,-2) Q=(-409/309,-21215/31827) order=8\n"
+     "value: z^(-2,-2)\n"
+     "line bends=0 rays= points=- trail=z^(-2,-2)\n"),
+    (["theta", A2, "--order", "4", "--m0", "1,-1", "--q=-48/9409,48/9409", "--no-cache"],
+     "note: endpoint perturbed to a generic point (4561/950309,499057/95981209)\n"
+     "theta m0=(1,-1) Q=(4561/950309,499057/95981209) order=4\n"
+     "value: z^(0,-1) + z^(1,-1)\n"
+     "line bends=0 rays= points=- trail=z^(1,-1)\n"
+     "line bends=1 rays=(1,0) points=(4561/950309,0) trail=z^(1,-1) -> z^(0,-1)\n"),
+]
+
+
+@pytest.mark.parametrize("args,report", DASH_VALUES, ids=["separate", "joined"])
+def test_option_values_that_begin_with_a_dash(runner, tmp_path, args, report):
+    res = runner.invoke(cli.main, args)
+    assert (res.exit_code, res.output) == (0, report)
+    res = _run_cli(["-m", "gcsdiag.cli"], args, tmp_path / "cache")
+    assert (res.returncode, res.stdout, res.stderr) == (0, report, "")
 
 
 @pytest.mark.parametrize("m0", ["1/2,0", "1,0,0"])
@@ -370,7 +398,7 @@ def test_check_reports_the_first_non_laurent_word(runner, monkeypatch):
     monkeypatch.setattr(cli, "mutate_cluster", fail_fourth_step)
     res = runner.invoke(cli.main, ["check", A2, "--order", "2", "--depth", "3"])
     assert res.exit_code == 4
-    assert res.output.endswith("laurent: FAIL at word 2,1\n")
+    assert res.output.endswith("laurent: FAIL at word 2,1\nError: verification failed\n")
 
 
 def test_check_seed_with_frozen_direction_exit_3(runner, tmp_path):
@@ -594,6 +622,53 @@ def test_generated_seed_files_exit_cleanly(text):
             assert res.exception is None or isinstance(res.exception, SystemExit), text
 
 
+@pytest.mark.parametrize("args,culprit", [
+    (["bogus", G31], "'bogus'"),
+    ([], "COMMAND"),
+    (["theta", G31, "--q", "3/2,1"], "--m0"),
+    (["complete", "--order", "3"], "SEED_FILE"),
+    (["complete", G31, "--order", "x"], "--order"),
+    (["complete", G31, "--variant", "bogus"], "--variant"),
+    (["complete", G31, "--bogus"], "--bogus"),
+    (["complete", G31, "--out"], "--out"),
+], ids=["unknown-command", "no-command", "no-m0", "no-seed-file", "order-x", "variant-bogus",
+        "unknown-option", "no-value"])
+def test_usage_error_exit_2(tmp_path, args, culprit):
+    res = _run_cli(["-m", "gcsdiag.cli"], args, tmp_path / "cache")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith("usage: ") and "Traceback" not in res.stderr
+    assert culprit in res.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["", "mutate", "complete", "theta", "plot", "check",
+                                     "companions"])
+def test_help_exit_0(runner, command):
+    res = runner.invoke(cli.main, command.split() + ["--help"])
+    assert res.exit_code == 0 and res.exception is None
+    assert res.output.startswith("usage: gcsdiag %s" % command)
+
+
+def test_closed_stdout_exit_1_without_traceback(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe fails with EPIPE
+    try:
+        res = subprocess.run([sys.executable, "-m", "gcsdiag.cli", "companions", G31],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True, check=False,
+                             env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (1, "")
+
+
+def test_interrupt_exit_1(runner, monkeypatch):
+    def interrupt(diag):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "complete_rank2", interrupt)
+    res = runner.invoke(cli.main, ["complete", G31, "--order", "4", "--no-cache"])
+    assert (res.exit_code, res.output) == (1, "\nAborted!\n")
+
+
 def test_bad_word_exit_2(runner):
     res = runner.invoke(cli.main, ["mutate", G31, "--word", "x"])
     assert res.exit_code == 2
@@ -625,7 +700,7 @@ def test_bad_endpoint_exit_2(runner, q):
 
 
 # ---------------------------------------------------------------------------
-# no command imports sympy
+# no command imports sympy, and the CLI imports no third-party module
 
 
 def _run_cli(python_args, args, cache):
@@ -682,3 +757,16 @@ def test_every_command_runs_with_sympy_absent(tmp_path):
         assert [res.returncode for res in runs] == [0] * len(runs), [r.stderr[-500:] for r in runs]
         outputs[name] = [res.stdout for res in runs] + [dump.read_text()]
     assert outputs["absent"] == outputs["normal"]
+
+
+# `import click` and `import sympy` raise ImportError once sys.modules maps them to None
+STDLIB_ONLY = ("import sys; sys.modules['click'] = sys.modules['sympy'] = None; "
+               "import gcsdiag.cli; gcsdiag.cli.main()")
+
+
+def test_cli_runs_on_the_standard_library_alone(tmp_path):
+    requests = DASH_VALUES[:1] + [(["complete", G31, "--order", "4", "--no-cache"],
+                                   G31_ORDER4_DUMP)]
+    for args, expected in requests:
+        res = _run_cli(["-c", STDLIB_ONLY], args, tmp_path / "cache")
+        assert (res.returncode, res.stdout, res.stderr) == (0, expected, ""), args

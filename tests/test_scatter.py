@@ -952,14 +952,18 @@ def _filtered_path(diag, start, end):
 
 
 def _equivalent_per_chamber(d1, d2):
-    """Reference: a path from the first chamber to each other one, each built anew."""
+    """Reference: a path from the first chamber to each other one, each built anew, and
+    the full loop from the first chamber back to itself."""
     dirs = sorted(set(d1.directions) | set(d2.directions), key=_by_angle)
     ref, *targets = _chamber_reps(dirs)
-    for target in targets:
+    last = targets[-1]
+    paths = [lambda d, t=t: _filtered_path(d, ref, t) for t in targets]
+    paths.append(lambda d: _filtered_path(d, ref, last) + _filtered_path(d, last, ref))
+    for path in paths:
         for m in d1.basis_exponents():
-            r1 = path_ordered_product(d1, _filtered_path(d1, ref, target),
+            r1 = path_ordered_product(d1, path(d1),
                                       TruncatedLaurent.monomial(d1.grading, d1.order, m))
-            r2 = path_ordered_product(d2, _filtered_path(d2, ref, target),
+            r2 = path_ordered_product(d2, path(d2),
                                       TruncatedLaurent.monomial(d2.grading, d2.order, m))
             if r1.terms != r2.terms:
                 return False
@@ -1102,6 +1106,22 @@ def test_chamber_reps_lie_inside_arcs_of_pi_or_more(a2):
             != path_ordered_product(d2, path_between(d2, (1, -1), (1, 1)), m).terms)
     assert not equivalence_check(d1, d2)
     assert equivalence_check(d1, d1)
+
+
+def test_equivalence_check_crosses_the_last_direction(a2):
+    # the walk from the first chamber crosses directions[-1] only on its way back
+    din = initial_diagram(*a2, 4)
+
+    def diagram(c):
+        walls = [_wall("ray", (1, 0), (-1, 0), [1, 1], din.grading, 4, din.proj),
+                 _wall("ray", (0, -1), (0, 1), [1, c], din.grading, 4, din.proj)]
+        return ScatteringDiagram(din.fixed, din.seed, 4, din.grading, walls, din.proj)
+
+    d1, d5 = diagram(1), diagram(5)
+    assert d1.directions == [(1, 0), (0, -1)]
+    assert not equivalence_check(d1, d5)
+    assert not _equivalent_per_chamber(d1, d5)
+    assert equivalence_check(d5, d5)
 
 
 # ---------------------------------------------------------------------------
