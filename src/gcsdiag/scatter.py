@@ -32,8 +32,8 @@ def _prim(v):
 
 
 def _point(Q):
-    """Q as a pair of Fractions; ValueError unless it is a plane point."""
-    Q = tuple(Fraction(x) for x in Q)
+    """Q as a pair of Fractions, kept where given; ValueError unless it is a plane point."""
+    Q = tuple(x if type(x) is Fraction else Fraction(x) for x in Q)
     if len(Q) != 2:
         raise ValueError("point %r is not in the plane" % (Q,))
     return Q
@@ -42,7 +42,9 @@ def _point(Q):
 def _direction_of(point):
     """The primitive integral direction of a nonzero rational plane point."""
     x, y = point
-    return _prim((x.numerator * y.denominator, y.numerator * x.denominator))
+    a, b = x.numerator * y.denominator, y.numerator * x.denominator
+    g = math.gcd(a, b)
+    return (a // g, b // g) if g else _prim((a, b))  # _prim raises on the origin
 
 
 def _perp_normal(mdir):

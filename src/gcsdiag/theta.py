@@ -12,12 +12,11 @@ no state.  A witness line's state gets its points walking back from Q.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 
 from .ring import TruncatedLaurent, _vadd, _vsub, canonical_string
 from .scatter import (
-    _by_angle,
+    _ang_cmp,
     _chamber_ray,
     _cross,
     _crossed,
@@ -73,18 +72,22 @@ class BrokenLine:
 
 
 def _order(diag, order):
-    """The truncation order of a query, by default the diagram's; in 0..diag.order."""
+    """The truncation order of a query as an int, by default the diagram's; in 0..diag.order."""
     if order is None:
         return diag.order
     if order > diag.order:
         raise ValueError("order %s exceeds the diagram's order %s" % (order, diag.order))
     if order < 0:
         raise ValueError("order must be >= 0, got %s" % (order,))
-    return order
+    if Fraction(order).denominator != 1:
+        raise ValueError("order must be an integer, got %s" % (order,))
+    return int(order)
 
 
 def _exponent(diag, m):
-    """m as a tuple of diag.dim ints; ValueError unless it is one."""
+    """m as a tuple of diag.dim ints (one is returned as it is); ValueError unless it is one."""
+    if type(m) is tuple and len(m) == diag.dim and all(type(x) is int for x in m):
+        return m
     m = tuple(m)
     if len(m) != diag.dim or any(Fraction(x).denominator != 1 for x in m):
         raise ValueError("exponent %r is not an integral vector of length %d" % (m, diag.dim))
@@ -150,14 +153,15 @@ def _chains(diag, m0, order):
         yield state, crossings
         m, children = state[5], []
         for wall, d in crossings:
-            step = steps[wall]
-            for j in range(1, (top - degree) // step + 1):
-                factor = _bend_factor(wall, m, j)
-                if factor:
-                    m2 = _vadd(m, tuple(j * x for x in wall.base))
+            step, (b0, b1), m2 = steps[wall], wall.base, m
+            power, jmax = abs(_dot(wall.normal, m)), (top - degree) // step
+            f = wall.power(power) if power and jmax > 0 else ()  # one power for every step j
+            for j in range(1, min(jmax, len(f) - 1) + 1):
+                m2 = (m2[0] + b0, m2[1] + b1)
+                if f[j]:
                     mdir = (-m2[0], -m2[1])
                     nxt = [] if _segment_hits_origin(d, mdir) else _crossed(diag, d, mdir)
-                    children.append(((state, wall, d, j, state[4] * factor, m2), nxt,
+                    children.append(((state, wall, d, j, state[4] * f[j], m2), nxt,
                                      degree + j * step))
         stack.extend(reversed(children))  # the first child is searched next
 
@@ -210,17 +214,19 @@ def _line(state, k, e, end):
     return BrokenLine(segments[::-1], bends[::-1])
 
 
-def _endpoint(diag, m0, Q, order):
-    """(qs, qi), Q = qs*qi and qi primitive integral; ValueError unless Q is generic for m0."""
-    if diag.on_support(Q):
-        raise ValueError("endpoint lies on the diagram support; perturb it")
-    qi = _direction_of(Q)
-    m_f = _through_origin(diag, m0, qi, order) if any(m0) and diag.dim == 2 else None
-    if m_f is not None:
-        raise EndpointNotGeneric(
-            "endpoint is not generic: a final segment with exponent %r "
-            "runs through the origin; perturb it" % (m_f,))
-    return (Q[0] / qi[0] if qi[0] else Q[1] / qi[1]), qi
+def _endpoint(diag, m0s, Q, order, support="endpoint lies on the diagram support; perturb it"):
+    """(qi, m0s): Q's primitive direction, found once, and m0s read by _exponent after Q's test,
+    so a bad Q is reported first.  ValueError(support) if Q is on the support (the origin is, if
+    there is a wall); EndpointNotGeneric if a last segment from a nonzero m0 runs along -qi to 0."""
+    qi = _direction_of(Q) if any(Q) or not diag.directions else None
+    if qi is None or qi in diag._direction_set:
+        raise ValueError(support)
+    m0s = [_exponent(diag, m0) for m0 in m0s]
+    for m_f in (_through_origin(diag, m0, qi, order) for m0 in m0s if any(m0) and diag.dim == 2):
+        if m_f is not None:
+            raise EndpointNotGeneric("endpoint is not generic: a final segment with exponent %r "
+                                     "runs through the origin; perturb it" % (m_f,))
+    return qi, m0s
 
 
 def enumerate_broken_lines(diag, m0, Q, order=None):
@@ -236,7 +242,8 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
     if not any(m0):
         raise ValueError("initial exponent must be nonzero")
     Q = _point(Q)
-    qs, qi = _endpoint(diag, m0, Q, order)
+    qi = _endpoint(diag, (m0,), Q, order)[0]
+    qs = Q[0] / qi[0] if qi[0] else Q[1] / qi[1]  # Q = qs*qi
     index = {id(w): i for i, w in enumerate(diag.walls)}
 
     def key(state):
@@ -293,13 +300,18 @@ class ThetaResult:
         return self._lines
 
 
-def _value_terms(diag, m0, Q, order):
-    """theta_{m0} at a generic Q as {exponent: coefficient}, the entry of Q's chamber."""
+def _value_terms(diag, m0, qi, order):
+    """theta_{m0} as {exponent: coefficient} in the chamber of qi, a direction _endpoint passed."""
     if diag.dim != 2:
         raise ValueError("broken lines need plane exponents")
-    qi = _endpoint(diag, m0, Q, order)[1]
-    i = bisect_right(diag.directions, _by_angle(qi), key=_by_angle)
-    key = (m0, order, i if i < len(diag.directions) else 0)  # the last chamber wraps to the first
+    dirs, lo, hi = diag.directions, 0, len(diag.directions)
+    while lo < hi:  # the first direction ccw after qi
+        mid = (lo + hi) // 2
+        if _ang_cmp(qi, dirs[mid]) < 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    key = (m0, order, lo if lo < len(dirs) else 0)  # the last chamber wraps to the first
     if key not in diag._thetas:
         _fill(diag, m0, order)
     return diag._thetas[key]
@@ -311,7 +323,10 @@ def theta(diag, Q, m0, order=None):
     m0, Q = _exponent(diag, m0), _point(Q)
     if not any(m0):
         return ThetaResult(TruncatedLaurent.one(diag.grading, order), [], Q, m0)
-    value = TruncatedLaurent.within(diag.grading, order, m0, _value_terms(diag, m0, Q, order))
+    if diag.dim != 2:
+        raise ValueError("broken lines need plane exponents")
+    terms = _value_terms(diag, m0, _endpoint(diag, (m0,), Q, order)[0], order)
+    value = TruncatedLaurent.within(diag.grading, order, m0, terms)
     return ThetaResult(value, lambda: enumerate_broken_lines(diag, m0, Q, order), Q, m0)
 
 
@@ -395,10 +410,8 @@ def structure_constant(diag, p1, p2, q, z, order=None):
     """alpha_z(p1, p2, q) = sum of c(g1) c(g2) over broken-line pairs at z (theta_0 = 1)."""
     order = _order(diag, order)
     z, q = _point(z), _exponent(diag, q)
-    if diag.on_support(z):
-        raise ValueError("structure-constant base point lies on a wall")
-    t1, t2 = (_value_terms(diag, p, z, order) if any(p) else {p: 1}
-              for p in (_exponent(diag, p1), _exponent(diag, p2)))
+    qi, ps = _endpoint(diag, (p1, p2), z, order, "structure-constant base point lies on a wall")
+    t1, t2 = (_value_terms(diag, p, qi, order) if any(p) else {p: 1} for p in ps)
     return sum(c1 * t2[_vsub(q, e1)] for e1, c1 in t1.items() if _vsub(q, e1) in t2)
 
 
@@ -413,7 +426,7 @@ def generic_near(diag, q, m0=None, order=None):
     for K in (97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149):
         z = (q[0] + Fraction(1, K), q[1] + Fraction(1, K * K))
         try:
-            _endpoint(diag, m0, z, order)  # the origin has no direction: ValueError
+            _endpoint(diag, (m0,), z, order)  # the origin has no direction: ValueError
             return z
         except ValueError:
             pass

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -10,6 +11,7 @@ from test_scatter import EXTRA_SEEDS, _seed, _zoo
 from gcsdiag import (
     ClusterState,
     CoeffPoly,
+    GeneralizedTorusSeed,
     ScatteringDiagram,
     complete_rank2,
     enumerate_broken_lines,
@@ -20,7 +22,7 @@ from gcsdiag import (
     structure_constant,
     theta,
 )
-from gcsdiag.scatter import Wall, _prim, _rays, _v_rows, _wall
+from gcsdiag.scatter import Wall, _chamber_ray, _prim, _rays, _v_rows, _wall
 from gcsdiag.seed import epsilon, mutation_walk, principal_data
 from gcsdiag.theta import _monoid_points, generic_near
 
@@ -237,3 +239,89 @@ def test_bracelet_relation(request, name):
             (2 * delta[0], 2 * delta[1]): CoeffPoly.one(), (0, 0): CoeffPoly.rational(2)}
     alphas = _structure_constants(diag, (-1, 1), (-1, 1), 8, cache)
     assert {q: a for q, a in alphas.items() if a} == {(-2, 2): CoeffPoly.one()}
+
+
+# ---------------------------------------------------------------------------
+# specialisation: the symbolic and the numeric arithmetic agree
+
+# seeds with symbolic a-entries, at order 10
+TWO_SYMBOL = "rank 2\nunfrozen 1 2\nd 1 1\nr 3 2\nB 0 1 -1 0\na.1 1 a a 1\na.2 1 b 1\n"
+GPS_22 = "rank 2\nunfrozen 1 2\nd 1 1\nr 2 2\nB 0 1 -1 0\na.1 1 a 1\na.2 1 b 1\n"
+SPECIAL_VALUES = (-2, 0, 1, Fraction(1, 2), 3)
+SPECIAL_M0 = ((1, 0), (0, -1), (-1, 1), (2, -3))
+
+
+def _at(c, point):
+    """A wall or theta coefficient, a CoeffPoly or a number, evaluated at {symbol: value}."""
+    if type(c) is not CoeffPoly:
+        return c
+    total = 0
+    for mono, k in c.terms.items():
+        for name, e in mono:
+            k = k * point[name] ** e
+        total += k
+    return total
+
+
+def _specialised(fixed, seed, point):
+    """The seed with every a-entry replaced by its value at point: int or Fraction tuples."""
+    return GeneralizedTorusSeed(fixed, seed.e_vectors, seed.f_vectors,
+                                {i: tuple(_at(c, point) for c in t)
+                                 for i, t in seed.a_tuples.items()})
+
+
+def _evaluated_walls(diag, point):
+    """(kind, direction, normal, base, coefficients) of each wall at point; a wall whose
+    function evaluates to 1 vanishes."""
+    out = []
+    for w in diag.walls:
+        coeffs = tuple(_at(c, point) for c in w.coeffs)
+        if any(coeffs[1:]):
+            out.append((w.kind, w.direction, w.normal, w.base, coeffs))
+    return sorted(out)
+
+
+def _specialisation_mismatches(fixed, seed, order):
+    """Points where completing the specialised seed, or a theta value on it, differs from
+    the symbolic completion evaluated there; theta at one generic point per chamber."""
+    diag = complete_rank2(initial_diagram(fixed, seed, order))
+    symbols = sorted({name for t in seed.a_tuples.values() for c in t if type(c) is CoeffPoly
+                      for mono in c.terms for name, _ in mono})
+    points = {m0: [generic_near(diag, _chamber_ray(diag.directions, k), m0, order)
+                   for k in range(len(diag.directions))] for m0 in SPECIAL_M0}
+    values = {(m0, z): theta(diag, z, m0).value.terms for m0, zs in points.items() for z in zs}
+    bad, n = [], 0
+    for combo in product(SPECIAL_VALUES, repeat=len(symbols)):
+        point = dict(zip(symbols, combo))
+        special = complete_rank2(initial_diagram(fixed, _specialised(fixed, seed, point), order))
+        n += 1
+        if _evaluated_walls(special, point) != _evaluated_walls(diag, point):
+            bad.append((point, "walls"))
+        for (m0, z), terms in values.items():
+            expected = {e: v for e, v in ((e, _at(c, point)) for e, c in terms.items()) if v}
+            if theta(special, z, m0).value.terms != expected:
+                bad.append((point, m0, z))
+    return n, bad
+
+
+@pytest.mark.parametrize("text,points", [(None, 5), (TWO_SYMBOL, 25)], ids=["g31", "two-symbol"])
+def test_specialising_symbols_commutes_with_completion_and_theta(g31, text, points):
+    # the numeric path (int and Fraction coefficients, never a CoeffPoly) and the
+    # symbolic path evaluated at the point give the same walls and theta values, at
+    # 0, negative, fractional and binomial points
+    fixed, seed = g31 if text is None else parse_seed_file(text)
+    n, bad = _specialisation_mismatches(fixed, seed, 10)
+    assert n == points and not bad, bad[:5]
+
+
+def test_binomial_point_of_the_22_seed_is_the_standard_diagram():
+    # a = b = 2 makes both initial walls (1 + z^(v_i))^2; the central ray (1, -1) of
+    # that standard scattering diagram carries (1 - z^base)^-4 (Gross-Pandharipande-
+    # Siebert, arXiv:0909.5153), whose coefficients are C(n + 3, 3)
+    fixed, seed = parse_seed_file(GPS_22)
+    point = {"a": 2, "b": 2}
+    symbolic = complete_rank2(initial_diagram(fixed, seed, 10))
+    special = complete_rank2(initial_diagram(fixed, _specialised(fixed, seed, point), 10))
+    for walls in (_evaluated_walls(symbolic, point), _evaluated_walls(special, point)):
+        assert [w[4] for w in walls if w[1] == (1, -1)] == [(1, 4, 10, 20, 35, 56)]
+    assert _evaluated_walls(symbolic, point) == _evaluated_walls(special, point)

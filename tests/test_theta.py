@@ -1,6 +1,7 @@
 import copy
 import importlib
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -320,7 +321,7 @@ def _sorted_states(diag, m0, order):
 def _scan_terms(diag, m0, Q, order):
     """Reference value of theta_{m0} at Q: a scan of the sorted states for those whose
     cone {lam*d - t*m : lam, t > 0} holds Q; ValueError where theta raises one."""
-    qi = _endpoint(diag, m0, _point(Q), order)[1]
+    qi = _endpoint(diag, (m0,), _point(Q), order)[0]
     terms = {}
     for _, _, d, _, coeff, m in _sorted_states(diag, m0, order):
         if d is None or (_cross(qi, m) * _cross(d, m) > 0 and _cross(qi, d) * _cross(d, m) > 0):
@@ -754,6 +755,23 @@ def test_theta_below_order_0_is_rejected(g31):
     assert canonical_string(theta(d, FIG2_Q, (0, -1), order=0).value) == "z^(0,-1)"
 
 
+@pytest.mark.parametrize("order", [2.5, Fraction(5, 2)])
+def test_theta_fractional_order_is_rejected(g31_diag8, order):
+    # a float order used to fail inside range() and a Fraction one to truncate at
+    # degree 5/2; an integral one is read as its int
+    d = g31_diag8
+    for call in (lambda: theta(d, GEN_Q, (0, -1), order),
+                 lambda: enumerate_broken_lines(d, (0, -1), GEN_Q, order),
+                 lambda: structure_constant(d, (0, -1), (1, 0), (1, -1), GEN_Q, order),
+                 lambda: theta_via_path(d, GEN_Q, (0, -1), order)):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            call()
+    for integral in (5.0, Fraction(5)):
+        value = theta(d, GEN_Q, (0, -1), integral).value
+        assert value.order == 5 and type(value.order) is int
+        assert value == theta(d, GEN_Q, (0, -1), 5).value
+
+
 @pytest.mark.parametrize("m0,Q", [
     ((Fraction(3, 2), 1), FIG2_Q),
     ((1.9, 1), FIG2_Q),
@@ -886,6 +904,44 @@ def test_structure_constant_unreachable_exponent(g31_diag8):
 def test_structure_constant_rejects_wall_point(g31_diag8):
     with pytest.raises(ValueError):
         structure_constant(g31_diag8, (1, 0), (0, 1), (1, 1), (1, 0))
+
+
+def test_warm_queries_keep_every_check(g31):
+    # a filled (m0, order) table answers from one chamber's entry, so every check on
+    # the endpoint must still run before that lookup
+    d = complete_rank2(initial_diagram(*g31, 8))
+    m0 = (2, -3)
+    cold = theta(d, GEN_Q, m0).value
+    assert any(key[:2] == (m0, 8) for key in d._thetas)
+    for Q in ((1, 0), (0, 0), (Fraction(-3), 0), (0.0, 2.5)):
+        with pytest.raises(ValueError, match="endpoint lies on the diagram support; perturb it"):
+            theta(d, Q, m0)
+    message = ("endpoint is not generic: a final segment with exponent (-1, -2) "
+               "runs through the origin; perturb it")
+    for Q in ((1, 2), (Fraction(1, 2), 1.0)):
+        with pytest.raises(EndpointNotGeneric, match=re.escape(message)):
+            theta(d, Q, m0)
+    with pytest.raises(EndpointNotGeneric, match=re.escape(message)):
+        enumerate_broken_lines(d, m0, (1, 2))
+    # structure constants read the filled tables of m0 and (1, 0)
+    z = generic_near(d, (1, 1))
+    alpha = structure_constant(d, m0, (1, 0), (3, -2), z)
+    for wall_point in ((1, 0), (0, 0), (0, 3), (Fraction(-2, 3), 0)):
+        with pytest.raises(ValueError, match="structure-constant base point lies on a wall"):
+            structure_constant(d, m0, (1, 0), (3, -2), wall_point)
+    with pytest.raises(EndpointNotGeneric, match=re.escape(message)):
+        structure_constant(d, (1, 0), m0, (3, -2), (1, 2))
+    near = generic_near(d, (1, 2), m0)
+    assert theta(d, near, m0).value == theta_via_path(d, near, m0)
+    # ints, Fractions and floats name the same endpoint, and the failed queries left
+    # the table as it was
+    assert theta(d, GEN_Q, m0).value == cold
+    assert structure_constant(d, m0, (1, 0), (3, -2), z) == alpha
+    fresh = complete_rank2(initial_diagram(*g31, 8))
+    for m, points in (((1, 1), ((3, 2), (1.5, 1), (Fraction(3, 2), 1))),
+                      (m0, ((3, 4), (1.5, 2), (Fraction(3, 2), 2)))):
+        values = [theta(d, Q, m).value for Q in points]
+        assert values[0] == values[1] == values[2] == theta(fresh, points[0], m).value
 
 
 def test_product_expansion_example(g31):
