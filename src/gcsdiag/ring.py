@@ -267,9 +267,7 @@ class Grading:
         self._pivot = next((p for p in minors if p[2]), None)
         if self._pivot is None:
             raise ValueError("grading generators must be linearly independent")
-        i, j, det = self._pivot
-        self.den, sg = abs(det), (1 if det > 0 else -1)  # form: the sum of scaled_coordinates
-        self.form = (i, j, sg * (g2[j] - g1[j]), sg * (g1[i] - g2[i]))
+        self.den = abs(self._pivot[2])
 
     def scaled_coordinates(self, m):
         """den * the coordinates of m in the generators, two ints; m's span is not checked."""

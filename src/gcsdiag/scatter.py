@@ -11,12 +11,11 @@ power is a plain integer dot product with the projected exponent.
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .ring import Grading, TruncatedLaurent, canonical_string, demote, unit_power_coeffs
+from .ring import Grading, TruncatedLaurent, _vsub, canonical_string, demote, unit_power_coeffs
 from .seed import (_check_direction, epsilon, mutate_seed, mutation_walk, principal_data,
                    serialize_seed_file)
 
@@ -179,9 +178,9 @@ class ScatteringDiagram:
         self.events = sorted(((p, w, _crossing_sign(w.normal, p))
                               for w in self.walls for p in _rays(w)),
                              key=lambda e: _by_angle(e[0]))
-        self._event_rays = [p for p, _, _ in self.events]
-        prims = [_prim(p) for p in self._event_rays]  # equal directions are adjacent
-        self.directions = [p for i, p in enumerate(prims) if not i or p != prims[i - 1]]
+        # every wall direction is primitive, so equal directions are equal adjacent rays
+        rays = self._event_rays = [p for p, _, _ in self.events]
+        self.directions = [p for i, p in enumerate(rays) if not i or p != rays[i - 1]]
         self._direction_set = frozenset(self.directions)
         # theta's values per (m0, order, chamber); a derived diagram has
         # other walls and starts empty
@@ -198,7 +197,7 @@ class ScatteringDiagram:
         """A wall's function as a series in the diagram's grading and at its order."""
         return TruncatedLaurent.within(
             self.grading, self.order, (0,) * self.dim,
-            {tuple(j * b for b in wall.base): c for j, c in enumerate(wall.coeffs)})
+            {tuple(j * b for b in wall.base): c for j, c in enumerate(wall.coeffs) if c})
 
     def on_support(self, point):
         """Whether a rational plane point is on a wall ray (the origin is, if there is a wall)."""
@@ -212,17 +211,8 @@ class ScatteringDiagram:
 
 def _v_rows(fixed, seed):
     """v_i = p1*(e_i) rows in the initial f-basis for the current seed."""
-    eps = epsilon(fixed, seed)
-    F = seed.f_vectors
-    n = fixed.n
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        for j in range(n):
-            if eps[i][j]:
-                row = [x + eps[i][j] * y for x, y in zip(row, F[j])]
-        rows.append(tuple(row))
-    return rows
+    eps, F, n = epsilon(fixed, seed), seed.f_vectors, fixed.n
+    return [tuple(sum(eps[i][j] * F[j][c] for j in range(n)) for c in range(n)) for i in range(n)]
 
 
 def _seed_grading(fixed, seed):
@@ -258,38 +248,57 @@ def initial_diagram_prin(fixed, seed, order):
 # wall crossing and path-ordered products
 
 
+def _product(path, series, proj):
+    """The crossings (wall, sign) of path applied in order to series, truncated.
+
+    Every term and step is on offset + the grading's monoid (else ValueError),
+    so a term is keyed by its scaled coordinates (A, B) as A*K + B, K = den*order
+    + 1: a step adds the base's key, the pairing and the degree budget are
+    linear in (A, B), and B <= den*order < K keeps the keys apart.  Zeros go
+    after each crossing; the keys are decoded once, at the end.
+    """
+    grading, order, offset = series.grading, series.order, series.offset
+    den, (g1, g2), (i0, i1) = grading.den, grading.generators, proj
+    top = den * order
+    K = top + 1
+    terms = {}
+    for expo, poly in series.terms.items():
+        if grading.degree(_vsub(expo, offset)) > order:
+            raise ValueError("term z^%r is above the series' order %s" % (expo, order))
+        a, b = grading.scaled_coordinates(_vsub(expo, offset))
+        terms[a * K + b] = poly
+    for wall, sign in path:
+        grading.degree(wall.base)  # on the span and in the cone
+        a, b = grading.scaled_coordinates(wall.base)
+        step, kstep = a + b, a * K + b
+        # sign * <n, m> for m = offset + (A*g1 + B*g2) / den, an exact division
+        n0, n1 = sign * wall.normal[0], sign * wall.normal[1]
+        pa, pb = n0 * g1[i0] + n1 * g1[i1], n0 * g2[i0] + n1 * g2[i1]
+        p0 = n0 * offset[i0] + n1 * offset[i1]
+        for key, poly in list(terms.items()):
+            a, b = divmod(key, K)
+            p, jmax = (a * pa + b * pb) // den + p0, (top - a - b) // step
+            if not p or jmax < 1:  # no room for a step: the power is not needed
+                continue
+            g = wall._powers.get(p) or wall.power(p)
+            for j in range(1, min(len(g) - 1, jmax) + 1):
+                key += kstep
+                if g[j]:
+                    terms[key] = terms[key] + poly * g[j] if key in terms else poly * g[j]
+        terms = {key: poly for key, poly in terms.items() if poly}
+    return TruncatedLaurent.within(grading, order, offset, {
+        tuple(o + (key // K * x + key % K * y) // den for o, x, y in zip(offset, g1, g2)): poly
+        for key, poly in terms.items()})
+
+
 def wall_cross(wall, sign, series, proj):
     """z^m -> z^m f^{sign * <n0', m>}, extended linearly and truncated."""
-    out = dict(series.terms)
-    (n0, n1), (i0, i1) = wall.normal, proj
-    grading, base, order = series.grading, wall.base, series.order
-    # the step budget in ints: den * degree is the linear form Grading.form
-    k0, k1, c0, c1 = grading.form
-    top = order * grading.den + grading.scaled_degree(series.offset)
-    step = grading.scaled_degree(base)
-    for expo, poly in series.terms.items():
-        p = sign * (n0 * expo[i0] + n1 * expo[i1])
-        if not p:
-            continue
-        jmax = (top - c0 * expo[k0] - c1 * expo[k1]) // step
-        if jmax < 1:  # no room for a step: the power is not needed
-            continue
-        g = wall.power(p)
-        e = expo
-        for j in range(1, min(len(g) - 1, jmax) + 1):
-            e = tuple(map(operator.add, e, base))  # expo + j * base
-            if g[j]:
-                prod = poly * g[j]
-                out[e] = out[e] + prod if e in out else prod
-    # every term is within the order: j stops at it
-    return TruncatedLaurent.within(grading, order, series.offset, out)
+    return _product(((wall, sign),), series, proj)
 
 
 def path_ordered_product(diag, path, series):
     """Apply crossings (wall, sign) in order to a series."""
-    for wall, sign in path:
-        series = wall_cross(wall, sign, series, diag.proj)
-    return series
+    return _product(path, series, diag.proj)
 
 
 def _events_after(diag, start_dir):
@@ -324,9 +333,7 @@ def loop_product(diag, series):
     is the identity in degree 0, so every chamber gives the same lowest defect.
     """
     events = _events_after(diag, diag.directions[0]) if diag.directions else ()
-    for _, wall, sign in events:
-        series = wall_cross(wall, sign, series, diag.proj)
-    return series
+    return _product(((wall, sign) for _, wall, sign in events), series, diag.proj)
 
 
 def path_between(diag, start_dir, end_dir):
@@ -427,17 +434,19 @@ def complete_rank2(diag):
     the loop's lowest terms send z^m to z^m (1 + c <n_u, m> z^u), so the
     pairing is nonzero there and every such monomial gives the same c.  One
     table holds each ray's wall; a pass rebuilds at once the walls it adds
-    to, so every other wall keeps its memoised powers.
+    to, so every other wall keeps its memoised powers.  The ray directions
+    are kept in angular order, so no pass re-sorts them.
     """
     g1 = diag.grading.generators[0]
     monomials = (diag.basis_exponents()
                  if any(w.kind == "ray" and not _cross(diag.project(w.base), diag.project(g1))
                         for w in diag.walls) else [g1])
-    rays = {}  # plane direction -> its wall
+    rays, ray_dirs = {}, []  # plane direction -> its wall; the directions in angular order
     last_deg = -1
     while True:
+        # two runs already in angular order: the diagram's sort merges them
         cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
-                                diag.walls + list(rays.values()), diag.proj)
+                                diag.walls + [rays[d] for d in ray_dirs], diag.proj)
         probe = min(max(math.floor(last_deg) + 1, 2), diag.order)
         dmin, defects = _lowest_defects(cur, probe, monomials)
         if not defects and probe < diag.order:
@@ -462,7 +471,11 @@ def complete_rank2(diag):
             # the degree rises each pass, so index gcd(u) is new to the ray;
             # the factor -1/den is an int when den is +-1
             j = math.gcd(*u)
-            coeffs = list(rays[ray_dir].coeffs) if ray_dir in rays else [1] + [0] * j
+            if ray_dir in rays:
+                coeffs = list(rays[ray_dir].coeffs)
+            else:
+                coeffs = [1] + [0] * j
+                insort(ray_dirs, ray_dir, key=_by_angle)
             coeffs[j] = poly * (-den if den in (1, -1) else Fraction(-1, den))
             rays[ray_dir] = _wall("ray", ray_dir, _prim(u), coeffs, diag.grading, diag.order,
                                   diag.proj)
@@ -565,13 +578,20 @@ def equivalence_check(d1, d2):
     return True
 
 
-def chambers(diag, depth):
-    """Cluster chambers as (mutation word, g-vector cone), words up to depth."""
-    out = {}  # the first word that reaches each cone
+def _chamber_walk(diag, depth):
+    """Lazily, each cluster chamber as (mutation word, g-vector cone) with the first word,
+    of length up to depth, that reaches it."""
+    seen = set()
     for word, sd in mutation_walk(diag.fixed, diag.seed, depth):
         cone = tuple(tuple(sd.f_vectors[i][j] for j in diag.proj) for i in diag.fixed.unfrozen)
-        out.setdefault(frozenset(cone), (word, cone))
-    return list(out.values())
+        if frozenset(cone) not in seen:
+            seen.add(frozenset(cone))
+            yield word, cone
+
+
+def chambers(diag, depth):
+    """Cluster chambers as (mutation word, g-vector cone), words up to depth."""
+    return list(_chamber_walk(diag, depth))
 
 
 def cone_contains(cone, m):
@@ -615,6 +635,7 @@ def slice_to_X(prin_diag):
         if w.kind == "line":
             direction = _line_rep(_perp_normal(nx))
         else:
+            # primitive: p*(n) is an integral combination of n, so gcd(p*(n), n) = gcd(n)
             direction = tuple(-x for x in base)
         walls.append(Wall(w.kind, direction, nx, base, w.coeffs))
     return ScatteringDiagram(prin_diag.fixed, prin_diag.seed, prin_diag.order,

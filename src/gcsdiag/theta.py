@@ -18,6 +18,7 @@ from .ring import TruncatedLaurent, _vadd, _vsub, canonical_string
 from .scatter import (
     _ang_cmp,
     _chamber_ray,
+    _chamber_walk,
     _cross,
     _crossed,
     _direction_of,
@@ -25,7 +26,6 @@ from .scatter import (
     _point,
     _prim,
     _rays,
-    chambers,
     cone_contains,
     complete_rank2,
     initial_diagram,
@@ -79,7 +79,7 @@ def _order(diag, order):
         raise ValueError("order %s exceeds the diagram's order %s" % (order, diag.order))
     if order < 0:
         raise ValueError("order must be >= 0, got %s" % (order,))
-    if Fraction(order).denominator != 1:
+    if order != order or Fraction(order).denominator != 1:  # NaN passes both range tests
         raise ValueError("order must be an integer, got %s" % (order,))
     return int(order)
 
@@ -335,7 +335,7 @@ def theta_via_path(diag, Q, m0, order=None):
     order = _order(diag, order)
     m0 = _exponent(diag, m0)
     end_dir = _direction_of(_point(Q))
-    home = next((cone for _, cone in chambers(diag, 8) if cone_contains(cone, m0)), None)
+    home = next((cone for _, cone in _chamber_walk(diag, 8) if cone_contains(cone, m0)), None)
     if home is None:
         raise ValueError("initial exponent is outside the computed cluster complex")
     start = _vadd(home[0], home[1])

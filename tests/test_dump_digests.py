@@ -8,6 +8,7 @@ benchmark.  The reference file is only read.
 
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -42,6 +43,9 @@ def test_dump_matches_reference_digest(reference, family, variant, order):
     with open(os.path.join(ROOT, "seeds", family + ".seed"), "r", encoding="utf-8") as fh:
         fixed, seed = parse_seed_file(fh.read())
     build = initial_diagram if variant == "A" else initial_diagram_prin
-    text = dump_diagram(complete_rank2(build(fixed, seed, order)), variant)
+    diag = complete_rank2(build(fixed, seed, order))
+    # a diagram reads its directions off its sorted events without reducing them
+    assert all(math.gcd(*w.direction) == 1 for w in diag.walls), diag.walls
+    text = dump_diagram(diag, variant)
     key = "%s/%s/%d/%s" % (family, variant, order, "a" if family == "g31" else "-")
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == reference[key]

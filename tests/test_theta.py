@@ -755,16 +755,17 @@ def test_theta_below_order_0_is_rejected(g31):
     assert canonical_string(theta(d, FIG2_Q, (0, -1), order=0).value) == "z^(0,-1)"
 
 
-@pytest.mark.parametrize("order", [2.5, Fraction(5, 2)])
+@pytest.mark.parametrize("order", [2.5, Fraction(5, 2), float("nan")])
 def test_theta_fractional_order_is_rejected(g31_diag8, order):
     # a float order used to fail inside range() and a Fraction one to truncate at
-    # degree 5/2; an integral one is read as its int
+    # degree 5/2; NaN passes both range tests and is named too; an integral
+    # order is read as its int
     d = g31_diag8
     for call in (lambda: theta(d, GEN_Q, (0, -1), order),
                  lambda: enumerate_broken_lines(d, (0, -1), GEN_Q, order),
                  lambda: structure_constant(d, (0, -1), (1, 0), (1, -1), GEN_Q, order),
                  lambda: theta_via_path(d, GEN_Q, (0, -1), order)):
-        with pytest.raises(ValueError, match="order must be an integer"):
+        with pytest.raises(ValueError, match="^order must be an integer, got %s$" % (order,)):
             call()
     for integral in (5.0, Fraction(5)):
         value = theta(d, GEN_Q, (0, -1), integral).value
