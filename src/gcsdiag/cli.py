@@ -170,6 +170,8 @@ def _build_diagram(fixed, seed, order, variant):
         raise CliError(str(exc), 3)
     except RuntimeError as exc:  # completion stalled: a verification failure
         raise CliError(str(exc), 4)
+    except (OverflowError, MemoryError):  # a wall's coefficient list does not fit
+        raise CliError("order %d is too large" % order, 3)
 
 
 def mutate(seed_file, word, out):

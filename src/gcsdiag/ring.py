@@ -133,6 +133,23 @@ class CoeffPoly:
             raise ValueError("negative powers of coefficient polynomials")
         return functools.reduce(operator.mul, [self] * e, CoeffPoly.one())
 
+    # -- monomials as exponent vectors: outside this module, the only reading of them
+
+    def symbols(self):
+        """The names of the symbols that occur in some term."""
+        return {name for mono in self.terms for name, _ in mono}
+
+    def exponents(self, names):
+        """{exponent vector over names: coefficient}; names must include every symbol."""
+        return {tuple(dict(mono).get(name, 0) for name in names): c
+                for mono, c in self.terms.items()}
+
+    @classmethod
+    def from_exponents(cls, names, terms):
+        """The polynomial of {exponent vector over names: coefficient}, exponents' inverse."""
+        return cls({tuple((name, e) for name, e in zip(names, expo) if e): c
+                    for expo, c in terms.items()})
+
     def __repr__(self):
         return "CoeffPoly(%s)" % canonical_string(self)
 

@@ -32,7 +32,10 @@ def _prim(v):
 
 def _point(Q):
     """Q as a pair of Fractions, kept where given; ValueError unless it is a plane point."""
-    Q = tuple(x if type(x) is Fraction else Fraction(x) for x in Q)
+    try:
+        Q = tuple(x if type(x) is Fraction else Fraction(x) for x in Q)
+    except (OverflowError, ValueError):  # an infinite or NaN coordinate
+        raise ValueError("point %r is not a rational plane point" % (Q,)) from None
     if len(Q) != 2:
         raise ValueError("point %r is not in the plane" % (Q,))
     return Q

@@ -13,7 +13,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .ring import SYMBOL_NAME_RE, CoeffPoly
+from .ring import SYMBOL_NAME_RE, CoeffPoly, canonical_string
 
 
 def _pos(x):
@@ -73,7 +73,8 @@ class GeneralizedTorusSeed:
 
     e_vectors are rows in the initial e-basis, f_vectors rows in the initial
     f-basis, a_tuples maps each unfrozen index to the full coefficient tuple
-    (1, a_{i,1}, ..., a_{i,r_i-1}, 1) as CoeffPoly values.
+    (1, a_{i,1}, ..., a_{i,r_i-1}, 1) as CoeffPoly values; a number is lifted
+    to its constant CoeffPoly.
     """
 
     def __init__(self, fixed, e_vectors, f_vectors, a_tuples):
@@ -82,7 +83,8 @@ class GeneralizedTorusSeed:
                                for v in e_vectors)
         self.f_vectors = tuple(_ints(v, "e- and f-vectors are not dual bases: f-vector")
                                for v in f_vectors)
-        self.a_tuples = {i: tuple(t) for i, t in a_tuples.items()}
+        self.a_tuples = {i: tuple(c if type(c) is CoeffPoly else CoeffPoly.rational(c) for c in t)
+                         for i, t in a_tuples.items()}
         for i in self.a_tuples:
             t = self.a_tuples[i]
             if len(t) != fixed.r[i] + 1 or t[0] != 1 or t[-1] != 1:
@@ -107,22 +109,17 @@ class GeneralizedTorusSeed:
         return "GeneralizedTorusSeed(e=%s, f=%s)" % (self.e_vectors, self.f_vectors)
 
 
-def make_initial_seed(fixed, a_names=None):
-    """Identity seed; a_names optionally maps index -> tuple of symbol names."""
+def make_initial_seed(fixed, a_tuples=None):
+    """Identity seed; a_tuples optionally maps an unfrozen index to its coefficient tuple, by
+    default (1, a_{i,1}, ..., 1) with a_{i,j} = a_{i,r-j}: reciprocity names the pair once."""
     n = fixed.n
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    a_tuples = {}
+    a_tuples = dict(a_tuples or {})
     for i in fixed.unfrozen:
-        r = fixed.r[i]
-        entries = [CoeffPoly.one()]
-        for j in range(1, r):
-            if a_names and i in a_names:
-                name = a_names[i][j - 1]
-            else:  # a_{i,j} = a_{i,r-j}: reciprocity names the pair once
-                name = "a_{%d,%d}" % (i + 1, min(j, r - j))
-            entries.append(CoeffPoly.one() if name == "1" else CoeffPoly.symbol(name))
-        entries.append(CoeffPoly.one())
-        a_tuples[i] = tuple(entries)
+        if i not in a_tuples:
+            r = fixed.r[i]
+            a_tuples[i] = [1] + [CoeffPoly.symbol("a_{%d,%d}" % (i + 1, min(j, r - j)))
+                                 for j in range(1, r)] + [1]
     return GeneralizedTorusSeed(fixed, ident, ident, a_tuples)
 
 
@@ -188,11 +185,9 @@ def mutate_seed(fixed, seed, k):
         if c:
             fk = [x + c * y for x, y in zip(fk, seed.f_vectors[j])]
     new_f[k] = tuple(fk)
-    # coefficient tuples are reversed in direction k; reciprocity makes this
-    # the identity, which the constructor re-checks
-    new_a = dict(seed.a_tuples)
-    new_a[k] = tuple(reversed(seed.a_tuples[k]))
-    return GeneralizedTorusSeed(fixed, new_e, tuple(new_f), new_a)
+    # the tuple in direction k is reversed, which reciprocity (checked by the
+    # constructor) makes the identity
+    return GeneralizedTorusSeed(fixed, new_e, tuple(new_f), seed.a_tuples)
 
 
 def mutate_word(fixed, seed, word):
@@ -244,24 +239,18 @@ def g_vectors(seed):
 
 
 def _names(polys):
-    return sorted({name for p in polys for mono in p.terms for name, _ in mono})
+    return sorted(set().union(*(p.symbols() for p in polys)))
 
 
 def _flat(expr, names):
-    out = {}
-    for x, poly in expr.items():
-        for mono, c in poly.terms.items():
-            d = dict(mono)
-            out[x + tuple(d.get(name, 0) for name in names)] = c
-    return out
+    return {x + a: c for x, poly in expr.items() for a, c in poly.exponents(names).items()}
 
 
 def _unflat(flat, n, names):
     out = {}
     for key, c in flat.items():
-        mono = tuple((name, e) for name, e in zip(names, key[n:]) if e)
-        out.setdefault(key[:n], {})[mono] = c
-    return {x: CoeffPoly(terms) for x, terms in out.items()}
+        out.setdefault(key[:n], {})[key[n:]] = c
+    return {x: CoeffPoly.from_exponents(names, terms) for x, terms in out.items()}
 
 
 def _mul(f, g):
@@ -406,13 +395,15 @@ def cluster_variable_text(expr, xs):
     the constant first (`1 - 3*z**2`), and a bare power x^-e with e > 1 is
     `x**(-e)`.  This is sympy's str form, which the tests check.
     """
-    shift = [min(0, min(x[j] for x in expr)) for j in range(len(xs))]
+    n = len(xs)
+    shift = [min(0, min(x[j] for x in expr)) for j in range(n)]
     den = {name: -m for name, m in zip(xs, shift) if m}
+    anames = _names(expr.values())
     terms = []
-    for x, poly in expr.items():
-        xmono = {name: e - m for name, e, m in zip(xs, x, shift) if e != m}
-        for amono, c in poly.terms.items():
-            terms.append(({**dict(amono), **xmono}, c))
+    for key, c in _flat(expr, anames).items():
+        mono = {name: e for name, e in zip(anames, key[n:]) if e}
+        mono.update((name, e - m) for name, e, m in zip(xs, key, shift) if e != m)
+        terms.append((mono, c))
     if len(terms) == 1:
         ((mono, c),) = terms
         return _product_text(c, mono, den)
@@ -442,21 +433,7 @@ def principal_data(fixed, seed):
     for i in range(n):
         B2.append(tuple(-1 if j == i else 0 for j in range(n)) + tuple(0 for _ in range(n)))
     fixed2 = FixedData(2 * n, fixed.unfrozen, fixed.d + fixed.d, fixed.r + fixed.r, B2)
-    a_names = {
-        i: tuple(_tuple_names(seed.a_tuples[i])) for i in fixed.unfrozen
-    }
-    return fixed2, make_initial_seed(fixed2, a_names)
-
-
-def _tuple_names(a_tuple):
-    names = []
-    for poly in a_tuple[1:-1]:
-        if poly == 1:
-            names.append("1")
-        else:
-            ((mono, _),) = poly.terms.items()
-            names.append(mono[0][0])
-    return names
+    return fixed2, make_initial_seed(fixed2, seed.a_tuples)
 
 
 def left_companion(fixed, seed):
@@ -504,6 +481,9 @@ def langlands_dual(fixed, seed):
 #
 # B is row-major; rationals are printed as p/q; a-lines list the full
 # coefficient tuple per unfrozen direction, entries are symbol names or 1.
+# A seed holds each entry as a CoeffPoly, and serialize_seed_file prints its
+# canonical_string: a file's entries come back as read, while a number or a
+# compound entry of a seed built in code is printed but is no file entry.
 # A symbol may not be named x<digits>, the name of a cluster variable.
 # Each key appears once, an a.i has 1 <= i <= rank, and no other key exists.
 
@@ -539,7 +519,7 @@ def parse_seed_file(text):
         if len(flat) != n * n:
             raise ValueError("B must have rank*rank entries")
         fixed = FixedData(n, unfrozen, d, r, [flat[i * n:(i + 1) * n] for i in range(n)])
-        a_names = {}
+        a_tuples = {}
         for i in unfrozen:
             entries = fields["a.%d" % (i + 1,)]
             if len(entries) != r[i] + 1 or entries[0] != "1" or entries[-1] != "1":
@@ -551,12 +531,13 @@ def parse_seed_file(text):
                 if name[0] == "x" and name[1:].isdigit():
                     raise ValueError("a.%d entry %r is the name of a cluster variable"
                                      % (i + 1, name))
-            a_names[i] = tuple(entries[1:-1])
+            a_tuples[i] = tuple(CoeffPoly.one() if name == "1" else CoeffPoly.symbol(name)
+                                for name in entries)
     except KeyError as exc:
         raise ValueError("missing seed file field %s" % exc) from exc
     except ZeroDivisionError as exc:
         raise ValueError("zero denominator in d") from exc
-    return fixed, make_initial_seed(fixed, a_names)
+    return fixed, make_initial_seed(fixed, a_tuples)
 
 
 def serialize_seed_file(fixed, seed):
@@ -568,6 +549,5 @@ def serialize_seed_file(fixed, seed):
         "B %s" % " ".join(str(x) for row in fixed.B for x in row),
     ]
     for i in fixed.unfrozen:
-        names = ["1"] + list(_tuple_names(seed.a_tuples[i])) + ["1"]
-        lines.append("a.%d %s" % (i + 1, " ".join(names)))
+        lines.append("a.%d %s" % (i + 1, " ".join(map(canonical_string, seed.a_tuples[i]))))
     return "\n".join(lines) + "\n"

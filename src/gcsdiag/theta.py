@@ -89,9 +89,12 @@ def _exponent(diag, m):
     if type(m) is tuple and len(m) == diag.dim and all(type(x) is int for x in m):
         return m
     m = tuple(m)
-    if len(m) != diag.dim or any(Fraction(x).denominator != 1 for x in m):
-        raise ValueError("exponent %r is not an integral vector of length %d" % (m, diag.dim))
-    return tuple(int(x) for x in m)
+    try:
+        if len(m) == diag.dim and all(Fraction(x).denominator == 1 for x in m):
+            return tuple(int(x) for x in m)
+    except (OverflowError, ValueError):  # an infinite or NaN entry has no integer ratio
+        pass
+    raise ValueError("exponent %r is not an integral vector of length %d" % (m, diag.dim))
 
 
 def _monoid_points(diag, m0, order):
@@ -178,7 +181,6 @@ def _fill(diag, m0, order):
     cross(d, m) < 0), those up to the last ray its segment crosses, and the next one if its
     ray is in the cone; only such a last chamber needs its ray, found once per chamber."""
     n, where = max(len(diag.directions), 1), {d: i for i, d in enumerate(diag.directions)}
-    at = {p: where[_prim(p)] for p in diag._event_rays}
     tables, points = [{m0: 1} for _ in range(n)], {}  # the root reaches every chamber
     states = _chains(diag, m0, order)
     next(states)
@@ -186,8 +188,8 @@ def _fill(diag, m0, order):
         c = _cross(d, m)
         if not c:  # the cone is empty
             continue
-        i, step = at[d], 1 if c < 0 else -1
-        full = step * (at[crossed[-1][1]] - i) % n if crossed else 0
+        i, step = where[d], 1 if c < 0 else -1
+        full = step * (where[crossed[-1][1]] - i) % n if crossed else 0
         first = i + (step > 0)  # the chamber next to d
         last = (first + step * full) % n
         if last not in points:

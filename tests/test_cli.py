@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -690,6 +691,19 @@ def test_nonpositive_order_exit_3(runner, args):
     res = runner.invoke(cli.main, args)
     assert res.exit_code == 3, res.output
     assert "must be >= " in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["complete", G31, "--no-cache"],
+    ["theta", G31, "--m0", "0,-1", "--q", "3/2,1", "--no-cache"],
+    ["check", G31],
+], ids=["complete", "theta", "check"])
+def test_huge_order_exit_3(runner, args):
+    # a wall's coefficient list of that length cannot be allocated: the list is
+    # refused before any memory is taken, so only this order is safe to test
+    res = runner.invoke(cli.main, args + ["--order", str(10 ** 20)])
+    assert res.exit_code == 3, res.output
+    assert re.fullmatch(r"Error: order \d+ is too large\n", res.output), res.output
 
 
 @pytest.mark.parametrize("q", ["bad", "3/2,1,5", "3"])

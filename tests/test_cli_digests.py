@@ -1,0 +1,62 @@
+"""Every request of the benchmark's cli workload gives the bytes of its reference.
+
+perfbench/reference.json records, for each argv of `generate.cli_space()`, the
+exit code and the digests of stdout and of the `--out` file.  Each argv runs
+in-process here against a fresh cache, with the plot inputs the workload
+writes in its set-up.  The perfbench modules are loaded by path and used as
+they are.
+"""
+
+import importlib.util
+import json
+import os
+import sys
+
+import pytest
+
+import gcsdiag.cli as cli
+from cli_runner import CliRunner
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def _load(name):
+    """perfbench/<name>.py as the module `name`, which is how its siblings import it."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, os.path.join(PERFBENCH, name + ".py"))
+        mod = importlib.util.module_from_spec(spec)
+        sys.modules[name] = mod
+        spec.loader.exec_module(mod)
+    return sys.modules[name]
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    generate, workloads = _load("generate"), _load("workloads")
+    with open(os.path.join(PERFBENCH, "reference.json"), encoding="utf-8") as fh:
+        return generate, workloads, json.load(fh)["cli"]
+
+
+def test_cli_requests_match_their_reference_digests(perfbench, tmp_path, monkeypatch):
+    generate, workloads, ref = perfbench
+    tmp = str(tmp_path)
+    workloads.write_plot_inputs(tmp)
+    monkeypatch.setenv("GCSDIAG_CACHE", os.path.join(tmp, "cache"))
+    monkeypatch.chdir(ROOT)  # the requests name seeds/*.seed
+    runner = CliRunner()
+    space = generate.cli_space()
+    assert sorted(map(workloads.cli_key, space)) == sorted(ref)
+    bad = []
+    for argv in space:
+        res = runner.invoke(cli.main, [a.replace("{tmp}", tmp) for a in argv])
+        want = ref[workloads.cli_key(argv)]
+        got = {"rc": res.exit_code, "stdout": workloads.digest(res.output), "out": None}
+        if "--out" in argv:
+            path = argv[argv.index("--out") + 1].replace("{tmp}", tmp)
+            with open(path, "rb") as fh:
+                got["out"] = workloads.digest(fh.read())
+            os.remove(path)
+        if got != want:
+            bad.append((workloads.cli_key(argv), got, want))
+    assert not bad, bad[:3]

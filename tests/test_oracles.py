@@ -6,7 +6,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from test_scatter import EXTRA_SEEDS, _seed, _zoo
+from test_scatter import EXTRA_SEEDS, _seed, _zoo, wall_rows
 
 from gcsdiag import (
     ClusterState,
@@ -16,14 +16,16 @@ from gcsdiag import (
     complete_rank2,
     enumerate_broken_lines,
     initial_diagram,
+    initial_diagram_prin,
     laurent_dict,
     mutate_cluster,
     parse_seed_file,
+    project_to_A,
     structure_constant,
     theta,
 )
 from gcsdiag.scatter import Wall, _chamber_ray, _prim, _rays, _v_rows, _wall
-from gcsdiag.seed import epsilon, mutation_walk, principal_data
+from gcsdiag.seed import _names, epsilon, mutation_walk, principal_data
 from gcsdiag.theta import _monoid_points, generic_near
 
 # the ordinary Kronecker seed: d = (1, 1), where kronecker22.seed has d = (2, 2)
@@ -255,12 +257,19 @@ def _at(c, point):
     """A wall or theta coefficient, a CoeffPoly or a number, evaluated at {symbol: value}."""
     if type(c) is not CoeffPoly:
         return c
+    names = sorted(c.symbols())
     total = 0
-    for mono, k in c.terms.items():
-        for name, e in mono:
+    for expo, k in c.exponents(names).items():
+        for name, e in zip(names, expo):
             k = k * point[name] ** e
         total += k
     return total
+
+
+def _points(seed):
+    """Every point {symbol: value} of the seed's symbols with values in SPECIAL_VALUES."""
+    symbols = _names([c for t in seed.a_tuples.values() for c in t])
+    return [dict(zip(symbols, combo)) for combo in product(SPECIAL_VALUES, repeat=len(symbols))]
 
 
 def _specialised(fixed, seed, point):
@@ -285,14 +294,11 @@ def _specialisation_mismatches(fixed, seed, order):
     """Points where completing the specialised seed, or a theta value on it, differs from
     the symbolic completion evaluated there; theta at one generic point per chamber."""
     diag = complete_rank2(initial_diagram(fixed, seed, order))
-    symbols = sorted({name for t in seed.a_tuples.values() for c in t if type(c) is CoeffPoly
-                      for mono in c.terms for name, _ in mono})
     points = {m0: [generic_near(diag, _chamber_ray(diag.directions, k), m0, order)
                    for k in range(len(diag.directions))] for m0 in SPECIAL_M0}
     values = {(m0, z): theta(diag, z, m0).value.terms for m0, zs in points.items() for z in zs}
     bad, n = [], 0
-    for combo in product(SPECIAL_VALUES, repeat=len(symbols)):
-        point = dict(zip(symbols, combo))
+    for point in _points(seed):
         special = complete_rank2(initial_diagram(fixed, _specialised(fixed, seed, point), order))
         n += 1
         if _evaluated_walls(special, point) != _evaluated_walls(diag, point):
@@ -325,3 +331,40 @@ def test_binomial_point_of_the_22_seed_is_the_standard_diagram():
     for walls in (_evaluated_walls(symbolic, point), _evaluated_walls(special, point)):
         assert [w[4] for w in walls if w[1] == (1, -1)] == [(1, 4, 10, 20, 35, 56)]
     assert _evaluated_walls(symbolic, point) == _evaluated_walls(special, point)
+
+
+def _cluster_at(state, point):
+    """A cluster's variables {x-exponent: CoeffPoly} evaluated at point, zeros dropped."""
+    return [{x: v for x, v in ((x, _at(c, point)) for x, c in e.items()) if v}
+            for e in state.exprs]
+
+
+@pytest.mark.parametrize("text,points", [(None, 5), (TWO_SYMBOL, 25)], ids=["g31", "two-symbol"])
+def test_specialising_symbols_commutes_with_mutation(g31, text, points):
+    # along every mutation word of length <= 3, the specialised seed's cluster variables
+    # are the symbolic ones evaluated at the point, and no exchange raises
+    fixed, seed = g31 if text is None else parse_seed_file(text)
+    symbolic = list(mutation_walk(fixed, ClusterState(fixed, seed), 3, mutate_cluster))
+    for point in _points(seed):
+        special = ClusterState(fixed, _specialised(fixed, seed, point))
+        for (word, st), (_, sp) in zip(symbolic, mutation_walk(fixed, special, 3, mutate_cluster),
+                                       strict=True):
+            assert _cluster_at(sp, point) == _cluster_at(st, point), (point, word)
+    assert len(_points(seed)) == points
+
+
+@pytest.mark.parametrize("text,point", [
+    (None, {"a": 3}), (TWO_SYMBOL, {"a": Fraction(1, 2), "b": -2}), (None, "2*a")],
+    ids=["g31-3", "two-symbol-half", "g31-2a"])
+def test_principal_coefficients_project_to_the_A_diagram(g31, text, point):
+    # the principal seed carries the seed's own a-tuples, numbers and compound
+    # entries too, so dropping the N-part of its completion gives the A completion
+    fixed, seed = g31 if text is None else parse_seed_file(text)
+    if point == "2*a":
+        two_a = 2 * CoeffPoly.symbol("a")
+        seed = GeneralizedTorusSeed(fixed, seed.e_vectors, seed.f_vectors,
+                                    {0: (1, two_a, two_a, 1), 1: (1, 1)})
+    else:
+        seed = _specialised(fixed, seed, point)
+    prin = project_to_A(complete_rank2(initial_diagram_prin(fixed, seed, 8)))
+    assert wall_rows(prin) == wall_rows(complete_rank2(initial_diagram(fixed, seed, 8)))

@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_scatter import _zoo
 
 from gcsdiag import (
     ClusterState,
@@ -498,11 +499,33 @@ def test_companion_cg_relations(g31):
 
 
 def test_seed_file_round_trip_byte_stable():
+    texts = []
     for name in ("g31.seed", "a2.seed", "kronecker22.seed"):
         with open(os.path.join(SEED_DIR, name), "r", encoding="utf-8") as fh:
-            text = fh.read()
+            texts.append(fh.read())
+    texts += [text for text, _, _ in _zoo(60, random.Random(13))]
+    for text in texts:
         fixed, seed = parse_seed_file(text)
         assert serialize_seed_file(fixed, seed) == text
+        # the seeds `companions` prints, with their default symbols, round-trip too
+        for builder in (left_companion, right_companion, langlands_dual):
+            out = serialize_seed_file(*builder(fixed, seed))
+            assert parse_seed_file(out) == builder(fixed, seed)
+            assert serialize_seed_file(*parse_seed_file(out)) == out
+
+
+def test_seed_holds_every_entry_as_a_coefficient_poly(g31):
+    # a number is lifted to its constant and a compound entry is kept, so the file
+    # text, principal coefficients and mutation carry each entry as it is
+    fixed, seed = g31
+    a, b = CoeffPoly.symbol("a"), CoeffPoly.symbol("b")
+    for entry, text in ((3, "3"), (Fraction(1, 2), "1/2"), (2 * a, "2*a"), (a + b, "a + b")):
+        s = GeneralizedTorusSeed(fixed, seed.e_vectors, seed.f_vectors,
+                                 {0: (1, entry, entry, 1), 1: (1, 1)})
+        assert all(type(c) is CoeffPoly for t in s.a_tuples.values() for c in t)
+        assert serialize_seed_file(fixed, s).endswith("a.1 1 %s %s 1\na.2 1 1\n" % (text, text))
+        assert principal_data(fixed, s)[1].a_tuples == s.a_tuples
+        assert mutate_seed(fixed, s, 0).a_tuples == s.a_tuples
 
 
 def test_seed_file_rejects_bad_tuple():

@@ -796,6 +796,21 @@ def test_malformed_exponents_and_points_are_rejected(g31_diag8, m0, Q):
     assert theta(d, FIG2_Q, (1.0, 1)).value == theta(d, FIG2_Q, (1, 1)).value
 
 
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")], ids=str)
+def test_non_finite_exponents_and_points_are_rejected(g31_diag8, x):
+    # an infinite or NaN entry has no integer ratio: the error is the documented
+    # ValueError naming the point or the exponent, not Python's
+    d = g31_diag8
+    for call, what in ((lambda: theta(d, (x, 1), (1, 0)), "point"),
+                       (lambda: d.on_support((1, x)), "point"),
+                       (lambda: generic_near(d, (x, 1)), "point"),
+                       (lambda: structure_constant(d, (1, 0), (0, 1), (1, 1), (x, 1)), "point"),
+                       (lambda: theta(d, GEN_Q, (x, 0)), "exponent"),
+                       (lambda: structure_constant(d, (1, 0), (0, x), (1, 1), GEN_Q), "exponent")):
+        with pytest.raises(ValueError, match="^%s \\(" % what):
+            call()
+
+
 def test_theta_transport_between_adjacent_chambers(g31_diag8):
     # crossing into the next chamber is one wall automorphism
     m0 = (0, -1)
