@@ -294,12 +294,20 @@ class Grading:
         b = g1[i] * m[j] - g1[j] * m[i]
         return (a, b) if det > 0 else (-a, -b)
 
+    def _over_den(self, x):
+        """x / den for an int x: an int where den divides x, else a Fraction."""
+        return x // self.den if not x % self.den else Fraction(x, self.den)
+
     def coefficients(self, m):
+        """m's coefficients in the generators, ints where integral; None off their span,
+        which an exponent of another length is."""
         m = tuple(m)
         if m not in self._cache:
-            a, b = self.scaled_coordinates(m)
-            on_span = all(a * x + b * y == self.den * t for x, y, t in zip(*self.generators, m))
-            self._cache[m] = [Fraction(a, self.den), Fraction(b, self.den)] if on_span else None
+            self._cache[m] = None
+            if len(m) == self.dim:
+                a, b = self.scaled_coordinates(m)
+                if all(a * x + b * y == self.den * t for x, y, t in zip(*self.generators, m)):
+                    self._cache[m] = [self._over_den(a), self._over_den(b)]
         return self._cache[m]
 
     def degree(self, m):
@@ -310,7 +318,7 @@ class Grading:
             coeffs = self.coefficients(m)
             if coeffs is None or any(c < 0 for c in coeffs):
                 raise ValueError("exponent %r outside the grading monoid" % (m,))
-            d = self._degrees[m] = _exact(sum(coeffs, Fraction(0)))
+            d = self._degrees[m] = self._over_den(self.scaled_degree(m))
         return d
 
     def scaled_degree(self, m):

@@ -86,6 +86,14 @@ def _ang_cmp(a, b):
 _by_angle = cmp_to_key(_ang_cmp)
 
 
+def _wall_angle(wall):
+    return _by_angle(wall.direction)
+
+
+def _event_angle(event):
+    return _by_angle(event[0])
+
+
 def _line_rep(v):
     """Canonical direction of a full line: angle in [0, pi)."""
     v = _prim(v)
@@ -175,14 +183,17 @@ class ScatteringDiagram:
         self.seed = seed
         self.order = order
         self.grading = grading
-        self.walls = sorted(walls, key=lambda w: _by_angle(w.direction))
         self.proj = tuple(proj)
         self.dim = grading.dim
-        self.events = sorted(((p, w, _crossing_sign(w.normal, p))
-                              for w in self.walls for p in _rays(w)),
-                             key=lambda e: _by_angle(e[0]))
+        walls = sorted(walls, key=_wall_angle)
+        self._index(walls, sorted(((p, w, _crossing_sign(w.normal, p))
+                                   for w in walls for p in _rays(w)), key=_event_angle))
+
+    def _index(self, walls, events):
+        """Take walls and their (direction, wall, sign) events, both in angular order."""
+        self.walls, self.events = walls, events
         # every wall direction is primitive, so equal directions are equal adjacent rays
-        rays = self._event_rays = [p for p, _, _ in self.events]
+        rays = self._event_rays = [p for p, _, _ in events]
         self.directions = [p for i, p in enumerate(rays) if not i or p != rays[i - 1]]
         self._direction_set = frozenset(self.directions)
         # theta's values per (m0, order, chamber); a derived diagram has
@@ -437,19 +448,22 @@ def complete_rank2(diag):
     the loop's lowest terms send z^m to z^m (1 + c <n_u, m> z^u), so the
     pairing is nonzero there and every such monomial gives the same c.  One
     table holds each ray's wall; a pass rebuilds at once the walls it adds
-    to, so every other wall keeps its memoised powers.  The ray directions
-    are kept in angular order, so no pass re-sorts them.
+    to, so every other wall keeps its memoised powers.  The walls and events
+    are kept in angular order across passes: a new ray's go in where the
+    stable sort puts them, after those on its direction, and a rebuilt ray's
+    replace the old ones in place, so no pass sorts.
     """
     g1 = diag.grading.generators[0]
     monomials = (diag.basis_exponents()
                  if any(w.kind == "ray" and not _cross(diag.project(w.base), diag.project(g1))
                         for w in diag.walls) else [g1])
-    rays, ray_dirs = {}, []  # plane direction -> its wall; the directions in angular order
+    rays = {}  # plane direction -> its wall
+    walls, events = list(diag.walls), list(diag.events)
     last_deg = -1
     while True:
-        # two runs already in angular order: the diagram's sort merges them
-        cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
-                                diag.walls + [rays[d] for d in ray_dirs], diag.proj)
+        # an empty diagram takes copies of the table, which later passes change
+        cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading, [], diag.proj)
+        cur._index(walls[:], events[:])
         probe = min(max(math.floor(last_deg) + 1, 2), diag.order)
         dmin, defects = _lowest_defects(cur, probe, monomials)
         if not defects and probe < diag.order:
@@ -466,7 +480,8 @@ def complete_rank2(diag):
             mdir = _prim(cur.project(u))
             normal = _perp_normal(mdir)
             ray_dir = (-mdir[0], -mdir[1])
-            den = _crossing_sign(normal, ray_dir) * _dot(normal, cur.project(monomials[bi]))
+            sign = _crossing_sign(normal, ray_dir)
+            den = sign * _dot(normal, cur.project(monomials[bi]))
             if not den:
                 raise RuntimeError("defect %r cannot be cancelled by any wall" % (u,))
             # the ray's exponents lie in a rank-2 lattice that projects
@@ -474,14 +489,17 @@ def complete_rank2(diag):
             # the degree rises each pass, so index gcd(u) is new to the ray;
             # the factor -1/den is an int when den is +-1
             j = math.gcd(*u)
-            if ray_dir in rays:
-                coeffs = list(rays[ray_dir].coeffs)
-            else:
-                coeffs = [1] + [0] * j
-                insort(ray_dirs, ray_dir, key=_by_angle)
+            old = rays.get(ray_dir)
+            coeffs = list(old.coeffs) if old else [1] + [0] * j
             coeffs[j] = poly * (-den if den in (1, -1) else Fraction(-1, den))
-            rays[ray_dir] = _wall("ray", ray_dir, _prim(u), coeffs, diag.grading, diag.order,
-                                  diag.proj)
+            wall = rays[ray_dir] = _wall("ray", ray_dir, _prim(u), coeffs, diag.grading,
+                                         diag.order, diag.proj)
+            if old:
+                walls[walls.index(old)] = wall
+                events[events.index((ray_dir, old, sign))] = (ray_dir, wall, sign)
+            else:
+                insort(walls, wall, key=_wall_angle)
+                insort(events, (ray_dir, wall, sign), key=_event_angle)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ def _pos(x):
 def _ints(values, what):
     """values as a tuple of ints; ValueError naming what if one is not an integer."""
     values = tuple(values)
-    if any(Fraction(x).denominator != 1 for x in values):
+    if any(type(x) is not int and Fraction(x).denominator != 1 for x in values):
         raise ValueError("%s %s has a non-integral entry" % (what, list(values)))
     return tuple(int(x) for x in values)
 
@@ -37,7 +37,8 @@ class FixedData:
 
     B holds the initial epsilon matrix, b_ij = {e_i, e_j} d_j.  The weights
     d may be rational (right companion data); everything downstream works in
-    the integral basis {d_i e_i} so wall data stays integral.
+    the integral basis {d_i e_i} so wall data stays integral.  The int
+    weights w_i = L / d_i, L the lcm of d's numerators, put every check in ints.
     """
 
     def __init__(self, n, unfrozen, d, r, B):
@@ -53,9 +54,11 @@ class FixedData:
         if len(set(self.unfrozen)) != len(self.unfrozen) or not all(
                 0 <= i < n for i in self.unfrozen):
             raise ValueError("unfrozen indices must be distinct and in 1..rank")
+        L = math.lcm(*(x.numerator for x in self.d))
+        self.w = w = tuple(L // x.numerator * x.denominator for x in self.d)
         for i in range(n):
             for j in range(n):
-                if Fraction(self.B[i][j], 1) / self.d[j] != -Fraction(self.B[j][i], 1) / self.d[i]:
+                if self.B[i][j] * w[j] != -self.B[j][i] * w[i]:  # B_ij / d_j = -B_ji / d_i
                     raise ValueError("B is not skew-symmetrizable by d")
 
     def __eq__(self, other):
@@ -92,11 +95,10 @@ class GeneralizedTorusSeed:
             for j in range(len(t)):
                 if t[j] != t[len(t) - 1 - j]:
                     raise ValueError("coefficient tuple for direction %d is not reciprocal" % (i + 1,))
-        # duality: d_i <e_i', f_j'> = delta_ij; zero entries are skipped, as in epsilon
-        for i, (e, di) in enumerate(zip(self.e_vectors, fixed.d)):
+        # duality: d_i <e_i', f_j'> = sum_c e_c f_c w_c / w_i = delta_ij
+        for i, (e, wi) in enumerate(zip(self.e_vectors, fixed.w)):
             for j, f in enumerate(self.f_vectors):
-                val = sum(Fraction(x * y, d) for x, y, d in zip(e, f, fixed.d) if x and y)
-                if val * di != (1 if i == j else 0):
+                if sum(x * y * w for x, y, w in zip(e, f, fixed.w)) != (wi if i == j else 0):
                     raise ValueError("e- and f-vectors are not dual bases")
 
     def __eq__(self, other):
@@ -128,23 +130,21 @@ def make_initial_seed(fixed, a_tuples=None):
 
 
 def epsilon(fixed, seed):
-    """epsilon'_ij = {e_i', e_j'} d_j for the seed's current basis."""
-    n = fixed.n
-    E = seed.e_vectors
+    """epsilon'_ij = {e_i', e_j'} d_j for the seed's current basis.
+
+    With {e_a, e_b} = B_ab / d_b = B_ab w_b / L and d_j = L / w_j, that is
+    sum_ab E_ia E_jb B_ab w_b / w_j: an int sum and one division.
+    """
+    n, E, w = fixed.n, seed.e_vectors, fixed.w
     out = []
     for i in range(n):
+        eb = [sum(E[i][a] * fixed.B[a][b] for a in range(n)) * w[b] for b in range(n)]
         row = []
         for j in range(n):
-            val = Fraction(0)
-            for a in range(n):
-                for b in range(n):
-                    if E[i][a] and E[j][b] and fixed.B[a][b]:
-                        # {e_a, e_b} = B_ab / d_b
-                        val += Fraction(E[i][a]) * E[j][b] * Fraction(fixed.B[a][b]) / fixed.d[b]
-            val *= fixed.d[j]
-            if val.denominator != 1:
+            val, rem = divmod(sum(x * y for x, y in zip(eb, E[j])), w[j])
+            if rem:
                 raise ValueError("non-integral epsilon entry")
-            row.append(int(val))
+            row.append(val)
         out.append(tuple(row))
     return tuple(out)
 

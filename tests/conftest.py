@@ -1,10 +1,23 @@
+import importlib.util
 import os
+import sys
 
 import pytest
 
 from gcsdiag import complete_rank2, initial_diagram, parse_seed_file
 
 SEED_DIR = os.path.join(os.path.dirname(__file__), "..", "seeds")
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py as the module `name`, which is how its siblings import it."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, os.path.join(PERFBENCH, name + ".py"))
+        mod = importlib.util.module_from_spec(spec)
+        sys.modules[name] = mod
+        spec.loader.exec_module(mod)
+    return sys.modules[name]
 
 
 def load_seed(name):

@@ -7,33 +7,21 @@ writes in its set-up.  The perfbench modules are loaded by path and used as
 they are.
 """
 
-import importlib.util
 import json
 import os
-import sys
 
 import pytest
 
 import gcsdiag.cli as cli
 from cli_runner import CliRunner
+from conftest import PERFBENCH, load_perfbench
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-PERFBENCH = os.path.join(ROOT, "perfbench")
-
-
-def _load(name):
-    """perfbench/<name>.py as the module `name`, which is how its siblings import it."""
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, os.path.join(PERFBENCH, name + ".py"))
-        mod = importlib.util.module_from_spec(spec)
-        sys.modules[name] = mod
-        spec.loader.exec_module(mod)
-    return sys.modules[name]
 
 
 @pytest.fixture(scope="module")
 def perfbench():
-    generate, workloads = _load("generate"), _load("workloads")
+    generate, workloads = load_perfbench("generate"), load_perfbench("workloads")
     with open(os.path.join(PERFBENCH, "reference.json"), encoding="utf-8") as fh:
         return generate, workloads, json.load(fh)["cli"]
 

@@ -1,9 +1,11 @@
 """Completed diagrams dump byte-identically to the benchmark's reference.
 
 perfbench/reference.json holds the first 16 hex digits of the sha256 of
-each completion job's dump.  This test rebuilds the cheap jobs from the
-shipped seed files, so a change to a dump fails here and not only in the
-benchmark.  The reference file is only read.
+each completion job's dump.  This test rebuilds every job of the complete
+workload, `generate.COMPLETE_JOBS` under each of `generate.SYMBOLS`, from the
+workload's own seed texts, so a change to a dump fails here and not only in
+the benchmark.  Like the workload, it also checks each result consistent.
+The perfbench modules and the reference file are only read.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import os
 import pytest
 
 from gcsdiag import (
+    check_consistency,
     complete_rank2,
     dump_diagram,
     initial_diagram,
@@ -21,31 +24,38 @@ from gcsdiag import (
     parse_seed_file,
 )
 
-ROOT = os.path.join(os.path.dirname(__file__), "..")
-REFERENCE = os.path.join(ROOT, "perfbench", "reference.json")
+from conftest import PERFBENCH, load_perfbench
 
-# (seed family, variant, order); g31's exchange coefficient is `a`
-JOBS = [
-    ("a2", "A", 40), ("a2", "Aprin", 40),
-    ("kronecker22", "A", 9), ("kronecker22", "Aprin", 9),
-    ("g31", "A", 10), ("g31", "Aprin", 10),
-]
+generate = load_perfbench("generate")
+
+# (seed family, variant, order); g31's jobs run under every symbol name
+JOBS = [(family, variant, order) for family, variant, order, _ in generate.COMPLETE_JOBS]
 
 
 @pytest.fixture(scope="module")
 def reference():
-    with open(REFERENCE, "r", encoding="utf-8") as fh:
+    with open(os.path.join(PERFBENCH, "reference.json"), "r", encoding="utf-8") as fh:
         return json.load(fh)["complete"]
+
+
+def _symbols(family):
+    return generate.SYMBOLS if family == "g31" else ("a",)
+
+
+def test_jobs_cover_the_reference(reference):
+    keys = [generate.complete_key(*job, symbol) for job in JOBS for symbol in _symbols(job[0])]
+    assert sorted(keys) == sorted(reference)
 
 
 @pytest.mark.parametrize("family,variant,order", JOBS)
 def test_dump_matches_reference_digest(reference, family, variant, order):
-    with open(os.path.join(ROOT, "seeds", family + ".seed"), "r", encoding="utf-8") as fh:
-        fixed, seed = parse_seed_file(fh.read())
     build = initial_diagram if variant == "A" else initial_diagram_prin
-    diag = complete_rank2(build(fixed, seed, order))
-    # a diagram reads its directions off its sorted events without reducing them
-    assert all(math.gcd(*w.direction) == 1 for w in diag.walls), diag.walls
-    text = dump_diagram(diag, variant)
-    key = "%s/%s/%d/%s" % (family, variant, order, "a" if family == "g31" else "-")
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == reference[key]
+    for symbol in _symbols(family):
+        fixed, seed = parse_seed_file(generate.seed_text(family, symbol))
+        diag = complete_rank2(build(fixed, seed, order))
+        # a diagram reads its directions off its sorted events without reducing them
+        assert all(math.gcd(*w.direction) == 1 for w in diag.walls), diag.walls
+        assert check_consistency(diag) == (True, None)
+        text = dump_diagram(diag, variant)
+        key = generate.complete_key(family, variant, order, symbol)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == reference[key], key

@@ -221,6 +221,24 @@ def test_degree_is_memoised(monkeypatch):
         g.degree((1, 1))
 
 
+def test_an_exponent_of_another_length_has_no_degree(a2):
+    # a2's A_prin grading is on 4-dim exponents; a shorter or longer one was
+    # once solved on the coordinates it shares with them
+    from gcsdiag import initial_diagram_prin, path_ordered_product
+
+    diag = initial_diagram_prin(*a2, 4)
+    g = diag.grading
+    assert g.degree((0, 1, 1, 0)) == 1
+    for m in [(0, 1), (0, 1, 1, 0, 5), ()]:
+        assert g.coefficients(m) is None
+        with pytest.raises(ValueError, match="outside the grading monoid"):
+            g.degree(m)
+    # the frozen part of the exponent was dropped: z^(-1,1) + z^(0,1)
+    with pytest.raises(ValueError):
+        path_ordered_product(diag, [(diag.walls[0], 1)],
+                             TruncatedLaurent.monomial(g, 4, (0, 1)))
+
+
 # ---------------------------------------------------------------------------
 # canonical strings
 

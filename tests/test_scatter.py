@@ -919,6 +919,57 @@ def test_a_ray_along_g1_reads_every_basis_monomial(g31_diag8, direction, expo, s
     assert _wall_list(complete_rank2(diag)) == _wall_list(_one_pass_completion(diag))
 
 
+WILD = "rank 2\nunfrozen 1 2\nd 1 1\nr 4 3\nB 0 -2 2 0\na.1 1 c a c 1\na.2 1 b b 1\n"
+
+
+def _table_inputs(request):
+    """(name, diagram) for completion's pass table test."""
+    for name in ("a2", "g31", "kronecker"):
+        fixed, seed = request.getfixturevalue(name)
+        yield name, initial_diagram(fixed, seed, 8)
+        yield name + " Aprin", initial_diagram_prin(fixed, seed, 8)
+        if name != "a2":  # a2's one ray has degree 2, below every cut
+            done = complete_rank2(initial_diagram(fixed, seed, 6))
+            for cut in range(3, 7):
+                yield "%s cut at %d" % (name, cut), _partly_completed(done, cut)
+    yield "wild", initial_diagram(*parse_seed_file(WILD), 8)
+    g31_diag8 = request.getfixturevalue("g31_diag8")
+    for direction, expo in (((0, -1), (0, 1)), ((-1, 0), (-1, 0))):  # the first along g1
+        yield "ray %s" % (direction,), _with_ray(g31_diag8, direction, expo)
+
+
+def _geometry(diag):
+    return ([id(w) for w in diag.walls], [(p, id(w), s) for p, w, s in diag.events],
+            diag.directions, diag._event_rays, diag._direction_set)
+
+
+def test_pass_table_equals_the_sorting_constructor(request, monkeypatch):
+    # completion keeps its walls and events in angular order across passes;
+    # each pass diagram must be the one the constructor sorts from the input's
+    # walls followed by the table's rays, which is how passes were built before
+    import gcsdiag.scatter as scatter
+
+    def rebuilt(init, diag):
+        ids = {id(w) for w in init.walls}
+        return ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
+                                 init.walls + [w for w in diag.walls if id(w) not in ids],
+                                 diag.proj)
+
+    for name, init in list(_table_inputs(request)):  # built before the spy goes in
+        passes = []
+
+        def spy(diag, probe=None, monomials=None, init=init):
+            if not passes or passes[-1] is not diag:
+                assert _geometry(diag) == _geometry(rebuilt(init, diag)), (name, len(passes))
+                passes.append(diag)
+            return _lowest_defects(diag, probe, monomials)
+
+        monkeypatch.setattr(scatter, "_lowest_defects", spy)
+        done = complete_rank2(init)
+        assert done is passes[-1] and len(passes) > 1, name
+        assert _geometry(done) == _geometry(rebuilt(init, done)), name
+
+
 # ---------------------------------------------------------------------------
 # crossings read from the diagram's sorted events, against the scans they replaced
 
