@@ -136,10 +136,12 @@ def _cached_text(key_parts, producer, no_cache, out):
 
 
 def _write_atomic(path, text):
-    """Write text to path through a temporary file in its directory."""
+    """Write text to path through a temporary file in its directory, with the mode open() gives."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.umask(umask := os.umask(0))  # mkstemp makes the file 0600 whatever the umask
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except OSError:

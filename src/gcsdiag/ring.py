@@ -340,6 +340,9 @@ class TruncatedLaurent:
 
     def __init__(self, grading, order, offset, terms):
         self.grading, self.order, self.offset = grading, order, tuple(offset)
+        for expo in (self.offset, *terms):  # _vsub would cut a longer one to the shorter's length
+            if len(expo) != grading.dim:
+                raise ValueError("exponent %r is not of length %d" % (tuple(expo), grading.dim))
         clean = {}
         for expo, poly in terms.items():
             poly = poly.numerator if type(poly) is Fraction and poly.denominator == 1 else poly

@@ -86,10 +86,6 @@ def _ang_cmp(a, b):
 _by_angle = cmp_to_key(_ang_cmp)
 
 
-def _wall_angle(wall):
-    return _by_angle(wall.direction)
-
-
 def _event_angle(event):
     return _by_angle(event[0])
 
@@ -172,10 +168,11 @@ def _crossing_sign(normal, p):
 class ScatteringDiagram:
     """A finite wall collection with diagram-wide truncation order.
 
-    It owns the geometry: walls stably sorted by angle, the (direction, wall,
-    sign) crossing events of a ccw loop, which answer every crossing question,
-    and the distinct primitive directions.  Its walls never change, so theta
-    memoises its values per chamber on it.
+    It owns the geometry: the (direction, wall, sign) crossing events of a
+    ccw loop, stably sorted by angle, which answer every crossing question;
+    the walls, read off the events at their own directions; and the distinct
+    primitive directions.  Its walls never change, so theta memoises its
+    values per chamber on it.
     """
 
     def __init__(self, fixed, seed, order, grading, walls, proj):
@@ -185,13 +182,14 @@ class ScatteringDiagram:
         self.grading = grading
         self.proj = tuple(proj)
         self.dim = grading.dim
-        walls = sorted(walls, key=_wall_angle)
-        self._index(walls, sorted(((p, w, _crossing_sign(w.normal, p))
-                                   for w in walls for p in _rays(w)), key=_event_angle))
+        self._index(sorted(((p, w, _crossing_sign(w.normal, p)) for w in walls for p in _rays(w)),
+                           key=_event_angle))
 
-    def _index(self, walls, events):
-        """Take walls and their (direction, wall, sign) events, both in angular order."""
-        self.walls, self.events = walls, events
+    def _index(self, events):
+        """Take the (direction, wall, sign) events in angular order; each wall is listed at the
+        event of its own direction, so the walls are sorted by direction, ties in input order."""
+        self.events = events
+        self.walls = [w for p, w, _ in events if p == w.direction]
         # every wall direction is primitive, so equal directions are equal adjacent rays
         rays = self._event_rays = [p for p, _, _ in events]
         self.directions = [p for i, p in enumerate(rays) if not i or p != rays[i - 1]]
@@ -448,22 +446,22 @@ def complete_rank2(diag):
     the loop's lowest terms send z^m to z^m (1 + c <n_u, m> z^u), so the
     pairing is nonzero there and every such monomial gives the same c.  One
     table holds each ray's wall; a pass rebuilds at once the walls it adds
-    to, so every other wall keeps its memoised powers.  The walls and events
-    are kept in angular order across passes: a new ray's go in where the
-    stable sort puts them, after those on its direction, and a rebuilt ray's
-    replace the old ones in place, so no pass sorts.
+    to, so every other wall keeps its memoised powers.  The events are kept
+    in angular order across passes: a new ray's goes in where the stable
+    sort puts it, after those on its direction, and a rebuilt ray's replaces
+    the old one in place, so no pass sorts.
     """
     g1 = diag.grading.generators[0]
     monomials = (diag.basis_exponents()
                  if any(w.kind == "ray" and not _cross(diag.project(w.base), diag.project(g1))
                         for w in diag.walls) else [g1])
     rays = {}  # plane direction -> its wall
-    walls, events = list(diag.walls), list(diag.events)
+    events = list(diag.events)
     last_deg = -1
     while True:
-        # an empty diagram takes copies of the table, which later passes change
+        # an empty diagram takes a copy of the events, which later passes change
         cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading, [], diag.proj)
-        cur._index(walls[:], events[:])
+        cur._index(events[:])
         probe = min(max(math.floor(last_deg) + 1, 2), diag.order)
         dmin, defects = _lowest_defects(cur, probe, monomials)
         if not defects and probe < diag.order:
@@ -495,10 +493,8 @@ def complete_rank2(diag):
             wall = rays[ray_dir] = _wall("ray", ray_dir, _prim(u), coeffs, diag.grading,
                                          diag.order, diag.proj)
             if old:
-                walls[walls.index(old)] = wall
                 events[events.index((ray_dir, old, sign))] = (ray_dir, wall, sign)
             else:
-                insort(walls, wall, key=_wall_angle)
                 insort(events, (ray_dir, wall, sign), key=_event_angle)
 
 

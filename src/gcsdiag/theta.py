@@ -235,8 +235,8 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
     """All broken lines with initial exponent m0 and endpoint Q, from a search of their own.
 
     Q must be generic: off the support, and off every line through the origin that a final
-    segment could run along; else ValueError.  The states whose cone holds Q are sorted by
-    BrokenLine.sort_key, then the walls met walking back (ties keep search order)."""
+    segment could run along; else ValueError.  The lines of the states whose cone holds Q are
+    sorted by BrokenLine.sort_key, then the walls met walking back (ties keep search order)."""
     if diag.dim != 2:
         raise ValueError("broken lines need plane exponents")
     order = _order(diag, order)
@@ -247,17 +247,10 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
     qi = _endpoint(diag, (m0,), Q, order)[0]
     qs = Q[0] / qi[0] if qi[0] else Q[1] / qi[1]  # Q = qs*qi
     index = {id(w): i for i, w in enumerate(diag.walls)}
-
-    def key(state):
-        m, bends = state[5], []
-        while state[0] is not None:
-            bends.append(state)
-            state = state[0]
-        return (len(bends), [b[1].direction for b in reversed(bends)],
-                [b[3] for b in reversed(bends)], m, [index[id(b[1])] for b in bends])
-
-    kept = [s for s, _ in _chains(diag, m0, order) if s[2] is None or _in_cone(qi, s[2], s[5])]
-    return [_line(state, qs, qi, Q) for state in sorted(kept, key=key)]
+    lines = [_line(s, qs, qi, Q) for s, _ in _chains(diag, m0, order)
+             if s[2] is None or _in_cone(qi, s[2], s[5])]
+    return sorted(lines, key=lambda line: (line.sort_key(),
+                                           [index[id(w)] for w, _, _ in reversed(line.bends)]))
 
 
 def validate_broken_line(diag, line, m0, Q):

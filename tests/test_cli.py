@@ -167,6 +167,21 @@ def test_cache_that_cannot_be_written_is_skipped(runner, tmp_path, monkeypatch):
     assert blocker.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_follow_the_umask(runner, cache_env, tmp_path, umask, mode):
+    # as a shell redirect would create them, although they are written through mkstemp
+    out = tmp_path / "dump.txt"
+    old = os.umask(umask)
+    try:
+        for _ in range(2):  # a new file, then one written over
+            res = runner.invoke(cli.main, ["complete", G31, "--order", "4", "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            (entry,) = cache_env.iterdir()
+            assert [os.stat(p).st_mode & 0o777 for p in (out, entry)] == [mode, mode]
+    finally:
+        os.umask(old)
+
+
 @pytest.mark.parametrize("target", ["missing/out.txt", "."])
 def test_out_that_cannot_be_written_exit_2(runner, tmp_path, target):
     # a missing directory, or a directory in place of the file

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,18 @@ def test_an_exponent_of_another_length_has_no_degree(a2):
     with pytest.raises(ValueError):
         path_ordered_product(diag, [(diag.walls[0], 1)],
                              TruncatedLaurent.monomial(g, 4, (0, 1)))
+
+
+def test_a_series_names_its_exponent_of_another_length(a2):
+    # the exponent was once cut to the offset's length and reported as (0, 0)
+    from gcsdiag import initial_diagram_prin
+
+    g = initial_diagram_prin(*a2, 4).grading
+    for m in [(0, 1), (0, 1, 1, 0, 5)]:
+        with pytest.raises(ValueError, match=re.escape("exponent %r is not of length 4" % (m,))):
+            TruncatedLaurent.monomial(g, 4, m)
+        with pytest.raises(ValueError, match=re.escape("exponent %r is not of length 4" % (m,))):
+            TruncatedLaurent(g, 4, (0, 0, 0, 0), {(0, 1, 1, 0): 1, m: 1})
 
 
 # ---------------------------------------------------------------------------

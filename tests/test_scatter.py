@@ -351,6 +351,8 @@ EXTRA_SEEDS = {
 def _seed(request, name):
     if name in EXTRA_SEEDS:
         return parse_seed_file(EXTRA_SEEDS[name])
+    if name == "wild":
+        return parse_seed_file(WILD)
     return request.getfixturevalue(name)
 
 
@@ -375,15 +377,16 @@ def test_derived_walls_have_distinct_supports(request, name):
         assert len(set(supports)) == len(supports)
 
 
-@pytest.mark.parametrize("name", ["a2", "g31", "kronecker", "r32"])
+@pytest.mark.parametrize("name", ["a2", "g31", "kronecker", "r32", "wild"])
 def test_truncating_a_completion_equals_completing_lower(request, name):
     # check completes once, at its largest order, and truncates; walls whose
     # function truncates to 1 must go
     fixed, seed = _seed(request, name)
-    full = complete_rank2(initial_diagram(fixed, seed, 12))
-    for order in (2, 3, 4, 6):
-        assert (dump_diagram(_reorder(full, order))
-                == dump_diagram(complete_rank2(initial_diagram(fixed, seed, order)))), order
+    for build in (initial_diagram, initial_diagram_prin):
+        full = complete_rank2(build(fixed, seed, 12))
+        for order in range(1, 12):
+            assert (dump_diagram(_reorder(full, order))
+                    == dump_diagram(complete_rank2(build(fixed, seed, order)))), (build, order)
 
 
 def test_kronecker_closed_form_order30(kronecker):
@@ -968,6 +971,87 @@ def test_pass_table_equals_the_sorting_constructor(request, monkeypatch):
         done = complete_rank2(init)
         assert done is passes[-1] and len(passes) > 1, name
         assert _geometry(done) == _geometry(rebuilt(init, done)), name
+
+
+def _angular(walls):
+    """Reference: walls stably sorted by the angle of their directions."""
+    return [id(w) for w in sorted(walls, key=lambda w: _by_angle(w.direction))]
+
+
+def test_walls_are_their_input_stably_sorted_by_direction(request, monkeypatch):
+    # the events are the one stored order and the walls are read off them; every
+    # builder's diagram and every completion pass must list its walls once each,
+    # in the order a stable sort of its input by direction gives
+    import gcsdiag.scatter as scatter
+
+    def assert_listed(diag, walls, name):
+        assert [id(w) for w in diag.walls] == _angular(walls), name
+        assert len({id(w) for w in diag.walls}) == len(diag.walls), name
+
+    init = ScatteringDiagram.__init__
+
+    def built(self, fixed, seed, order, grading, walls, proj):
+        walls = list(walls)
+        init(self, fixed, seed, order, grading, walls, proj)
+        assert_listed(self, walls, "constructor")
+
+    monkeypatch.setattr(ScatteringDiagram, "__init__", built)
+    seeds = [request.getfixturevalue(name) for name in ("a2", "g31", "kronecker")]
+    seeds += [parse_seed_file(text) for text in list(EXTRA_SEEDS.values()) + [WILD]]
+    assert sum(1 for fixed, seed in seeds for _ in _builder_pairs(fixed, seed, 6)) == 7 * 7 + 3
+    # walls that tie: a ray on each line's own direction, before the lines and after them
+    diag = request.getfixturevalue("g31_diag8")
+    rays = [_wall("ray", d, e, [1, 1], diag.grading, diag.order, diag.proj)
+            for d, e in (((1, 0), (-1, 0)), ((0, 1), (0, 1)))]
+    assert {w.direction for w in rays} == {w.direction for w in diag.walls if w.kind == "line"}
+    for walls in (rays + diag.walls, diag.walls + rays):
+        ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading, walls, diag.proj)
+
+    for name, start in list(_table_inputs(request)):
+        passes = []
+
+        def spy(diag, probe=None, monomials=None, start=start):
+            if not passes or passes[-1] is not diag:
+                ids = {id(w) for w in start.walls}
+                added = [w for w in diag.walls if id(w) not in ids]  # rays on distinct directions
+                assert_listed(diag, start.walls + added, (name, len(passes)))
+                passes.append(diag)
+            return _lowest_defects(diag, probe, monomials)
+
+        monkeypatch.setattr(scatter, "_lowest_defects", spy)
+        assert complete_rank2(start) is passes[-1] and len(passes) > 1, name
+
+
+def test_rays_on_a_line_read_alike_before_and_after_it(g31_diag8):
+    # a ray on each line's opposite direction shares that direction's events;
+    # its events follow the input order of the walls, but walls on one ray
+    # commute, so loops, defects and theta values do not depend on it
+    from gcsdiag import theta
+
+    diag = g31_diag8
+    rays = [_wall("ray", d, e, [1, 1], diag.grading, diag.order, diag.proj)
+            for d, e in (((-1, 0), (-1, 0)), ((0, -1), (0, 1)))]
+    assert {w.direction for w in rays} == {(-x, -y) for x, y in
+                                           (w.direction for w in diag.walls if w.kind == "line")}
+    before, after = (ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading, walls,
+                                       diag.proj)
+                     for walls in (rays + diag.walls, diag.walls + rays))
+    assert [id(w) for w in before.walls] == [id(w) for w in after.walls]
+    assert [id(w) for _, w, _ in before.events] != [id(w) for _, w, _ in after.events]
+    assert [(p, s) for p, _, s in before.events] == [(p, s) for p, _, s in after.events]
+    for m in diag.basis_exponents():
+        one = [loop_product(d, TruncatedLaurent.monomial(diag.grading, diag.order, m)).terms
+               for d in (before, after)]
+        assert one[0] == one[1], m
+    assert _lowest_defects(before) == _lowest_defects(after)
+    assert _lowest_defects(before)[0] is not None
+    for m0 in [(1, 0), (0, 1), (-1, 2), (2, -3)]:
+        for Q in [(Fraction(7, 3), Fraction(5, 11)), (Fraction(-13, 7), Fraction(3, 17)),
+                  (Fraction(-5, 19), Fraction(-23, 3))]:
+            a, b = ((r.value.terms, [(line.segments, [(id(w), p, j) for w, p, j in line.bends])
+                                     for line in r.witness_lines])
+                    for r in (theta(d, Q, m0, 6) for d in (before, after)))
+            assert a == b, (m0, Q)
 
 
 # ---------------------------------------------------------------------------
