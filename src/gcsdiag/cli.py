@@ -15,7 +15,6 @@ import functools
 import hashlib
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from .scatter import (
@@ -137,11 +136,10 @@ def _cached_text(key_parts, producer, no_cache, out):
 
 def _write_atomic(path, text):
     """Write text to path through a temporary file in its directory, with the mode open() gives."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), ".gcsdiag-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # refuses an existing name
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.umask(umask := os.umask(0))  # mkstemp makes the file 0600 whatever the umask
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except OSError:
@@ -330,7 +328,7 @@ def plot(input_file, out):
     """Render a diagram dump or theta report as a deterministic SVG."""
     body = _read_input(input_file)
     if body.startswith("note:"):
-        body = body.split("\n", 1)[1]
+        body = body.partition("\n")[2]
     if body.startswith("order "):
         what, render = "diagram dump", _plot_dump
     elif body.startswith("theta "):
@@ -360,11 +358,10 @@ def check(seed_file, order, depth, out):
     failed = False
 
     try:
-        boosts = {k: tk_order_boost(fixed, seed, k) for k in fixed.unfrozen}
+        top = max(tk_order_boost(fixed, seed, k) for k in fixed.unfrozen)
     except ValueError as exc:
         raise CliError(str(exc), 3)
-    # one completion at the largest boost; truncation gives every lower order
-    top = max(boosts.values(), default=1)
+    # a T_k image's terms up to order come from terms up to order * boost_k <= order * top
     full = _build_diagram(fixed, seed, order * top, "A")
     diag = _reorder(full, order)
     ok, mono = check_consistency(diag)
@@ -373,7 +370,7 @@ def check(seed_file, order, depth, out):
 
     for k in fixed.unfrozen:
         try:
-            dk = _reorder(apply_Tk(_reorder(full, order * boosts[k]), k), order)
+            dk = _reorder(apply_Tk(full, k), order)
             d2 = complete_rank2(initial_diagram(fixed, mutate_seed(fixed, seed, k), order))
             ok = equivalence_check(dk, d2)
         except (ValueError, RuntimeError) as exc:

@@ -169,7 +169,7 @@ def test_cache_that_cannot_be_written_is_skipped(runner, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_written_files_follow_the_umask(runner, cache_env, tmp_path, umask, mode):
-    # as a shell redirect would create them, although they are written through mkstemp
+    # as a shell redirect would create them, although each is written to a temporary file first
     out = tmp_path / "dump.txt"
     old = os.umask(umask)
     try:
@@ -180,6 +180,42 @@ def test_written_files_follow_the_umask(runner, cache_env, tmp_path, umask, mode
             assert [os.stat(p).st_mode & 0o777 for p in (out, entry)] == [mode, mode]
     finally:
         os.umask(old)
+
+
+def test_writes_never_touch_the_process_umask(runner, cache_env, tmp_path, monkeypatch):
+    # the kernel applies the umask when the file is created: nothing sets it to read it
+    def umask(mask):
+        raise AssertionError("os.umask(0o%o) called" % mask)
+
+    out = tmp_path / "dump.txt"
+    monkeypatch.setattr(os, "umask", umask)
+    res = runner.invoke(cli.main, ["complete", G31, "--order", "4", "--out", str(out)])
+    assert (res.exit_code, res.exception) == (0, None), res.output
+    (entry,) = cache_env.iterdir()
+    assert entry.read_text(encoding="utf-8") == out.read_text(encoding="utf-8")
+    assert sorted(os.listdir(tmp_path)) == ["cache", "dump.txt"]  # no temporary file is left
+
+
+def test_a_taken_temporary_name_is_not_followed(runner, tmp_path, monkeypatch):
+    # the temporary file is created exclusively, so a symlink at its name is refused
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    victim, out = tmp_path / "victim.txt", tmp_path / "dump.txt"
+    victim.write_text("keep\n")
+    os.symlink(victim, tmp_path / (".gcsdiag-" + "00" * 8))
+    res = runner.invoke(cli.main, ["complete", G31, "--order", "3", "--no-cache", "--out", str(out)])
+    assert res.exit_code == 2 and "File exists" in res.output, res.output
+    assert victim.read_text() == "keep\n" and not out.exists()
+
+
+def test_cache_goes_beside_out_or_in_the_working_directory(runner, tmp_path, monkeypatch):
+    # with GCSDIAG_CACHE unset
+    monkeypatch.delenv("GCSDIAG_CACHE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run").mkdir()
+    for args in ([], ["--out", "run/dump.txt"]):
+        res = runner.invoke(cli.main, ["complete", G31, "--order", "4"] + args)
+        assert res.exit_code == 0, res.output
+    assert [len(os.listdir(tmp_path / d / ".gcsdiag-cache")) for d in (".", "run")] == [1, 1]
 
 
 @pytest.mark.parametrize("target", ["missing/out.txt", "."])
@@ -328,7 +364,8 @@ def test_plot_rejects_garbage(runner, tmp_path):
                  "order 4\nline direction=(1) f=1\n",
                  "theta m0=(1,0)\nline bends=0 rays= points=- trail=z^(1,0)\n",
                  "theta m0=(1,0) Q=(1,1)\nline bends=0 rays= points=- trail=z^(1)\n",
-                 "order 4\nray direction=(0,0) f=1\n"):
+                 "order 4\nray direction=(0,0) f=1\n",
+                 "note: x"):
         bad.write_text(text)
         res = runner.invoke(cli.main, ["plot", str(bad)])
         assert res.exit_code == 2, text
@@ -477,6 +514,14 @@ def test_companions_output(runner):
         "a.1 1 1\na.2 1 a_{2,1} a_{2,1} 1\n")
 
 
+def test_companions_without_integral_d_have_no_langlands_dual(runner, tmp_path):
+    seed = tmp_path / "right.seed"
+    seed.write_text("rank 2\nunfrozen 1 2\nd 1/3 1\nr 1 1\nB 0 3 -1 0\na.1 1 1\na.2 1 1\n")
+    res = runner.invoke(cli.main, ["companions", str(seed)])
+    assert res.exit_code == 0, res.output
+    assert res.output.endswith("\nlanglands: unavailable (Langlands dual requires integral d)\n")
+
+
 # ---------------------------------------------------------------------------
 # error paths
 
@@ -498,6 +543,16 @@ def test_malformed_seed_file_exit_2(runner, tmp_path):
         assert res.exit_code == 2 and message in res.output, (unfrozen, a1, res.output)
 
 
+def test_seed_file_comments_and_blank_lines_are_skipped(runner, tmp_path):
+    with open(G31, encoding="utf-8") as fh:
+        text = fh.read()
+    commented = tmp_path / "commented.seed"
+    commented.write_text("# the G31 seed\n\n" + text.replace("\nB ", "\n  # row-major\nB "))
+    assert parse_seed_file(commented.read_text()) == parse_seed_file(text)
+    plain = runner.invoke(cli.main, ["mutate", G31, "--word", "1,2"])
+    assert runner.invoke(cli.main, ["mutate", str(commented), "--word", "1,2"]) == plain
+
+
 @pytest.mark.parametrize("field", ["rank", "unfrozen", "d", "r", "B", "a.1"])
 def test_seed_field_with_no_value_exit_2(runner, tmp_path, field):
     with open(G31, encoding="utf-8") as fh:
@@ -515,11 +570,12 @@ STRICT_SEED_FAULTS = [
     ("a.1 1 a a 1\n", "a.1 1 a a 1\na.1 1 b b 1\n", "field a.1 is repeated"),
     ("a.2 1 1\n", "a.2 1 1\nfoo 3\n", "unknown field foo"),
     ("a.2 1 1\n", "a.2 1 1\na.3 1 1\n", "field a.3 names a direction outside 1..2"),
+    ("a.1 1 a a 1\n", "a.1 1 a b 1\n", "coefficient tuple for direction 1 is not reciprocal"),
 ]
 
 
 @pytest.mark.parametrize("line,bad,message", STRICT_SEED_FAULTS,
-                         ids=["rank-extra", "repeated", "unknown", "a-index"])
+                         ids=["rank-extra", "repeated", "unknown", "a-index", "not-reciprocal"])
 def test_seed_file_fault_exit_2(runner, tmp_path, line, bad, message):
     with open(G31, encoding="utf-8") as fh:
         text = fh.read()

@@ -11,6 +11,7 @@ from test_scatter import EXTRA_SEEDS, _seed, _zoo, wall_rows
 from gcsdiag import (
     ClusterState,
     CoeffPoly,
+    FixedData,
     GeneralizedTorusSeed,
     ScatteringDiagram,
     complete_rank2,
@@ -18,9 +19,12 @@ from gcsdiag import (
     initial_diagram,
     initial_diagram_prin,
     laurent_dict,
+    left_companion,
+    make_initial_seed,
     mutate_cluster,
     parse_seed_file,
     project_to_A,
+    right_companion,
     structure_constant,
     theta,
 )
@@ -331,6 +335,71 @@ def test_binomial_point_of_the_22_seed_is_the_standard_diagram():
     for walls in (_evaluated_walls(symbolic, point), _evaluated_walls(special, point)):
         assert [w[4] for w in walls if w[1] == (1, -1)] == [(1, 4, 10, 20, 35, 56)]
     assert _evaluated_walls(symbolic, point) == _evaluated_walls(special, point)
+
+
+def _binomial_seed(m, b=1, d1=1):
+    """r1 = r2 = m, a-entries C(m, j), B = (0 b; -d1*b 0), d = (d1, 1): both initial
+    walls are (1 + z^(v_i))^m.  Seed files take only 1 and symbols, so it is built here."""
+    fixed = FixedData(2, (0, 1), (Fraction(d1), Fraction(1)), (m, m), ((0, b), (-d1 * b, 0)))
+    return fixed, make_initial_seed(fixed, {i: [comb(m, j) for j in range(m + 1)] for i in (0, 1)})
+
+
+def _series_power(coeffs, p, length):
+    """The one-variable series coeffs raised to the p-th power by repeated products, cut to
+    length terms: no power code shared with the engine."""
+    out = [1] + [0] * (length - 1)
+    for _ in range(p):
+        out = [sum(out[i] * coeffs[j - i] for i in range(j + 1) if j - i < len(coeffs))
+               for j in range(length)]
+    return out
+
+
+@pytest.mark.parametrize("m,order,expected", [
+    (2, 14, [1, 4, 10, 20, 35, 56, 84, 120]),
+    (3, 14, [1, 9, 72, 570, 4554, 36855, 302064, 2504304]),
+    (4, 10, [1, 16, 264, 4592, 83300, 1560432]),
+])
+def test_central_ray_of_the_binomial_seeds_is_the_closed_form(m, order, expected):
+    """The central ray of the standard (m, m) diagram (Gross-Pandharipande-Siebert;
+    Reineke, arXiv:0909.5153), whole at each order.
+
+    Convention map: both initial walls are (1 + z^(v_i))^m, and the ray (1, -1)
+    carries (sum_k C((m-1)^2 k, k) / ((m^2-2m) k + 1) u^k)^(m^2) in u = z^base,
+    base = (-1, 1) of degree 2, so order 2j holds u^j.  The exponent is m^2 here
+    (GPS write the m = 3 case with exponent 9); at m = 2 the form is (1 - u)^-4.
+    """
+    diag = complete_rank2(initial_diagram(*_binomial_seed(m), order))
+    (ray,) = [w for w in diag.walls if w.direction == (1, -1)]
+    length = order // 2 + 1
+    root = [Fraction(comb((m - 1) ** 2 * k, k), (m * m - 2 * m) * k + 1) for k in range(length)]
+    assert ray.base == (-1, 1) and ray.coeffs == _series_power(root, m * m, length) == expected
+
+
+@pytest.mark.parametrize("m,b,d1,order", [
+    (2, 1, 1, 10), (2, 2, 1, 8), (3, 1, 1, 8), (2, 1, 2, 8), (3, 1, 3, 6), (4, 1, 1, 6)])
+def test_binomial_point_is_the_companions_diagram_after_a_change_of_lattice(m, b, d1, order):
+    # a companion (ordinary, Nakanishi-Rupel arXiv:1504.06758) completed at order m*N has
+    # every wall in z^(m*base); z^(m*j*base) -> z^(j*base) and the m-th power give the
+    # generalized wall at order N on the same direction, and a companion wall off the
+    # generalized support is 1 at order N: GHKK's ordinary diagram (arXiv:1411.1394)
+    # is a second construction of the generalized one at the binomial point
+    fixed, seed = _binomial_seed(m, b, d1)
+    gen = complete_rank2(initial_diagram(fixed, seed, order))
+    walls = {(w.kind, w.direction): w for w in gen.walls}
+    for companion in (left_companion, right_companion):
+        matched = set()
+        for w in complete_rank2(initial_diagram(*companion(fixed, seed), m * order)).walls:
+            assert not any(c for i, c in enumerate(w.coeffs) if i % m), w
+            length = order // gen.grading.degree(w.base) + 1
+            assert len(w.coeffs[::m]) >= length, w
+            power = _series_power(w.coeffs[::m], m, length)
+            g = walls.get((w.kind, w.direction))
+            if g is None:
+                assert power == [1] + [0] * (length - 1), (companion.__name__, w)
+            else:
+                assert (g.base, g.coeffs) == (w.base, power), (companion.__name__, w, g)
+                matched.add((w.kind, w.direction))
+        assert matched == set(walls), (companion.__name__, set(walls) - matched)
 
 
 def _cluster_at(state, point):
