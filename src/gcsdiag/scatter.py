@@ -228,25 +228,24 @@ def _v_rows(fixed, seed):
 
 
 def _seed_grading(fixed, seed):
-    """The grading in which the seed's unfrozen v_i have degree 1."""
+    """The grading in which the seed's unfrozen v_i, in increasing i, have degree 1; ValueError
+    unless there are two and p* is injective on their span (their plane points independent)."""
+    uf = sorted(fixed.unfrozen)
+    if len(uf) != 2:
+        raise ValueError("rank-2 diagrams need exactly two unfrozen directions")
     vs = _v_rows(fixed, seed)
-    return Grading([vs[i] for i in fixed.unfrozen])
+    if not _cross(*(tuple(vs[i][j] for j in uf) for i in uf)):
+        raise ValueError("p* is not injective on the unfrozen span")
+    return Grading([vs[i] for i in uf])
 
 
 def initial_diagram(fixed, seed, order):
     """Incoming walls (e_i^perp, 1 + a_{i,1} z^{v_i} + ... + z^{r_i v_i})."""
-    uf = tuple(sorted(fixed.unfrozen))
-    if len(uf) != 2:
-        raise ValueError("rank-2 diagrams need exactly two unfrozen directions")
-    vs = _v_rows(fixed, seed)
-    proj = uf
-    pv = {i: tuple(vs[i][j] for j in proj) for i in uf}
-    if _cross(pv[uf[0]], pv[uf[1]]) == 0:
-        raise ValueError("p* is not injective on the unfrozen span; "
-                         "use principal coefficients")
-    grading = Grading([vs[i] for i in uf])
-    walls = [_wall("line", _line_rep(pv[i]), vs[i], seed.a_tuples[i], grading, order, proj)
-             for i in uf]
+    grading = _seed_grading(fixed, seed)
+    proj = tuple(sorted(fixed.unfrozen))
+    walls = [_wall("line", _line_rep(tuple(v[j] for j in proj)), v, seed.a_tuples[i], grading,
+                   order, proj)
+             for i, v in zip(proj, grading.generators)]
     return ScatteringDiagram(fixed, seed, order, grading, [w for w in walls if w], proj)
 
 
@@ -577,19 +576,19 @@ def apply_Tk(diag, k):
 
 
 def equivalence_check(d1, d2):
-    """Path products from the first chamber agree on basis monomials in every chamber,
-    and around the full loop back to the first."""
-    dirs = sorted(set(d1.directions) | set(d2.directions), key=_by_angle)
-    if len(dirs) < 2:
-        raise ValueError("too few support directions for a chamber decomposition")
-    reps = _chamber_reps(dirs)
+    """Path products agree on basis monomials after each direction of the merged support is
+    crossed ccw, from the chamber that ends at the first, and so around the full loop."""
+    paths = ({}, {})  # each diagram's crossings (wall, sign) per direction, in angular order
+    for path, d in zip(paths, (d1, d2)):
+        for p, w, s in d.events:
+            path.setdefault(p, []).append((w, s))
+    dirs = sorted(paths[0].keys() | paths[1].keys(), key=_by_angle)
     for m in d1.basis_exponents():
         s1 = TruncatedLaurent.monomial(d1.grading, d1.order, m)
         s2 = TruncatedLaurent.monomial(d2.grading, d2.order, m)
-        # step k crosses dirs[k]; the last step, back to the first chamber, crosses dirs[-1]
-        for a, b in zip(reps, reps[1:] + reps[:1]):
-            s1 = path_ordered_product(d1, path_between(d1, a, b), s1)
-            s2 = path_ordered_product(d2, path_between(d2, a, b), s2)
+        for p in dirs:
+            s1 = path_ordered_product(d1, paths[0].get(p, ()), s1)
+            s2 = path_ordered_product(d2, paths[1].get(p, ()), s2)
             if s1.terms != s2.terms:
                 return False
     return True
@@ -638,12 +637,9 @@ def slice_to_X(prin_diag):
     eps = epsilon(prin_diag.fixed, prin_diag.seed)
 
     def normal_x(normal):
-        # normal is already in the basis {d_i e_i} and eps holds the d_j,
-        # so no d_i enters here
-        full = [0] * n
-        for idx, i in enumerate(uf):
-            full[i] = normal[idx]
-        return tuple(sum(eps[i][j] * full[j] for j in range(n)) for i in range(n))
+        # X has no frozen direction, so normal has every coordinate of N; it is
+        # already in the basis {d_i e_i} and eps holds the d_j, so no d_i enters here
+        return tuple(sum(eps[i][j] * normal[j] for j in range(n)) for i in range(n))
 
     grading = Grading([tuple(1 if j == i else 0 for j in range(n)) for i in uf])
     walls = []

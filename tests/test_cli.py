@@ -296,10 +296,12 @@ DASH_VALUES = [
      "value: z^(0,-1) + z^(1,-1)\n"
      "line bends=0 rays= points=- trail=z^(1,-1)\n"
      "line bends=1 rays=(1,0) points=(4561/950309,0) trail=z^(1,-1) -> z^(0,-1)\n"),
+    # every token after "--" is positional: the seed file, after the options
+    (["complete", "--order", "4", "--no-cache", "--", G31], G31_ORDER4_DUMP),
 ]
 
 
-@pytest.mark.parametrize("args,report", DASH_VALUES, ids=["separate", "joined"])
+@pytest.mark.parametrize("args,report", DASH_VALUES, ids=["separate", "joined", "double-dash"])
 def test_option_values_that_begin_with_a_dash(runner, tmp_path, args, report):
     res = runner.invoke(cli.main, args)
     assert (res.exit_code, res.output) == (0, report)
@@ -464,6 +466,22 @@ def test_check_seed_with_frozen_direction_exit_3(runner, tmp_path):
         assert res.exit_code == 3, res.output
         assert res.output == ("Error: check needs a rank-2 seed without frozen directions: "
                               "T_k needs plane exponents\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--order", "3"],
+    ["theta", "--order", "3", "--m0", "1,0", "--q", "3/2,1", "--no-cache"],
+] + [["complete", "--order", "3", "--variant", v, "--no-cache"]
+     for v in ("A", "Aprin", "X", "left", "right")],
+    ids=["check", "theta", "complete-A", "complete-Aprin", "complete-X", "complete-left",
+         "complete-right"])
+def test_seed_whose_p_star_is_not_injective_exit_3(runner, tmp_path, args):
+    # B = 0 sends both v_i to 0; every command and variant grades by their projections
+    # onto the unfrozen A-coordinates, so each refuses the seed with one message
+    seed = tmp_path / "degenerate.seed"
+    seed.write_text("rank 2\nunfrozen 1 2\nd 1 1\nr 1 1\nB 0 0 0 0\na.1 1 1\na.2 1 1\n")
+    res = runner.invoke(cli.main, args[:1] + [str(seed)] + args[1:])
+    assert (res.exit_code, res.output) == (3, "Error: p* is not injective on the unfrozen span\n")
 
 
 @pytest.mark.parametrize("q", ["1,0", "3/2,1"])

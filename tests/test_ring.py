@@ -91,6 +91,13 @@ def test_series_pow_nonunit_negative_rejected():
         series_pow_int(m, -1)
 
 
+def test_series_pow_nonunit_positive_is_the_repeated_product():
+    f = TruncatedLaurent.within(GR, 6, (0, 0), {(0, 1): 1, (-1, 0): 1})
+    assert not f.is_unit()
+    assert series_pow_int(f, 3) == f * f * f
+    assert canonical_string(f ** 3) == "z^(-3,0) + 3*z^(-2,1) + 3*z^(-1,2) + z^(0,3)"
+
+
 def test_polynomial_and_series_combine_in_either_order():
     f = unit({(0, 1): "a", (-1, 1): 2})
     p = CoeffPoly.symbol("b") + 3

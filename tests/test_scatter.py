@@ -1259,6 +1259,57 @@ def test_equivalence_check_crosses_the_last_direction(a2):
     assert equivalence_check(d5, d5)
 
 
+def _equivalent_by_chamber_rays(d1, d2):
+    """Reference: the walk from a ray inside each chamber to one inside the next, each step
+    a path_between of two chamber rays, as equivalence_check walked before it crossed the
+    events one direction at a time."""
+    dirs = sorted(set(d1.directions) | set(d2.directions), key=_by_angle)
+    if len(dirs) < 2:
+        raise ValueError("too few support directions for a chamber decomposition")
+    reps = _chamber_reps(dirs)
+    for m in d1.basis_exponents():
+        s1 = TruncatedLaurent.monomial(d1.grading, d1.order, m)
+        s2 = TruncatedLaurent.monomial(d2.grading, d2.order, m)
+        # step k crosses dirs[k]; the last step, back to the first chamber, crosses dirs[-1]
+        for a, b in zip(reps, reps[1:] + reps[:1]):
+            s1 = path_ordered_product(d1, path_between(d1, a, b), s1)
+            s2 = path_ordered_product(d2, path_between(d2, a, b), s2)
+            if s1.terms != s2.terms:
+                return False
+    return True
+
+
+def test_mutation_invariance_over_the_seed_zoo():
+    # T_k carries each zoo seed's consistent diagram to one equivalent to the mutated
+    # seed's and not to the unmutated one, by the walk by direction and by the chamber-ray
+    # walk alike; order 2 keeps the zoo within seconds
+    for text, _, _ in _zoo(60, random.Random(13)):
+        fixed, seed = parse_seed_file(text)
+        top = max(tk_order_boost(fixed, seed, k) for k in fixed.unfrozen)
+        full = complete_rank2(initial_diagram(fixed, seed, 2 * top))
+        for k in fixed.unfrozen:
+            image = _reorder(apply_Tk(full, k), 2)
+            mu = complete_rank2(initial_diagram(fixed, mutate_seed(fixed, seed, k), 2))
+            for check in (equivalence_check, _equivalent_by_chamber_rays):
+                assert check(image, mu), (check.__name__, text, k)
+                assert not check(image, _reorder(full, 2)), (check.__name__, text, k)
+
+
+def test_raising_the_order_and_T_k_on_principal_data_are_refused(kronecker):
+    fixed, seed = kronecker
+    with pytest.raises(ValueError, match="^cannot raise the order of a computed diagram$"):
+        _reorder(complete_rank2(initial_diagram(fixed, seed, 3)), 4)
+    with pytest.raises(ValueError, match="^apply_Tk requires plane exponents$"):
+        apply_Tk(complete_rank2(initial_diagram_prin(fixed, seed, 3)), 0)
+
+
+def test_order_0_initial_diagrams_are_equivalent(a2, g31):
+    # at order 0 every wall function is 1: no walls, so no direction to cross
+    d1, d2 = initial_diagram(*a2, 0), initial_diagram(*g31, 0)
+    assert d1.walls == d2.walls == []
+    assert equivalence_check(d1, d2)
+
+
 # ---------------------------------------------------------------------------
 # dumps
 

@@ -725,6 +725,14 @@ def test_theta_via_path_with_Q_on_a_wall_ray(g31_diag8):
         assert value != theta(g31_diag8, above, m0).value.terms
 
 
+def test_theta_via_path_outside_the_cluster_complex_is_rejected(kronecker):
+    # (1,-1) spans the ray that the Kronecker chambers accumulate at, in none of them
+    diag = complete_rank2(initial_diagram(*kronecker, 6))
+    with pytest.raises(ValueError, match="^initial exponent is outside the computed cluster "
+                                         "complex$"):
+        theta_via_path(diag, GEN_Q, (1, -1))
+
+
 def test_theta_above_the_diagram_order_is_rejected(g31):
     fixed, seed = g31
     d4 = complete_rank2(initial_diagram(fixed, seed, 4))
