@@ -35,7 +35,8 @@ def _ints(values, what):
 class FixedData:
     """Mutation-invariant data: rank, weights d, degrees r, skew matrix B.
 
-    B holds the initial epsilon matrix, b_ij = {e_i, e_j} d_j.  The weights
+    B holds the initial epsilon matrix, b_ij = {e_i, e_j} d_j; a seed's own
+    matrix, which its derived data read, is epsilon(fixed, seed).  The weights
     d may be rational (right companion data); everything downstream works in
     the integral basis {d_i e_i} so wall data stays integral.  The int
     weights w_i = L / d_i, L the lcm of d's numerators, put every check in ints.
@@ -47,7 +48,7 @@ class FixedData:
         self.d = tuple(Fraction(x) for x in d)
         self.r = _ints(r, "r")
         self.B = tuple(_ints(row, "B row") for row in B)
-        if len(self.d) != n or len(self.r) != n or len(self.B) != n:
+        if len(self.d) != n or len(self.r) != n or [len(row) for row in self.B] != [n] * n:
             raise ValueError("dimension mismatch in fixed data")
         if any(x <= 0 for x in self.d) or any(x <= 0 for x in self.r):
             raise ValueError("weights and degrees must be positive")
@@ -86,6 +87,11 @@ class GeneralizedTorusSeed:
                                for v in e_vectors)
         self.f_vectors = tuple(_ints(v, "e- and f-vectors are not dual bases: f-vector")
                                for v in f_vectors)
+        if [len(v) for v in self.e_vectors + self.f_vectors] != [fixed.n] * (2 * fixed.n):
+            raise ValueError("e- and f-vectors are not dual bases")
+        if a_tuples.keys() != set(fixed.unfrozen):
+            raise ValueError("coefficient tuples must be given for exactly the unfrozen "
+                             "directions " + " ".join(str(i + 1) for i in sorted(fixed.unfrozen)))
         self.a_tuples = {i: tuple(c if type(c) is CoeffPoly else CoeffPoly.rational(c) for c in t)
                          for i, t in a_tuples.items()}
         for i in self.a_tuples:
@@ -423,49 +429,41 @@ def cluster_variable_text(expr, xs):
 # derived data: principal coefficients, companions, Langlands dual
 
 
+def _derived(fixed, d, r, B, a_tuples=None):
+    """Fixed data (d, r, B) on fixed's unfrozen directions, with its initial seed."""
+    fixed2 = FixedData(len(B), fixed.unfrozen, d, r, B)
+    return fixed2, make_initial_seed(fixed2, a_tuples)
+
+
 def principal_data(fixed, seed):
     """Doubled data N~ = N + M° with block epsilon [[eps, I], [-I, 0]]."""
     n = fixed.n
-    eps = epsilon(fixed, seed)
-    B2 = []
-    for i in range(n):
-        B2.append(tuple(eps[i]) + tuple(1 if j == i else 0 for j in range(n)))
-    for i in range(n):
-        B2.append(tuple(-1 if j == i else 0 for j in range(n)) + tuple(0 for _ in range(n)))
-    fixed2 = FixedData(2 * n, fixed.unfrozen, fixed.d + fixed.d, fixed.r + fixed.r, B2)
-    return fixed2, make_initial_seed(fixed2, seed.a_tuples)
+    eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    B = [row + e for row, e in zip(epsilon(fixed, seed), eye)]
+    B += [tuple(-x for x in e) + (0,) * n for e in eye]
+    return _derived(fixed, fixed.d * 2, fixed.r * 2, B, seed.a_tuples)
 
 
 def left_companion(fixed, seed):
-    """Ordinary data with d_i r_i weights and exchange matrix B diag(r)."""
-    n = fixed.n
-    B = tuple(tuple(fixed.B[i][j] * fixed.r[j] for j in range(n)) for i in range(n))
-    d = tuple(fixed.d[i] * fixed.r[i] for i in range(n))
-    fixed2 = FixedData(n, fixed.unfrozen, d, (1,) * n, B)
-    return fixed2, make_initial_seed(fixed2)
+    """Ordinary data with d_i r_i weights and exchange matrix epsilon diag(r)."""
+    B = [[x * r for x, r in zip(row, fixed.r)] for row in epsilon(fixed, seed)]
+    return _derived(fixed, [x * r for x, r in zip(fixed.d, fixed.r)], (1,) * fixed.n, B)
 
 
 def right_companion(fixed, seed):
-    """Ordinary data with d_i / r_i weights and exchange matrix diag(r) B."""
-    n = fixed.n
-    B = tuple(tuple(fixed.r[i] * fixed.B[i][j] for j in range(n)) for i in range(n))
-    d = tuple(fixed.d[i] / fixed.r[i] for i in range(n))
-    fixed2 = FixedData(n, fixed.unfrozen, d, (1,) * n, B)
-    return fixed2, make_initial_seed(fixed2)
+    """Ordinary data with d_i / r_i weights and exchange matrix diag(r) epsilon."""
+    B = [[r * x for x in row] for r, row in zip(fixed.r, epsilon(fixed, seed))]
+    return _derived(fixed, [x / r for x, r in zip(fixed.d, fixed.r)], (1,) * fixed.n, B)
 
 
 def langlands_dual(fixed, seed):
     """Dual data: d_i -> D/d_i, epsilon -> -epsilon^T, r_i -> lcm(r)/r_i."""
-    n = fixed.n
     if any(x.denominator != 1 for x in fixed.d):
         raise ValueError("Langlands dual requires integral d")
     D = math.lcm(*[x.numerator for x in fixed.d])
     R = math.lcm(*fixed.r)
-    d = tuple(Fraction(D, 1) / x for x in fixed.d)
-    r = tuple(R // x for x in fixed.r)
-    B = tuple(tuple(-fixed.B[j][i] for j in range(n)) for i in range(n))
-    fixed2 = FixedData(n, fixed.unfrozen, d, r, B)
-    return fixed2, make_initial_seed(fixed2)
+    B = [[-x for x in col] for col in zip(*epsilon(fixed, seed))]
+    return _derived(fixed, [D / x for x in fixed.d], [R // x for x in fixed.r], B)
 
 
 # ---------------------------------------------------------------------------

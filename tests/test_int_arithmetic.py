@@ -92,9 +92,10 @@ def fixed_data(draw):
     if derive == "dual":
         if any(x.denominator != 1 for x in d):
             return fixed
-        return langlands_dual(fixed, None)[0]
+        return langlands_dual(fixed, make_initial_seed(fixed))[0]
     if derive != "none":
-        return (right_companion if derive == "right" else left_companion)(fixed, None)[0]
+        companion = right_companion if derive == "right" else left_companion
+        return companion(fixed, make_initial_seed(fixed))[0]
     return fixed
 
 

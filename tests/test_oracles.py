@@ -18,17 +18,29 @@ from gcsdiag import (
     enumerate_broken_lines,
     initial_diagram,
     initial_diagram_prin,
+    langlands_dual,
     laurent_dict,
     left_companion,
     make_initial_seed,
     mutate_cluster,
+    mutate_word,
     parse_seed_file,
     project_to_A,
     right_companion,
     structure_constant,
     theta,
+    theta_via_path,
 )
-from gcsdiag.scatter import Wall, _chamber_ray, _prim, _rays, _v_rows, _wall
+from gcsdiag.scatter import (
+    Wall,
+    _chamber_ray,
+    _chamber_reps,
+    _chamber_walk,
+    _prim,
+    _rays,
+    _v_rows,
+    _wall,
+)
 from gcsdiag.seed import _names, epsilon, mutation_walk, principal_data
 from gcsdiag.theta import _monoid_points, generic_near
 
@@ -402,6 +414,23 @@ def test_binomial_point_is_the_companions_diagram_after_a_change_of_lattice(m, b
         assert matched == set(walls), (companion.__name__, set(walls) - matched)
 
 
+def test_companions_and_the_langlands_dual_commute_with_mutation(a2, g31, kronecker):
+    # the derived data of the seed a word reaches are the derived data of the initial seed
+    # mutated along that word: each builder reads its seed's epsilon, not the initial B
+    seeds = [a2, g31, kronecker] + [parse_seed_file(text)
+                                    for text, _, _ in _zoo(60, random.Random(13))]
+    words = [(0,), (1,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 1, 0)]
+    cases = bad = 0
+    for fixed, seed in seeds:
+        for build in (left_companion, right_companion, langlands_dual):
+            f0, s0 = build(fixed, seed)
+            for word in words:
+                cases += 1
+                bad += (epsilon(*build(fixed, mutate_word(fixed, seed, word)))
+                        != epsilon(f0, mutate_word(f0, s0, word)))
+    assert (bad, cases) == (0, 1134)
+
+
 def _cluster_at(state, point):
     """A cluster's variables {x-exponent: CoeffPoly} evaluated at point, zeros dropped."""
     return [{x: v for x, v in ((x, _at(c, point)) for x, c in e.items()) if v}
@@ -437,3 +466,36 @@ def test_principal_coefficients_project_to_the_A_diagram(g31, text, point):
         seed = _specialised(fixed, seed, point)
     prin = project_to_A(complete_rank2(initial_diagram_prin(fixed, seed, 8)))
     assert wall_rows(prin) == wall_rows(complete_rank2(initial_diagram(fixed, seed, 8)))
+
+
+# ---------------------------------------------------------------------------
+# the paper's claims over the seed zoo, at order 3 in A
+
+
+def _zoo_diagrams():
+    for text, _, _ in _zoo(60, random.Random(13)):
+        yield text, complete_rank2(initial_diagram(*parse_seed_file(text), 3))
+
+
+def test_wall_coefficients_lie_in_nonnegative_integer_polynomials_over_the_seed_zoo():
+    # positivity of the completed walls (the source paper, after GHKK arXiv:1411.1394):
+    # every coefficient of every wall function is a number or a CoeffPoly in Z>=0[a]
+    for text, diag in _zoo_diagrams():
+        values = [v for w in diag.walls for c in w.coeffs[1:] if c
+                  for v in (c.terms.values() if isinstance(c, CoeffPoly) else [c])]
+        assert values and all(type(v) is int and v > 0 for v in values), text
+
+
+def test_forward_theta_equals_the_path_product_over_the_seed_zoo():
+    # for m0 a ray of a cluster chamber reached by a word of length <= 3, broken lines
+    # into a generic point of each chamber of the support give p_gamma(z^m0)
+    compared = 0
+    for text, diag in _zoo_diagrams():
+        m0s = sorted({ray for _, cone in _chamber_walk(diag, 3) for ray in cone})
+        for m0 in m0s:
+            for rep in _chamber_reps(diag.directions):
+                Q = generic_near(diag, rep, m0)
+                assert theta(diag, Q, m0).value.terms == theta_via_path(diag, Q, m0).terms, (
+                    text, m0, Q)
+                compared += 1
+    assert compared == 3094

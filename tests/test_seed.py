@@ -98,6 +98,31 @@ def test_seed_rejects_e_vectors_of_determinant_two(g31, e, f):
         GeneralizedTorusSeed(fixed, e, f, seed.a_tuples)
 
 
+UNFROZEN = "coefficient tuples must be given for exactly the unfrozen directions 1 2"
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda f, s: FixedData(2, (0, 1), (1, 1), (1, 1), [[0, 1], [-1]]),
+     "dimension mismatch in fixed data"),
+    (lambda f, s: FixedData(2, (0, 1), (1, 1), (1, 1), [[0, 1, 5], [-1, 0]]),
+     "dimension mismatch in fixed data"),
+    (lambda f, s: GeneralizedTorusSeed(f, [[1, 0]], [[1, 0]], s.a_tuples),
+     "e- and f-vectors are not dual bases"),
+    (lambda f, s: GeneralizedTorusSeed(f, [[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0]],
+                                       s.a_tuples),
+     "e- and f-vectors are not dual bases"),
+    (lambda f, s: GeneralizedTorusSeed(f, s.e_vectors, s.f_vectors, {0: s.a_tuples[0]}),
+     UNFROZEN),
+    (lambda f, s: make_initial_seed(f, {5: (1, 1)}), UNFROZEN),
+], ids=["short-B-row", "long-B-row", "one-vector", "long-vectors", "missing-a-tuple",
+        "a-tuple-out-of-range"])
+def test_constructors_reject_malformed_shapes(g31, build, message):
+    # a malformed shape fails where the data are built, not as an IndexError or a
+    # KeyError in the mutation or completion that reads them
+    with pytest.raises(ValueError, match="^%s$" % message):
+        build(*g31)
+
+
 # ---------------------------------------------------------------------------
 # epsilon
 
