@@ -492,6 +492,8 @@ def unit_power_coeffs(coeffs, e, n):
     tail = [(k, c) for k, c in enumerate(coeffs) if k and c]
     exact = all(type(x) is int for _, c in tail
                 for x in (c.terms.values() if type(c) is CoeffPoly else (c,)))
+    if type(zero) is CoeffPoly or any(type(c) is CoeffPoly for _, c in tail):
+        return _poly_power_coeffs(coeffs[0], zero, tail, e, n, exact)
     g = [coeffs[0]]
     for d in range(1, n + 1):
         acc = zero
@@ -505,10 +507,37 @@ def unit_power_coeffs(coeffs, e, n):
     return g
 
 
+def _poly_power_coeffs(g0, zero, tail, e, n, exact):
+    """unit_power_coeffs when a coefficient is a CoeffPoly: each g_d is summed in one
+    {monomial: number} map and built as one CoeffPoly.  A g_d is a CoeffPoly where the
+    ring's own arithmetic would make one: if g_0 is one, or a term of its sum has a
+    CoeffPoly factor; a g_d of numbers only stays a number."""
+    def split(c):  # (the terms of c, is c a CoeffPoly)
+        return (c.terms, True) if type(c) is CoeffPoly else ({(): c} if c else {}, False)
+
+    tail = [(k,) + split(c) for k, c in tail]
+    g, terms = [g0], [split(g0)]
+    for d in range(1, n + 1):
+        acc, poly = {}, terms[0][1]
+        for k, ck, cpoly in tail:
+            if k > d:
+                break
+            w, (gk, gpoly) = (e + 1) * k - d, terms[d - k]
+            if w and gk:
+                poly = poly or cpoly or gpoly
+                for m1, x1 in ck.items():
+                    x1 *= w
+                    for m2, x2 in gk.items():
+                        m = _mono_mul(m1, m2) if m1 else m2
+                        acc[m] = acc.get(m, 0) + x1 * x2
+        acc = {m: _divide(x, d, exact) for m, x in acc.items() if x}
+        g.append(zero if not acc else CoeffPoly(acc) if poly else acc[()])
+        terms.append((acc, poly))
+    return g
+
+
 def _divide(c, d, exact):
-    """c / d for an int, Fraction or CoeffPoly c; exact: c is integral and d divides it."""
-    if type(c) is CoeffPoly:
-        return CoeffPoly({m: _divide(x, d, exact) for m, x in c.terms.items()})
+    """c / d for an int or Fraction c; exact: c is an int and d divides it."""
     if exact and c % d:
         raise ArithmeticError("%s / %d: a power of an integral series is integral" % (c, d))
     return c // d if exact else _exact(Fraction(c, d))

@@ -171,8 +171,8 @@ class ScatteringDiagram:
     It owns the geometry: the (direction, wall, sign) crossing events of a
     ccw loop, stably sorted by angle, which answer every crossing question;
     the walls, read off the events at their own directions; and the distinct
-    primitive directions.  Its walls never change, so theta memoises its
-    values per chamber on it.
+    primitive directions, each with the span of its events.  Its walls never
+    change, so theta memoises its values per chamber on it.
     """
 
     def __init__(self, fixed, seed, order, grading, walls, proj):
@@ -188,12 +188,13 @@ class ScatteringDiagram:
     def _index(self, events):
         """Take the (direction, wall, sign) events in angular order; each wall is listed at the
         event of its own direction, so the walls are sorted by direction, ties in input order."""
-        self.events = events
+        self.events, spans = events, {}
         self.walls = [w for p, w, _ in events if p == w.direction]
-        # every wall direction is primitive, so equal directions are equal adjacent rays
         rays = self._event_rays = [p for p, _, _ in events]
-        self.directions = [p for i, p in enumerate(rays) if not i or p != rays[i - 1]]
-        self._direction_set = frozenset(self.directions)
+        # wall directions are primitive, so a direction's events are adjacent: its span [first, end)
+        for i, p in enumerate(rays):
+            spans[p] = (spans[p][0] if p in spans else i, i + 1)
+        self._spans, self.directions, self._direction_set = spans, list(spans), frozenset(spans)
         # theta's values per (m0, order, chamber); a derived diagram has
         # other walls and starts empty
         self._thetas = {}
@@ -365,13 +366,12 @@ def _crossed(diag, d, mdir):
     They are the wall rays s strictly inside the arc (< pi) from d to mdir: a walk from d's
     events, ccw if cross(d, mdir) > 0 and cw if < 0, while cross(d, s) and cross(s, mdir)
     keep that sign (none if it is 0)."""
-    c = _cross(d, mdir)
-    events, first = diag.events, diag._event_rays.index(d)
-    step, i = (1, first + diag._event_rays.count(d)) if c > 0 else (-1, first - 1)
+    c, events, (first, end) = _cross(d, mdir), diag.events, diag._spans[d]
+    step, i = (1, end) if c > 0 else (-1, first - 1)
     out = []
     while True:  # d's own events fail the test, so the walk ends within one wrap
         p, w, _ = events[i % len(events)]
-        if _cross(d, p) * c <= 0 or _cross(p, mdir) * c <= 0:
+        if (d[0] * p[1] - d[1] * p[0]) * c <= 0 or (p[0] * mdir[1] - p[1] * mdir[0]) * c <= 0:
             return out
         out.append((w, p))
         i += step

@@ -517,8 +517,10 @@ def parse_seed_file(text):
         if len(flat) != n * n:
             raise ValueError("B must have rank*rank entries")
         fixed = FixedData(n, unfrozen, d, r, [flat[i * n:(i + 1) * n] for i in range(n)])
+        # a frozen direction's a.i line is checked like the others, then dropped
+        lines = [int(key[2:]) - 1 for key in fields if key.startswith("a.")]
         a_tuples = {}
-        for i in unfrozen:
+        for i in unfrozen + tuple(i for i in lines if i not in unfrozen):
             entries = fields["a.%d" % (i + 1,)]
             if len(entries) != r[i] + 1 or entries[0] != "1" or entries[-1] != "1":
                 raise ValueError("a.%d must be a monic tuple of length r+1" % (i + 1,))
@@ -529,8 +531,9 @@ def parse_seed_file(text):
                 if name[0] == "x" and name[1:].isdigit():
                     raise ValueError("a.%d entry %r is the name of a cluster variable"
                                      % (i + 1, name))
-            a_tuples[i] = tuple(CoeffPoly.one() if name == "1" else CoeffPoly.symbol(name)
-                                for name in entries)
+            if i in unfrozen:
+                a_tuples[i] = tuple(CoeffPoly.one() if name == "1" else CoeffPoly.symbol(name)
+                                    for name in entries)
     except KeyError as exc:
         raise ValueError("missing seed file field %s" % exc) from exc
     except ZeroDivisionError as exc:

@@ -147,32 +147,40 @@ def _chains(diag, m0, order):
     rays (wall, s) that its last segment crosses, in order (all of them at the root)."""
     g = diag.grading
     top = order * g.den  # the degree budget is in ints, as den * degree
-    steps = {w: g.scaled_degree(w.base) for w in diag.walls}
+    # each wall's normal, base, degree step and power memo, read once per search
+    walls = {w: (w.normal, w.base, g.scaled_degree(w.base), w._powers) for w in diag.walls}
     # the segment from infinity may bend anywhere on a wall (a parallel one has factor 0)
     root = [(w, s) for w in diag.walls for s in _rays(w)]  # s as stored: _crossed looks it up
     stack = [((None, None, None, 0, 1, m0), root, 0)]
     while stack:
         state, crossings, degree = stack.pop()
         yield state, crossings
-        m, children = state[5], []
+        (x, y), coeff, children = state[5], state[4], []
         for wall, d in crossings:
-            step, (b0, b1), m2 = steps[wall], wall.base, m
-            power, jmax = abs(_dot(wall.normal, m)), (top - degree) // step
-            f = wall.power(power) if power and jmax > 0 else ()  # one power for every step j
+            (n0, n1), (b0, b1), step, powers = walls[wall]
+            power, jmax = abs(n0 * x + n1 * y), (top - degree) // step
+            if not power or jmax <= 0:
+                continue
+            f = powers.get(power) or wall.power(power)  # one power for every step j
+            e0, e1 = x, y
             for j in range(1, min(jmax, len(f) - 1) + 1):
-                m2 = (m2[0] + b0, m2[1] + b1)
+                e0, e1 = e0 + b0, e1 + b1
                 if f[j]:
-                    mdir = (-m2[0], -m2[1])
+                    # _crossed gives [] wherever _segment_hits_origin holds, but the call
+                    # stays, once per child state: the benchmark's tracer counts it as
+                    # theta.dfs_nodes
+                    mdir = (-e0, -e1)
                     nxt = [] if _segment_hits_origin(d, mdir) else _crossed(diag, d, mdir)
-                    children.append(((state, wall, d, j, state[4] * f[j], m2), nxt,
+                    children.append(((state, wall, d, j, coeff * f[j], (e0, e1)), nxt,
                                      degree + j * step))
         stack.extend(reversed(children))  # the first child is searched next
 
 
 def _in_cone(q, d, m):
     """Is the ray q in the cone {lam*d - t*m : lam, t > 0} of a state bent on d, exponent m?"""
-    c = _cross(d, m)  # q = (cross(q, m)*d - cross(q, d)*m) / c: both scales must be > 0
-    return _cross(q, m) * c > 0 and _cross(q, d) * c > 0
+    (q0, q1), c = q, d[0] * m[1] - d[1] * m[0]
+    # q = (cross(q, m)*d - cross(q, d)*m) / c: both scales must be > 0
+    return (q0 * m[1] - q1 * m[0]) * c > 0 and (q0 * d[1] - q1 * d[0]) * c > 0
 
 
 def _fill(diag, m0, order):
@@ -192,12 +200,14 @@ def _fill(diag, m0, order):
         full = step * (where[crossed[-1][1]] - i) % n if crossed else 0
         first = i + (step > 0)  # the chamber next to d
         last = (first + step * full) % n
-        if last not in points:
-            points[last] = _chamber_ray(diag.directions, last,
-                                        lambda p: _through_origin(diag, m0, p, order) is not None)
-        for k in range(first, first + step * (full + _in_cone(points[last], d, m)), step):
+        ray = points.get(last)
+        if ray is None:
+            ray = points[last] = _chamber_ray(
+                diag.directions, last, lambda p: _through_origin(diag, m0, p, order) is not None)
+        for k in range(first, first + step * (full + _in_cone(ray, d, m)), step):
             terms = tables[k % n]
-            terms[m] = terms[m] + coeff if m in terms else coeff
+            old = terms.get(m)
+            terms[m] = coeff if old is None else old + coeff
     diag._thetas.update(((m0, order, k), terms) for k, terms in enumerate(tables))
 
 

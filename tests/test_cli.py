@@ -607,6 +607,34 @@ def test_seed_file_fault_exit_2(runner, tmp_path, line, bad, message):
     assert isinstance(res.exception, SystemExit) and message in res.output
 
 
+FROZEN_SEED = ("rank 3\nunfrozen 1 2\nd 1 1 1\nr 1 1 %d\nB 0 1 1 -1 0 1 -1 -1 0\n"
+               "a.1 1 1\na.2 1 1\na.3 %s\n")
+
+
+@pytest.mark.parametrize("r3,a3,message", [
+    (1, "1 1", None),
+    (2, "1 c 1", None),
+    (1, "1 foo bar baz 1", "a.3 must be a monic tuple of length r+1"),
+    (2, "1 1", "a.3 must be a monic tuple of length r+1"),
+    (2, "1 c 2", "a.3 must be a monic tuple of length r+1"),
+    (2, "1 2 1", "a.3 entry '2' is neither 1 nor a symbol name"),
+    (2, "1 x3 1", "a.3 entry 'x3' is the name of a cluster variable"),
+], ids=["valid", "valid-symbol", "long", "short", "not-monic", "number", "cluster-name"])
+def test_frozen_a_line_is_checked_like_the_others(runner, tmp_path, r3, a3, message):
+    # a frozen direction's a.i line takes the unfrozen lines' checks; a valid one is dropped
+    text = FROZEN_SEED % (r3, a3)
+    seed = tmp_path / "frozen.seed"
+    seed.write_text(text)
+    res = runner.invoke(cli.main, ["companions", str(seed)])
+    if message is None:
+        assert parse_seed_file(text) == parse_seed_file(text.replace("a.3 %s\n" % a3, ""))
+        assert res.exit_code == 0, res.output
+        return
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_seed_file(text)
+    assert res.exit_code == 2 and message in res.output, res.output
+
+
 @pytest.mark.parametrize("args", [
     ["complete", "--no-cache"],
     ["mutate"],

@@ -478,6 +478,22 @@ def test_unit_power_coeffs_equal_the_fraction_recurrence(entries, kind, e, n):
         assert all(type(x) is int for c in got for x in _as_terms(c).values())
 
 
+def test_a_symbolic_power_builds_one_polynomial_per_coefficient(monkeypatch):
+    # each g_d is summed in one term map, so g_1..g_12 build at most 12 polynomials
+    coeffs = [1, CoeffPoly.symbol("a"), CoeffPoly.symbol("a"), 1]
+    want = _fraction_power_coeffs(coeffs, 5, 12)
+    built, init = [], CoeffPoly.__init__
+
+    def counted(self, terms=None):
+        built.append(terms)
+        init(self, terms)
+
+    monkeypatch.setattr(CoeffPoly, "__init__", counted)
+    got = unit_power_coeffs(coeffs, 5, 12)
+    assert len(built) <= 12
+    assert [_as_terms(c) for c in got] == want
+
+
 def test_unit_power_coeffs_refuses_an_inexact_division():
     # an integral series to a non-integral power is not integral: the
     # division by d raises rather than floors

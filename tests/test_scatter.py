@@ -1296,6 +1296,19 @@ def test_mutation_invariance_over_the_seed_zoo():
                 assert not check(image, unmutated), (check.__name__, text, k)
 
 
+def test_consistency_and_truncation_coherence_over_the_seed_zoo():
+    # each zoo seed's completion at order 6, in its variant, passes the loop check, and its
+    # cut at each lower order t has the walls of the completion at t
+    for text, _, variant in _zoo(60, random.Random(13)):
+        fixed, seed = parse_seed_file(text)
+        build = initial_diagram if variant == "A" else initial_diagram_prin
+        full = complete_rank2(build(fixed, seed, 6))
+        assert check_consistency(full) == (True, None), (text, variant)
+        for t in range(1, 6):
+            assert (_wall_list(_reorder(full, t))
+                    == _wall_list(complete_rank2(build(fixed, seed, t)))), (text, variant, t)
+
+
 def test_raising_the_order_and_T_k_on_principal_data_are_refused(kronecker):
     fixed, seed = kronecker
     with pytest.raises(ValueError, match="^cannot raise the order of a computed diagram$"):
