@@ -487,53 +487,38 @@ def unit_power_coeffs(coeffs, e, n):
     J.C.P. Miller's recurrence (Knuth, TAOCP 4.7) from t g' f = e t f' g, for
     any integer e: g_d = (1/d) sum_{k=1..d} ((e+1) k - d) c_k g_{d-k}.  Integral
     coefficients have an integral power, so d divides that sum exactly in int.
+    If a tail coefficient is a non-constant CoeffPoly, each sum runs in one {monomial:
+    number} map.  A g_d is a number, as demote gives it, unless it has a non-constant
+    monomial; then it is built once as a CoeffPoly.
     """
-    zero = coeffs[0] * 0  # the zero of the coefficients' ring, shared by every empty g_d
-    tail = [(k, c) for k, c in enumerate(coeffs) if k and c]
+    tail = [(k, demote(c)) for k, c in enumerate(coeffs) if k and c]
     exact = all(type(x) is int for _, c in tail
                 for x in (c.terms.values() if type(c) is CoeffPoly else (c,)))
-    if type(zero) is CoeffPoly or any(type(c) is CoeffPoly for _, c in tail):
-        return _poly_power_coeffs(coeffs[0], zero, tail, e, n, exact)
-    g = [coeffs[0]]
+    poly = any(type(c) is CoeffPoly for _, c in tail)
+    if poly:
+        tail = [(k, c.terms if type(c) is CoeffPoly else {(): c}) for k, c in tail]
+    g = [{(): 1} if poly else 1]
     for d in range(1, n + 1):
-        acc = zero
+        acc = {} if poly else 0
         for k, c in tail:
             if k > d:
                 break
-            w = (e + 1) * k - d
-            if w and g[d - k]:
-                acc = acc + c * g[d - k] * w
-        g.append(_divide(acc, d, exact) if acc else zero)
-    return g
-
-
-def _poly_power_coeffs(g0, zero, tail, e, n, exact):
-    """unit_power_coeffs when a coefficient is a CoeffPoly: each g_d is summed in one
-    {monomial: number} map and built as one CoeffPoly.  A g_d is a CoeffPoly where the
-    ring's own arithmetic would make one: if g_0 is one, or a term of its sum has a
-    CoeffPoly factor; a g_d of numbers only stays a number."""
-    def split(c):  # (the terms of c, is c a CoeffPoly)
-        return (c.terms, True) if type(c) is CoeffPoly else ({(): c} if c else {}, False)
-
-    tail = [(k,) + split(c) for k, c in tail]
-    g, terms = [g0], [split(g0)]
-    for d in range(1, n + 1):
-        acc, poly = {}, terms[0][1]
-        for k, ck, cpoly in tail:
-            if k > d:
-                break
-            w, (gk, gpoly) = (e + 1) * k - d, terms[d - k]
-            if w and gk:
-                poly = poly or cpoly or gpoly
-                for m1, x1 in ck.items():
+            w, h = (e + 1) * k - d, g[d - k]
+            if not (w and h):
+                continue
+            if poly:
+                for m1, x1 in c.items():
                     x1 *= w
-                    for m2, x2 in gk.items():
+                    for m2, x2 in h.items():
                         m = _mono_mul(m1, m2) if m1 else m2
                         acc[m] = acc.get(m, 0) + x1 * x2
-        acc = {m: _divide(x, d, exact) for m, x in acc.items() if x}
-        g.append(zero if not acc else CoeffPoly(acc) if poly else acc[()])
-        terms.append((acc, poly))
-    return g
+            else:
+                acc += c * h * w
+        if poly:
+            g.append({m: _divide(x, d, exact) for m, x in acc.items() if x})
+        else:
+            g.append(_divide(acc, d, exact) if acc else 0)
+    return [CoeffPoly(t) if t.keys() - {()} else t.get((), 0) for t in g] if poly else g
 
 
 def _divide(c, d, exact):

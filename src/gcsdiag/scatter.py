@@ -194,7 +194,7 @@ class ScatteringDiagram:
         # wall directions are primitive, so a direction's events are adjacent: its span [first, end)
         for i, p in enumerate(rays):
             spans[p] = (spans[p][0] if p in spans else i, i + 1)
-        self._spans, self.directions, self._direction_set = spans, list(spans), frozenset(spans)
+        self._spans, self.directions = spans, list(spans)
         # theta's values per (m0, order, chamber); a derived diagram has
         # other walls and starts empty
         self._thetas = {}
@@ -215,7 +215,7 @@ class ScatteringDiagram:
     def on_support(self, point):
         """Whether a rational plane point is on a wall ray (the origin is, if there is a wall)."""
         point = _point(point)
-        return _direction_of(point) in self._direction_set if any(point) else bool(self.directions)
+        return _direction_of(point) in self._spans if any(point) else bool(self.directions)
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +419,14 @@ def check_consistency(diag):
 
 
 def _reorder(diag, order):
+    """The diagram cut to a lower order by _wall, which reads a normal off the base: the one
+    every wall it built stores (slice_to_X's walls carry N-normals; no caller cuts those)."""
     if order > diag.order:
         raise ValueError("cannot raise the order of a computed diagram")
-    walls = []
-    for w in diag.walls:
-        coeffs = w.coeffs[:order // diag.grading.degree(w.base) + 1]
-        if any(coeffs[1:]):  # a wall whose function truncates to 1 goes
-            walls.append(Wall(w.kind, w.direction, w.normal, w.base, coeffs))
-    return ScatteringDiagram(diag.fixed, diag.seed, order, diag.grading, walls, diag.proj)
+    walls = [_wall(w.kind, w.direction, w.base, w.coeffs, diag.grading, order, diag.proj)
+             for w in diag.walls]
+    return ScatteringDiagram(diag.fixed, diag.seed, order, diag.grading,
+                             [w for w in walls if w], diag.proj)
 
 
 def complete_rank2(diag):
@@ -578,17 +578,16 @@ def apply_Tk(diag, k):
 def equivalence_check(d1, d2):
     """Path products agree on basis monomials after each direction of the merged support is
     crossed ccw, from the chamber that ends at the first, and so around the full loop."""
-    paths = ({}, {})  # each diagram's crossings (wall, sign) per direction, in angular order
-    for path, d in zip(paths, (d1, d2)):
-        for p, w, s in d.events:
-            path.setdefault(p, []).append((w, s))
-    dirs = sorted(paths[0].keys() | paths[1].keys(), key=_by_angle)
+    def crossings(d, p):  # d's (wall, sign) crossings of direction p, in angular order
+        return ((w, s) for _, w, s in d.events[slice(*d._spans.get(p, (0, 0)))])
+
+    dirs = sorted(d1._spans.keys() | d2._spans.keys(), key=_by_angle)
     for m in d1.basis_exponents():
         s1 = TruncatedLaurent.monomial(d1.grading, d1.order, m)
         s2 = TruncatedLaurent.monomial(d2.grading, d2.order, m)
         for p in dirs:
-            s1 = path_ordered_product(d1, paths[0].get(p, ()), s1)
-            s2 = path_ordered_product(d2, paths[1].get(p, ()), s2)
+            s1 = path_ordered_product(d1, crossings(d1, p), s1)
+            s2 = path_ordered_product(d2, crossings(d2, p), s2)
             if s1.terms != s2.terms:
                 return False
     return True

@@ -231,7 +231,7 @@ def _endpoint(diag, m0s, Q, order, support="endpoint lies on the diagram support
     so a bad Q is reported first.  ValueError(support) if Q is on the support (the origin is, if
     there is a wall); EndpointNotGeneric if a last segment from a nonzero m0 runs along -qi to 0."""
     qi = _direction_of(Q) if any(Q) or not diag.directions else None
-    if qi is None or qi in diag._direction_set:
+    if qi is None or qi in diag._spans:
         raise ValueError(support)
     m0s = [_exponent(diag, m0) for m0 in m0s]
     for m_f in (_through_origin(diag, m0, qi, order) for m0 in m0s if any(m0) and diag.dim == 2):

@@ -465,7 +465,7 @@ coeff_entries = st.sampled_from([-2, -1, 0, 1, 3, "a", "b", Fraction(1, 2), Frac
 @settings(max_examples=80, deadline=None)
 def test_unit_power_coeffs_equal_the_fraction_recurrence(entries, kind, e, n):
     """Int, Fraction and CoeffPoly inputs against the recurrence run in Fractions;
-    integral inputs give int coefficients."""
+    integral inputs give int coefficients, and a constant coefficient is a number."""
     if kind == "int":
         entries = [c for c in entries if not isinstance(c, str)]
         coeffs = [1] + entries
@@ -474,6 +474,7 @@ def test_unit_power_coeffs_equal_the_fraction_recurrence(entries, kind, e, n):
                                       else CoeffPoly.rational(c) for c in entries]
     got = unit_power_coeffs(coeffs, e, n)
     assert [_as_terms(c) for c in got] == _fraction_power_coeffs(coeffs, e, n)
+    assert all(c.terms.keys() - {()} for c in got if isinstance(c, CoeffPoly))
     if not any(isinstance(c, Fraction) for c in entries):
         assert all(type(x) is int for c in got for x in _as_terms(c).values())
 

@@ -107,6 +107,7 @@ def test_unit_power_coeffs_on_numbers_equal_wrapped_constants(tail, e, n):
     got = unit_power_coeffs([1] + tail, e, n)
     want = unit_power_coeffs([CoeffPoly.one()] + [_wrap(c) for c in tail], e, n)
     assert all(isinstance(c, (int, Fraction)) for c in got)
+    assert not any(isinstance(c, CoeffPoly) for c in want)
     assert got == want and [canonical_string(c) for c in got] == [
         canonical_string(c) for c in want]
 

@@ -943,7 +943,7 @@ def _table_inputs(request):
 
 def _geometry(diag):
     return ([id(w) for w in diag.walls], [(p, id(w), s) for p, w, s in diag.events],
-            diag.directions, diag._event_rays, diag._direction_set)
+            diag.directions, diag._event_rays, diag._spans)
 
 
 def test_pass_table_equals_the_sorting_constructor(request, monkeypatch):
