@@ -174,22 +174,14 @@ def _poly_pieces(poly, zpart):
 def canonical_string(x):
     """Deterministic rendering of a number (as its constant CoeffPoly), CoeffPoly or series."""
     if isinstance(x, (int, Fraction, CoeffPoly)):
-        if not x:
-            return "0"
-        return " + ".join(_poly_pieces(x, ""))
+        return " + ".join(_poly_pieces(x, "")) or "0"  # a zero CoeffPoly has no pieces
     if isinstance(x, TruncatedLaurent):
-        if not x.terms:
-            return "0"
         zero = tuple(0 for _ in x.offset)
-
-        def key(k):
-            return (k != zero, k)
-
         pieces = []
-        for expo in sorted(x.terms, key=key):
+        for expo in sorted(x.terms, key=lambda k: (k != zero, k)):
             zpart = "" if expo == zero else "z^(%s)" % ",".join(str(c) for c in expo)
             pieces.extend(_poly_pieces(x.terms[expo], zpart))
-        return " + ".join(pieces)
+        return " + ".join(pieces) or "0"
     raise TypeError("unsupported value %r" % (x,))
 
 
@@ -230,12 +222,11 @@ def parse_canonical(text):
             name, e = m.group(1), int(m.group(2) or 1)
             mono[name] = mono.get(name, 0) + e
         raw.append((expo, tuple(sorted(mono.items())), coeff))
-    zero = tuple(0 for _ in range(dim)) if dim is not None else ()
+    zero = (0,) * (dim or 0)
     terms = {}
     for expo, mono, coeff in raw:
-        expo = zero if expo is None else expo
-        poly = terms.setdefault(expo, {})
-        poly[mono] = poly.get(mono, Fraction(0)) + coeff
+        poly = terms.setdefault(expo or zero, {})
+        poly[mono] = poly.get(mono, 0) + coeff
     return dim, {e: CoeffPoly(p) for e, p in terms.items()}
 
 
@@ -377,9 +368,6 @@ class TruncatedLaurent:
 
     # -- helpers
 
-    def rel_degree(self, expo):
-        return self.grading.degree(_vsub(expo, self.offset))
-
     def is_unit(self):
         return not any(self.offset) and self.constant() == 1
 
@@ -434,8 +422,8 @@ class TruncatedLaurent:
         if self.grading.dim != other.grading.dim:
             raise ValueError("mismatched lattices")
         offset = _vadd(self.offset, other.offset)
-        a = [(e, self.rel_degree(e), p) for e, p in self.terms.items()]
-        b = [(e, other.rel_degree(e), p) for e, p in other.terms.items()]
+        a = [(e, self.grading.degree(_vsub(e, self.offset)), p) for e, p in self.terms.items()]
+        b = [(e, other.grading.degree(_vsub(e, other.offset)), p) for e, p in other.terms.items()]
         out = {}
         for e1, d1, p1 in a:
             for e2, d2, p2 in b:
@@ -489,16 +477,18 @@ def unit_power_coeffs(coeffs, e, n):
     coefficients have an integral power, so d divides that sum exactly in int.
     If a tail coefficient is a non-constant CoeffPoly, each sum runs in one {monomial:
     number} map.  A g_d is a number, as demote gives it, unless it has a non-constant
-    monomial; then it is built once as a CoeffPoly.
+    monomial; then it is built once as a CoeffPoly.  For an int e >= 0, f^e ends at
+    t^(e * deg f): the recurrence stops there and the rest of the list is 0, as the full
+    loop gives it.
     """
     tail = [(k, demote(c)) for k, c in enumerate(coeffs) if k and c]
-    exact = all(type(x) is int for _, c in tail
-                for x in (c.terms.values() if type(c) is CoeffPoly else (c,)))
+    top = min(n, e * tail[-1][0] if tail else 0) if type(e) is int and e >= 0 else n
     poly = any(type(c) is CoeffPoly for _, c in tail)
     if poly:
         tail = [(k, c.terms if type(c) is CoeffPoly else {(): c}) for k, c in tail]
+    exact = all(type(x) is int for _, c in tail for x in (c.values() if poly else (c,)))
     g = [{(): 1} if poly else 1]
-    for d in range(1, n + 1):
+    for d in range(1, top + 1):
         acc = {} if poly else 0
         for k, c in tail:
             if k > d:
@@ -518,7 +508,9 @@ def unit_power_coeffs(coeffs, e, n):
             g.append({m: _divide(x, d, exact) for m, x in acc.items() if x})
         else:
             g.append(_divide(acc, d, exact) if acc else 0)
-    return [CoeffPoly(t) if t.keys() - {()} else t.get((), 0) for t in g] if poly else g
+    if poly:
+        g = [CoeffPoly(t) if t.keys() - {()} else t.get((), 0) for t in g]
+    return g + [0] * (n - top)
 
 
 def _divide(c, d, exact):

@@ -24,10 +24,11 @@ from .seed import (_check_direction, epsilon, mutate_seed, mutation_walk, princi
 
 
 def _prim(v):
-    g = math.gcd(*[abs(int(x)) for x in v])
+    """The primitive vector of an int vector: math.gcd refuses a non-int entry."""
+    g = math.gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive direction")
-    return tuple(int(x) // g for x in v)
+    return tuple(x // g for x in v)
 
 
 def _point(Q):
@@ -50,12 +51,10 @@ def _direction_of(point):
 
 
 def _perp_normal(mdir):
-    """Primitive plane normal of an exponent direction, first nonzero > 0."""
-    n = (-mdir[1], mdir[0])
-    lead = n[0] if n[0] else n[1]
-    if lead < 0:
-        n = (-n[0], -n[1])
-    return _prim(n)
+    """Primitive plane normal (-mdir[1], mdir[0]) of an exponent direction, up to sign, with
+    its first nonzero > 0: the line representative of (mdir[0], -mdir[1]), swapped."""
+    y, x = _line_rep((mdir[0], -mdir[1]))
+    return x, y
 
 
 def _rot90(p):
@@ -147,8 +146,7 @@ def _wall(kind, direction, step, coeffs, grading, order, proj):
         out[g * j] = demote(coeffs[j])
     if not any(out[1:]):
         return None
-    pb = _prim(tuple(base[i] for i in proj))
-    return Wall(kind, direction, _perp_normal(pb), base, out)
+    return Wall(kind, direction, _perp_normal(tuple(base[i] for i in proj)), base, out)
 
 
 def _rays(wall):
@@ -252,22 +250,23 @@ def initial_diagram(fixed, seed, order):
 
 def initial_diagram_prin(fixed, seed, order):
     """Initial diagram of the principal-coefficient data (lifted exponents)."""
-    fixed2, seed2 = principal_data(fixed, seed)
-    return initial_diagram(fixed2, seed2, order)
+    return initial_diagram(*principal_data(fixed, seed), order)
 
 
 # ---------------------------------------------------------------------------
 # wall crossing and path-ordered products
 
 
-def _product(path, series, proj):
+def _product(path, series, proj, keyed=False):
     """The crossings (wall, sign) of path applied in order to series, truncated.
 
     Every term and step is on offset + the grading's monoid (else ValueError),
     so a term is keyed by its scaled coordinates (A, B) as A*K + B, K = den*order
     + 1: a step adds the base's key, the pairing and the degree budget are
     linear in (A, B), and B <= den*order < K keeps the keys apart.  Zeros go
-    after each crossing; the keys are decoded once, at the end.
+    after each crossing.  The keys are decoded once, at the end, unless keyed
+    asks for ({key: coefficient}, K) relative to the offset, where z^offset is
+    key 0 and a term's degree is (A + B) / den.
     """
     grading, order, offset = series.grading, series.order, series.offset
     den, (g1, g2), (i0, i1) = grading.den, grading.generators, proj
@@ -275,9 +274,10 @@ def _product(path, series, proj):
     K = top + 1
     terms = {}
     for expo, poly in series.terms.items():
-        if grading.degree(_vsub(expo, offset)) > order:
+        u = _vsub(expo, offset)
+        if grading.degree(u) > order:
             raise ValueError("term z^%r is above the series' order %s" % (expo, order))
-        a, b = grading.scaled_coordinates(_vsub(expo, offset))
+        a, b = grading.scaled_coordinates(u)
         terms[a * K + b] = poly
     for wall, sign in path:
         grading.degree(wall.base)  # on the span and in the cone
@@ -293,14 +293,22 @@ def _product(path, series, proj):
             if not p or jmax < 1:  # no room for a step: the power is not needed
                 continue
             g = wall._powers.get(p) or wall.power(p)
-            for j in range(1, min(len(g) - 1, jmax) + 1):
+            for c in g[1:jmax + 1]:  # the steps j = 1 .. jmax that the list holds
                 key += kstep
-                if g[j]:
-                    terms[key] = terms[key] + poly * g[j] if key in terms else poly * g[j]
+                if c:
+                    terms[key] = terms[key] + poly * c if key in terms else poly * c
         terms = {key: poly for key, poly in terms.items() if poly}
+    if keyed:
+        return terms, K
     return TruncatedLaurent.within(grading, order, offset, {
-        tuple(o + (key // K * x + key % K * y) // den for o, x, y in zip(offset, g1, g2)): poly
-        for key, poly in terms.items()})
+        _expo(grading, K, key, offset): poly for key, poly in terms.items()})
+
+
+def _expo(grading, K, key, offset):
+    """The exponent offset + (A*g1 + B*g2) / den of the kernel's key A*K + B."""
+    a, b = divmod(key, K)
+    return tuple(o + (a * x + b * y) // grading.den
+                 for o, x, y in zip(offset, *grading.generators))
 
 
 def wall_cross(wall, sign, series, proj):
@@ -338,14 +346,15 @@ def _chamber_reps(dirs):
     return [_chamber_ray(dirs, k) for k in range(len(dirs))]
 
 
-def loop_product(diag, series):
+def loop_product(diag, series, keyed=False):
     """Full ccw loop around the origin, based in the chamber after the first direction.
 
     A move of the base conjugates by 1 + higher terms, so every chamber gives the same
     lowest defect; this one is the cheapest, 7x below events[0] (README, Completion).
+    keyed returns the kernel's undecoded terms, as _product does.
     """
     events = _events_after(diag, diag.directions[0]) if diag.directions else ()
-    return _product(((wall, sign) for _, wall, sign in events), series, diag.proj)
+    return _product(((wall, sign) for _, wall, sign in events), series, diag.proj, keyed)
 
 
 def path_between(diag, start_dir, end_dir):
@@ -386,23 +395,24 @@ def _lowest_defects(diag, order=None, monomials=None):
 
     The loop runs at order, by default the diagram's; its terms of degree
     up to order are those of the loop at any higher order.  Returns
-    (degree, [(u, index of m, coefficient of z^{m+u})]), or (None, []).
+    (degree, [(u, index of m, coefficient of z^{m+u})]), or (None, []).  The degrees
+    are read off the loop's keys, relative to z^m (key 0), and a key is decoded to u only
+    while its degree is the lowest yet.
     """
-    order = diag.order if order is None else order
+    order, grading = diag.order if order is None else order, diag.grading
     low, terms = None, []
     for bi, m in enumerate(diag.basis_exponents() if monomials is None else monomials):
-        res = loop_product(diag, TruncatedLaurent.monomial(diag.grading, order, m))
-        for expo, poly in res.terms.items():
-            if expo == m:
+        loop, K = loop_product(diag, TruncatedLaurent.monomial(grading, order, m), keyed=True)
+        for key, poly in loop.items():
+            if not key:  # z^m itself
                 poly = poly - 1
             if not poly:
                 continue
-            u = tuple(x - y for x, y in zip(expo, m))
-            deg = diag.grading.degree(u)
+            deg = grading._over_den(sum(divmod(key, K)))  # (A + B) / den
             if low is None or deg < low:
                 low, terms = deg, []
             if deg == low:
-                terms.append((u, bi, poly))
+                terms.append((_expo(grading, K, key, (0,) * diag.dim), bi, poly))
     return low, terms
 
 

@@ -495,6 +495,67 @@ def test_a_symbolic_power_builds_one_polynomial_per_coefficient(monkeypatch):
     assert [_as_terms(c) for c in got] == want
 
 
+def _uncapped_power_coeffs(coeffs, e, n):
+    """unit_power_coeffs's recurrence run to n for every e, with its scalar rule: the
+    reference for its stop at e * deg f."""
+    from gcsdiag.ring import _divide, _mono_mul, demote
+
+    tail = [(k, demote(c)) for k, c in enumerate(coeffs) if k and c]
+    poly = any(type(c) is CoeffPoly for _, c in tail)
+    if poly:
+        tail = [(k, c.terms if type(c) is CoeffPoly else {(): c}) for k, c in tail]
+    exact = all(type(x) is int for _, c in tail for x in (c.values() if poly else (c,)))
+    g = [{(): 1} if poly else 1]
+    for d in range(1, n + 1):
+        acc = {} if poly else 0
+        for k, c in tail:
+            if k > d:
+                break
+            w, h = (e + 1) * k - d, g[d - k]
+            if not (w and h):
+                continue
+            if poly:
+                for m1, x1 in c.items():
+                    for m2, x2 in h.items():
+                        m = _mono_mul(m1, m2)
+                        acc[m] = acc.get(m, 0) + x1 * w * x2
+            else:
+                acc += c * h * w
+        if poly:
+            g.append({m: _divide(x, d, exact) for m, x in acc.items() if x})
+        else:
+            g.append(_divide(acc, d, exact) if acc else 0)
+    return [CoeffPoly(t) if t.keys() - {()} else t.get((), 0) for t in g] if poly else g
+
+
+def _typed(c):
+    """A coefficient with its type and, for a CoeffPoly, the types of its numbers."""
+    if type(c) is CoeffPoly:
+        return CoeffPoly, sorted((m, type(x), x) for m, x in c.terms.items())
+    return type(c), c
+
+
+tail_entries = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.sampled_from([CoeffPoly.symbol("a"), CoeffPoly.symbol("b") * 2 - 1,
+                     CoeffPoly.rational(Fraction(1, 3)), CoeffPoly.rational(2), CoeffPoly()]))
+
+
+@given(st.lists(tail_entries, max_size=5), st.integers(-5, 6), st.integers(0, 12))
+@settings(max_examples=150, deadline=None)
+def test_a_power_stops_at_its_degree_with_the_values_and_types_of_the_full_loop(tail, e, n):
+    """For an int e >= 0, f^e ends at t^(e * deg f): the recurrence stops there and pads
+    with the int 0, which is what the full loop gives, zero tails and constants included."""
+    coeffs = [1] + tail
+    got = unit_power_coeffs(coeffs, e, n)
+    assert [_typed(c) for c in got] == [_typed(c) for c in _uncapped_power_coeffs(coeffs, e, n)]
+
+
+def test_a_long_power_of_a_short_polynomial_is_padded_with_zeros():
+    assert unit_power_coeffs([1, 1], 3, 10**5) == [1, 3, 3, 1] + [0] * (10**5 - 3)
+
+
 def test_unit_power_coeffs_refuses_an_inexact_division():
     # an integral series to a non-integral power is not integral: the
     # division by d raises rather than floors

@@ -72,6 +72,27 @@ def by_direction(diag, direction):
 
 
 # ---------------------------------------------------------------------------
+# primitive vectors
+
+
+@pytest.mark.parametrize("v,prim", [
+    ((4, -6), (2, -3)), ((-3, 0), (-1, 0)), ((0, -7), (0, -1)), ((-5, 7), (-5, 7)),
+    ((6, -4, 0, 10), (3, -2, 0, 5)), ((0, 0, -9, 12), (0, 0, -3, 4)),
+])
+def test_prim_divides_an_int_vector_by_its_gcd(v, prim):
+    assert _prim(v) == prim
+    assert all(type(x) is int for x in _prim(v))
+
+
+def test_prim_refuses_a_zero_vector_and_a_non_integral_entry():
+    with pytest.raises(ValueError, match="^zero vector has no primitive direction$"):
+        _prim((0, 0, 0, 0))
+    # an error, not the truncation to (1, 3) that int() would give
+    with pytest.raises(TypeError):
+        _prim((Fraction(3, 2), 3))
+
+
+# ---------------------------------------------------------------------------
 # initial diagrams
 
 
@@ -898,9 +919,9 @@ def test_full_order_loops_run_only_after_a_probe_misses(request, monkeypatch, na
         seen.append((diag.order if probe is None else probe, low))
         return low, terms
 
-    def loop_spy(diag, series):
+    def loop_spy(diag, series, keyed=False):
         loops.append(len(seen))  # the pass it runs in
-        return loop_product(diag, series)
+        return loop_product(diag, series, keyed)
 
     monkeypatch.setattr(scatter, "_lowest_defects", spy)
     monkeypatch.setattr(scatter, "loop_product", loop_spy)
@@ -909,6 +930,48 @@ def test_full_order_loops_run_only_after_a_probe_misses(request, monkeypatch, na
     assert seen == calls
     # one loop per pass: the loop of z^g1 sees every defect
     assert loops == list(range(len(calls)))
+
+
+# the complete benchmark's round: its seed texts and (family, variant, order, copies) rows
+MIX_SEEDS = {
+    "a2": "rank 2\nunfrozen 1 2\nd 1 1\nr 1 1\nB 0 1 -1 0\na.1 1 1\na.2 1 1\n",
+    "g31": "rank 2\nunfrozen 1 2\nd 1 1\nr 3 1\nB 0 1 -1 0\na.1 1 a a 1\na.2 1 1\n",
+    "kronecker22": "rank 2\nunfrozen 1 2\nd 2 2\nr 1 1\nB 0 2 -2 0\na.1 1 1\na.2 1 1\n",
+}
+MIX_JOBS = (
+    ("g31", "A", 15, 1), ("kronecker22", "A", 14, 1),
+    ("g31", "A", 10, 2), ("g31", "A", 11, 1), ("kronecker22", "A", 9, 1),
+    ("kronecker22", "A", 10, 1), ("g31", "Aprin", 10, 1), ("g31", "Aprin", 11, 1),
+    ("kronecker22", "Aprin", 9, 1), ("kronecker22", "Aprin", 10, 1),
+    ("a2", "A", 40, 2), ("a2", "A", 56, 1), ("a2", "A", 80, 1),
+    ("a2", "Aprin", 40, 1), ("a2", "Aprin", 64, 1),
+)
+
+
+def test_the_completion_mix_runs_a_fixed_amount_of_work(monkeypatch):
+    # one round of the 17 jobs: a loop per pass, the wall powers it asks for and the walls
+    # built (initial, completed and rebuilt); a change that moves a count says why
+    import gcsdiag.scatter as scatter
+
+    counts = {"loops": 0, "powers": 0, "walls": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scatter, "loop_product", counted("loops", loop_product))
+    monkeypatch.setattr(scatter, "unit_power_coeffs",
+                        counted("powers", scatter.unit_power_coeffs))
+    monkeypatch.setattr(scatter, "_wall", counted("walls", _wall))
+    for family, variant, order, copies in MIX_JOBS:
+        fixed, seed = parse_seed_file(MIX_SEEDS[family])
+        build = initial_diagram if variant == "A" else initial_diagram_prin
+        for _ in range(copies):
+            complete_rank2(build(fixed, seed, order))
+    assert sum(copies for *_, copies in MIX_JOBS) == 17
+    assert counts == {"loops": 121, "powers": 436, "walls": 157}
 
 
 @pytest.mark.parametrize("direction,expo,single", [
