@@ -32,8 +32,9 @@ def _mono_mul(m1, m2):
 
 
 def _exact(q):
-    """A rational as an int when its denominator is 1, else as a Fraction."""
-    q = Fraction(q)
+    """A rational as an int when its denominator is 1, else as a Fraction (a given one kept)."""
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
 
 

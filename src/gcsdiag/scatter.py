@@ -15,7 +15,8 @@ from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .ring import Grading, TruncatedLaurent, _vsub, canonical_string, demote, unit_power_coeffs
+from .ring import (Grading, TruncatedLaurent, _poly_pieces, _vsub, canonical_string, demote,
+                   unit_power_coeffs)
 from .seed import (_check_direction, epsilon, mutate_seed, mutation_walk, principal_data,
                    serialize_seed_file)
 
@@ -117,7 +118,7 @@ class Wall:
         self.normal = tuple(normal)
         self.base = tuple(base)
         self.coeffs = coeffs
-        self._powers = {}
+        self._powers = {1: coeffs}  # the function itself: no caller changes a power's list
 
     def power(self, p):
         """The coefficient list of the function ** p, computed once per wall and exponent."""
@@ -346,15 +347,15 @@ def _chamber_reps(dirs):
     return [_chamber_ray(dirs, k) for k in range(len(dirs))]
 
 
-def loop_product(diag, series, keyed=False):
+def loop_product(diag, series):
     """Full ccw loop around the origin, based in the chamber after the first direction.
 
     A move of the base conjugates by 1 + higher terms, so every chamber gives the same
-    lowest defect; this one is the cheapest, 7x below events[0] (README, Completion).
-    keyed returns the kernel's undecoded terms, as _product does.
+    lowest defect.  Completion reads its defects off the loop's two halves instead
+    (_lowest_defects), with half the coefficient products.
     """
     events = _events_after(diag, diag.directions[0]) if diag.directions else ()
-    return _product(((wall, sign) for _, wall, sign in events), series, diag.proj, keyed)
+    return _product(((wall, sign) for _, wall, sign in events), series, diag.proj)
 
 
 def path_between(diag, start_dir, end_dir):
@@ -393,27 +394,35 @@ def _crossed(diag, d, mdir):
 def _lowest_defects(diag, order=None, monomials=None):
     """The least-degree terms of loop(z^m) - z^m over the monomials z^m, by default the basis.
 
-    The loop runs at order, by default the diagram's; its terms of degree
-    up to order are those of the loop at any higher order.  Returns
-    (degree, [(u, index of m, coefficient of z^{m+u})]), or (None, []).  The degrees
-    are read off the loop's keys, relative to z^m (key 0), and a key is decoded to u only
-    while its degree is the lowest yet.
+    The loop based after directions[0] is P2 P1, P1 its leading run of line events.  Every
+    crossing is 1 + higher terms and <n, base> = 0, so P2^-1 is P2's events in reverse with
+    their signs negated, and P1(z^m) - P2^-1(z^m) = P2^-1(loop(z^m) - z^m) has the loop
+    defect's least-degree terms: the rays are crossed by z^m walked back, not by the series
+    the lines made.  Both halves run at order, by default the diagram's; their terms of
+    degree up to order are those at any higher order.  Returns (degree, [(u, index of m,
+    coefficient of z^{m+u})]), or (None, []), each monomial's in key order.  The degrees are
+    read off the keys, relative to z^m (key 0, where the halves cancel).
     """
-    order, grading = diag.order if order is None else order, diag.grading
-    low, terms = None, []
+    order, grading, proj = diag.order if order is None else order, diag.grading, diag.proj
+    events = _events_after(diag, diag.directions[0]) if diag.directions else []
+    split = next((i for i, (_, w, _) in enumerate(events) if w.kind != "line"), len(events))
+    ahead = [(w, s) for _, w, s in events[:split]]
+    back = [(w, -s) for _, w, s in reversed(events[split:])]
+    low, found = None, {}  # (index of m, key) -> coefficient, at the least degree yet
     for bi, m in enumerate(diag.basis_exponents() if monomials is None else monomials):
-        loop, K = loop_product(diag, TruncatedLaurent.monomial(grading, order, m), keyed=True)
-        for key, poly in loop.items():
-            if not key:  # z^m itself
-                poly = poly - 1
-            if not poly:
-                continue
-            deg = grading._over_den(sum(divmod(key, K)))  # (A + B) / den
-            if low is None or deg < low:
-                low, terms = deg, []
-            if deg == low:
-                terms.append((_expo(grading, K, key, (0,) * diag.dim), bi, poly))
-    return low, terms
+        z = TruncatedLaurent.monomial(grading, order, m)
+        diff, K = _product(ahead, z, proj, True)
+        for key, poly in _product(back, z, proj, True)[0].items():
+            diff[key] = diff[key] - poly if key in diff else -poly
+        for key, poly in diff.items():
+            if poly:
+                deg = grading._over_den(sum(divmod(key, K)))  # (A + B) / den
+                if low is None or deg < low:
+                    low, found = deg, {}
+                if deg == low:
+                    found[bi, key] = poly
+    return low, [(_expo(grading, K, key, (0,) * diag.dim), bi, found[bi, key])
+                 for bi, key in sorted(found)]
 
 
 def check_consistency(diag):
@@ -468,8 +477,9 @@ def complete_rank2(diag):
     events = list(diag.events)
     last_deg = -1
     while True:
-        # an empty diagram takes a copy of the events, which later passes change
-        cur = ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading, [], diag.proj)
+        # the input's data, indexed once over a copy of the events, which later passes change
+        cur = object.__new__(ScatteringDiagram)
+        cur.__dict__.update(vars(diag))
         cur._index(events[:])
         probe = min(max(math.floor(last_deg) + 1, 2), diag.order)
         dmin, defects = _lowest_defects(cur, probe, monomials)
@@ -495,15 +505,16 @@ def complete_rank2(diag):
             # injectively, so u is gcd(u) times the ray's primitive step, and
             # the degree rises each pass, so index gcd(u) is new to the ray;
             # the factor -1/den is an int when den is +-1
-            j = math.gcd(*u)
             old = rays.get(ray_dir)
-            coeffs = list(old.coeffs) if old else [1] + [0] * j
-            coeffs[j] = poly * (-den if den in (1, -1) else Fraction(-1, den))
-            wall = rays[ray_dir] = _wall("ray", ray_dir, _prim(u), coeffs, diag.grading,
-                                         diag.order, diag.proj)
-            if old:
+            c = demote(poly * (-den if den in (1, -1) else Fraction(-1, den)))
+            if old:  # its normal, base and other coefficients stay
+                coeffs = old.coeffs[:]
+                coeffs[math.gcd(*u)] = c
+                wall = rays[ray_dir] = Wall("ray", ray_dir, old.normal, old.base, coeffs)
                 events[events.index((ray_dir, old, sign))] = (ray_dir, wall, sign)
             else:
+                wall = rays[ray_dir] = _wall("ray", ray_dir, u, [1, c], diag.grading, diag.order,
+                                             diag.proj)
                 insort(events, (ray_dir, wall, sign), key=_event_angle)
 
 
@@ -684,13 +695,21 @@ def project_to_A(prin_diag):
 
 
 def dump_diagram(diag, variant="A"):
-    """Deterministic text dump: seed header, order, then angular wall list."""
+    """Deterministic text dump: seed header, order, then angular wall list.
+
+    A wall's f is rendered off its list in canonical_string's order of exponents: 1,
+    then j*base by j, reversed where the base is lexicographically negative."""
     lines = ["order %d" % diag.order, "variant %s" % variant]
     lines.append(serialize_seed_file(diag.fixed, diag.seed).rstrip("\n"))
     lines.append("walls:")
     for w in diag.walls:
+        c, top = w.coeffs, len(w.coeffs) - 1
+        steps = range(top, 0, -1) if w.base < (0,) * len(w.base) else range(1, top + 1)
+        pieces = _poly_pieces(c[0], "")
+        for j in steps:
+            if c[j]:
+                pieces += _poly_pieces(c[j], "z^(%s)" % ",".join(str(j * b) for b in w.base))
         lines.append("%s direction=(%d,%d) normal=(%s) f=%s" % (
             w.kind, w.direction[0], w.direction[1],
-            ",".join(str(x) for x in w.normal),
-            canonical_string(diag.function(w))))
+            ",".join(str(x) for x in w.normal), " + ".join(pieces)))
     return "\n".join(lines) + "\n"

@@ -30,7 +30,7 @@ from gcsdiag import (
     theta_Tk_transport,
     wall_cross,
 )
-from gcsdiag.ring import Grading, unit_power_coeffs
+from gcsdiag.ring import Grading, demote, unit_power_coeffs
 from gcsdiag.scatter import Wall, _chamber_reps, _perp_normal, _prim, _reorder
 from gcsdiag.theta import _chains, generic_near
 
@@ -137,3 +137,8 @@ def test_series_keep_numbers_and_demote_integral_fractions(value):
     s = TruncatedLaurent(g, 3, (0, 0), {(0, 1): value, (0, 2): Fraction(6, 3)})
     assert all(_is_number(c) for c in s.terms.values())
     assert s.terms.get((0, 1), 0) == value and type(s.terms[(0, 2)]) is int
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-4, 3)])
+def test_demote_keeps_a_non_integral_fraction(q):
+    assert demote(q) is q

@@ -912,24 +912,25 @@ def test_full_order_loops_run_only_after_a_probe_misses(request, monkeypatch, na
                                                          calls):
     import gcsdiag.scatter as scatter
 
-    seen, loops = [], []
+    seen, halves = [], []
+    product = scatter._product
 
     def spy(diag, probe=None, monomials=None):
         low, terms = _lowest_defects(diag, probe, monomials)
         seen.append((diag.order if probe is None else probe, low))
         return low, terms
 
-    def loop_spy(diag, series, keyed=False):
-        loops.append(len(seen))  # the pass it runs in
-        return loop_product(diag, series, keyed)
+    def half_spy(path, series, proj, keyed=False):
+        halves.append(len(seen))  # the pass it runs in
+        return product(path, series, proj, keyed)
 
     monkeypatch.setattr(scatter, "_lowest_defects", spy)
-    monkeypatch.setattr(scatter, "loop_product", loop_spy)
+    monkeypatch.setattr(scatter, "_product", half_spy)
     fixed, seed = request.getfixturevalue(name)
     complete_rank2(initial_diagram(fixed, seed, order))
     assert seen == calls
-    # one loop per pass: the loop of z^g1 sees every defect
-    assert loops == list(range(len(calls)))
+    # two half-loops per pass: the loop of z^g1, read as its two halves, sees every defect
+    assert halves == [i for i in range(len(calls)) for _ in range(2)]
 
 
 # the complete benchmark's round: its seed texts and (family, variant, order, copies) rows
@@ -949,11 +950,15 @@ MIX_JOBS = (
 
 
 def test_the_completion_mix_runs_a_fixed_amount_of_work(monkeypatch):
-    # one round of the 17 jobs: a loop per pass, the wall powers it asks for and the walls
-    # built (initial, completed and rebuilt); a change that moves a count says why
+    # one round of the 17 jobs: two kernel calls per pass, one for each half of the loop,
+    # the wall powers they ask for and the walls _wall builds (initial and new rays); a
+    # change that moves a count says why.  The halves turned the 121 loops into 242 calls
+    # and ask for 422 powers where the loops asked for 436; a wall's first power is its own
+    # list, which leaves 344 to compute; a rebuilt ray keeps its normal and base and skips
+    # _wall, so the walls built fell from 157 to 113
     import gcsdiag.scatter as scatter
 
-    counts = {"loops": 0, "powers": 0, "walls": 0}
+    counts = {"kernel": 0, "powers": 0, "walls": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -961,7 +966,7 @@ def test_the_completion_mix_runs_a_fixed_amount_of_work(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(scatter, "loop_product", counted("loops", loop_product))
+    monkeypatch.setattr(scatter, "_product", counted("kernel", scatter._product))
     monkeypatch.setattr(scatter, "unit_power_coeffs",
                         counted("powers", scatter.unit_power_coeffs))
     monkeypatch.setattr(scatter, "_wall", counted("walls", _wall))
@@ -971,7 +976,7 @@ def test_the_completion_mix_runs_a_fixed_amount_of_work(monkeypatch):
         for _ in range(copies):
             complete_rank2(build(fixed, seed, order))
     assert sum(copies for *_, copies in MIX_JOBS) == 17
-    assert counts == {"loops": 121, "powers": 436, "walls": 157}
+    assert counts == {"kernel": 242, "powers": 344, "walls": 113}
 
 
 @pytest.mark.parametrize("direction,expo,single", [
@@ -986,6 +991,56 @@ def test_a_ray_along_g1_reads_every_basis_monomial(g31_diag8, direction, expo, s
 
 
 WILD = "rank 2\nunfrozen 1 2\nd 1 1\nr 4 3\nB 0 -2 2 0\na.1 1 c a c 1\na.2 1 b b 1\n"
+
+
+def _loop_defects(diag, order):
+    """(degree, {(basis index, u): poly}) of the least-degree terms of the public
+    loop_product(diag, z^m) - z^m, run at order, over the basis monomials z^m."""
+    low, found = None, {}
+    for bi, m in enumerate(diag.basis_exponents()):
+        image = loop_product(diag, TruncatedLaurent.monomial(diag.grading, order, m))
+        for expo, poly in image.terms.items():
+            poly = poly - 1 if expo == m else poly
+            if poly:
+                u = tuple(x - y for x, y in zip(expo, m))
+                deg = diag.grading.degree(u)
+                if low is None or deg < low:
+                    low, found = deg, {}
+                if deg == low:
+                    found[bi, u] = poly
+    return low, found
+
+
+def _assert_half_loops_read_the_loop(diag):
+    # P1(z^m) - P2^-1(z^m) = P2^-1(loop(z^m) - z^m), and P2^-1 is 1 + higher terms
+    for t in range(1, diag.order + 1):
+        low, terms = _lowest_defects(diag, t)
+        assert (low, {(bi, u): poly for u, bi, poly in terms}) == _loop_defects(diag, t), t
+        # each monomial's triples in key order, the order of u's scaled coordinates
+        assert terms == sorted(terms, key=lambda x: (x[1], diag.grading.scaled_coordinates(x[0])))
+
+
+@pytest.mark.parametrize("build", [initial_diagram, initial_diagram_prin], ids=["A", "Aprin"])
+@pytest.mark.parametrize("name", ["a2", "g31", "kronecker"])
+def test_half_loops_read_the_lowest_defect_of_the_loop(request, name, build):
+    # the probe test's diagrams: inconsistent, partly completed and completed
+    fixed, seed = request.getfixturevalue(name)
+    first = build(fixed, seed, 6)
+    done = complete_rank2(first)
+    walls = list(done.walls)
+    walls.remove([w for w in walls if w.kind == "ray"][-1])
+    diags = [first, ScatteringDiagram(done.fixed, done.seed, 6, done.grading, walls, done.proj)]
+    diags += [_partly_completed(done, cut) for cut in range(3, 7)] + [done]
+    for diag in diags:
+        _assert_half_loops_read_the_loop(diag)
+
+
+def test_half_loops_read_the_lowest_defect_on_the_wild_seed_and_a_T_k_image(g31):
+    wild = initial_diagram(*parse_seed_file(WILD), 8)
+    fixed, seed = g31
+    part = _partly_completed(complete_rank2(initial_diagram(fixed, seed, 6)), 4)
+    for diag in (wild, complete_rank2(wild), apply_Tk(part, 0)):
+        _assert_half_loops_read_the_loop(diag)
 
 
 def _table_inputs(request):
@@ -1414,3 +1469,15 @@ def test_dump_diagram_g31(g31_diag9):
 
 def test_dump_is_deterministic(g31_diag8):
     assert dump_diagram(g31_diag8) == dump_diagram(g31_diag8)
+
+
+def test_dumped_functions_are_their_canonical_strings_over_the_seed_zoo():
+    # the dump renders each wall off its list, in canonical_string's order of exponents
+    for text, _, _ in _zoo(60, random.Random(13)):
+        fixed, seed = parse_seed_file(text)
+        prin = complete_rank2(initial_diagram_prin(fixed, seed, 6))
+        for diag, variant in ((complete_rank2(initial_diagram(fixed, seed, 6)), "A"),
+                              (prin, "Aprin"), (slice_to_X(prin), "X")):
+            rows = dump_diagram(diag, variant).split("walls:\n")[1].splitlines()
+            assert ([row.split(" f=")[1] for row in rows]
+                    == [canonical_string(diag.function(w)) for w in diag.walls]), (text, variant)
