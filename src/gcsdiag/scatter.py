@@ -181,17 +181,12 @@ class ScatteringDiagram:
         self.grading = grading
         self.proj = tuple(proj)
         self.dim = grading.dim
-        self._index(sorted(((p, w, _crossing_sign(w.normal, p)) for w in walls for p in _rays(w)),
-                           key=_event_angle))
-
-    def _index(self, events):
-        """Take the (direction, wall, sign) events in angular order; each wall is listed at the
-        event of its own direction, so the walls are sorted by direction, ties in input order."""
-        self.events, spans = events, {}
-        self.walls = [w for p, w, _ in events if p == w.direction]
-        rays = self._event_rays = [p for p, _, _ in events]
+        events = self.events = sorted(((p, w, _crossing_sign(w.normal, p))
+                                       for w in walls for p in _rays(w)), key=_event_angle)
+        # a wall is listed at its own direction's event: sorted by direction, ties in input order
+        self.walls, spans = [w for p, w, _ in events if p == w.direction], {}
         # wall directions are primitive, so a direction's events are adjacent: its span [first, end)
-        for i, p in enumerate(rays):
+        for i, (p, _, _) in enumerate(events):
             spans[p] = (spans[p][0] if p in spans else i, i + 1)
         self._spans, self.directions = spans, list(spans)
         # theta's values per (m0, order, chamber); a derived diagram has
@@ -322,10 +317,11 @@ def path_ordered_product(diag, path, series):
     return _product(path, series, diag.proj)
 
 
-def _events_after(diag, start_dir):
-    """The diagram's events rotated to begin at the first direction ccw after start_dir."""
-    i = bisect_right(diag._event_rays, _by_angle(start_dir), key=_by_angle)
-    return diag.events[i:] + diag.events[:i]
+def _loop_events(events):
+    """Events in angular order rotated past the run of their first direction: the crossings
+    of the ccw loop based in the chamber after it."""
+    i = next((i for i, (p, _, _) in enumerate(events) if p != events[0][0]), len(events))
+    return events[i:] + events[:i]
 
 
 def _chamber_ray(dirs, k, hits=None):
@@ -352,10 +348,10 @@ def loop_product(diag, series):
 
     A move of the base conjugates by 1 + higher terms, so every chamber gives the same
     lowest defect.  Completion reads its defects off the loop's two halves instead
-    (_lowest_defects), with half the coefficient products.
+    (_lowest_defects, on the same rotated events), with half the coefficient products.
     """
-    events = _events_after(diag, diag.directions[0]) if diag.directions else ()
-    return _product(((wall, sign) for _, wall, sign in events), series, diag.proj)
+    return _product(((wall, sign) for _, wall, sign in _loop_events(diag.events)), series,
+                    diag.proj)
 
 
 def path_between(diag, start_dir, end_dir):
@@ -363,9 +359,9 @@ def path_between(diag, start_dir, end_dir):
     c = _ang_cmp(start_dir, end_dir)
     if c == 0:
         return []
-    rays, events = diag._event_rays, diag.events
-    i = bisect_right(rays, _by_angle(start_dir), key=_by_angle)  # events at or before start_dir
-    j = bisect_left(rays, _by_angle(end_dir), key=_by_angle)  # events before end_dir
+    events = diag.events
+    i = bisect_right(events, _by_angle(start_dir), key=_event_angle)  # at or before start_dir
+    j = bisect_left(events, _by_angle(end_dir), key=_event_angle)  # events before end_dir
     arc = events[i:j] if c < 0 else events[i:] + events[:j]
     return [(w, s) for _, w, s in arc]
 
@@ -391,12 +387,13 @@ def _crossed(diag, d, mdir):
 # consistency and completion
 
 
-def _lowest_defects(diag, order=None, monomials=None):
+def _lowest_defects(diag, order=None, monomials=None, events=None):
     """The least-degree terms of loop(z^m) - z^m over the monomials z^m, by default the basis.
 
-    The loop based after directions[0] is P2 P1, P1 its leading run of line events.  Every
-    crossing is 1 + higher terms and <n, base> = 0, so P2^-1 is P2's events in reverse with
-    their signs negated, and P1(z^m) - P2^-1(z^m) = P2^-1(loop(z^m) - z^m) has the loop
+    The loop crosses events in angular order, by default the diagram's (completion passes its
+    own).  Based after their first direction it is P2 P1, P1 its leading run of line events.
+    Every crossing is 1 + higher terms and <n, base> = 0, so P2^-1 is P2's events in reverse
+    with their signs negated, and P1(z^m) - P2^-1(z^m) = P2^-1(loop(z^m) - z^m) has the loop
     defect's least-degree terms: the rays are crossed by z^m walked back, not by the series
     the lines made.  Both halves run at order, by default the diagram's; their terms of
     degree up to order are those at any higher order.  Returns (degree, [(u, index of m,
@@ -404,7 +401,7 @@ def _lowest_defects(diag, order=None, monomials=None):
     read off the keys, relative to z^m (key 0, where the halves cancel).
     """
     order, grading, proj = diag.order if order is None else order, diag.grading, diag.proj
-    events = _events_after(diag, diag.directions[0]) if diag.directions else []
+    events = _loop_events(diag.events if events is None else events)
     split = next((i for i, (_, w, _) in enumerate(events) if w.kind != "line"), len(events))
     ahead = [(w, s) for _, w, s in events[:split]]
     back = [(w, -s) for _, w, s in reversed(events[split:])]
@@ -464,10 +461,11 @@ def complete_rank2(diag):
     the loop's lowest terms send z^m to z^m (1 + c <n_u, m> z^u), so the
     pairing is nonzero there and every such monomial gives the same c.  One
     table holds each ray's wall; a pass rebuilds at once the walls it adds
-    to, so every other wall keeps its memoised powers.  The events are kept
-    in angular order across passes: a new ray's goes in where the stable
-    sort puts it, after those on its direction, and a rebuilt ray's replaces
-    the old one in place, so no pass sorts.
+    to, so every other wall keeps its memoised powers.  The passes share one
+    event list in angular order: a new ray's goes in where the stable sort
+    puts it, after those on its direction, and a rebuilt ray's replaces the
+    old one in place, so no pass sorts or builds a diagram.  The returned
+    diagram, the input's walls and then the table's rays, sorts to it.
     """
     g1 = diag.grading.generators[0]
     monomials = (diag.basis_exponents()
@@ -477,16 +475,13 @@ def complete_rank2(diag):
     events = list(diag.events)
     last_deg = -1
     while True:
-        # the input's data, indexed once over a copy of the events, which later passes change
-        cur = object.__new__(ScatteringDiagram)
-        cur.__dict__.update(vars(diag))
-        cur._index(events[:])
         probe = min(max(math.floor(last_deg) + 1, 2), diag.order)
-        dmin, defects = _lowest_defects(cur, probe, monomials)
+        dmin, defects = _lowest_defects(diag, probe, monomials, events)
         if not defects and probe < diag.order:
-            dmin, defects = _lowest_defects(cur, None, monomials)
+            dmin, defects = _lowest_defects(diag, None, monomials, events)
         if not defects:
-            return cur
+            return ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
+                                     diag.walls + list(rays.values()), diag.proj)
         if dmin <= last_deg:
             raise RuntimeError("completion failed to make progress at degree %s" % (dmin,))
         last_deg = dmin
@@ -494,11 +489,11 @@ def complete_rank2(diag):
         for u, bi, poly in defects:
             first.setdefault(u, (bi, poly))
         for u, (bi, poly) in first.items():
-            mdir = _prim(cur.project(u))
+            mdir = _prim(diag.project(u))
             normal = _perp_normal(mdir)
             ray_dir = (-mdir[0], -mdir[1])
             sign = _crossing_sign(normal, ray_dir)
-            den = sign * _dot(normal, cur.project(monomials[bi]))
+            den = sign * _dot(normal, diag.project(monomials[bi]))
             if not den:
                 raise RuntimeError("defect %r cannot be cancelled by any wall" % (u,))
             # the ray's exponents lie in a rank-2 lattice that projects

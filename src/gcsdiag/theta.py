@@ -193,10 +193,7 @@ def _fill(diag, m0, order):
     states = _chains(diag, m0, order)
     next(states)
     for (_, _, d, _, coeff, m), crossed in states:
-        c = _cross(d, m)
-        if not c:  # the cone is empty
-            continue
-        i, step = where[d], 1 if c < 0 else -1
+        i, step = where[d], 1 if _cross(d, m) < 0 else -1
         full = step * (where[crossed[-1][1]] - i) % n if crossed else 0
         first = i + (step > 0)  # the chamber next to d
         last = (first + step * full) % n

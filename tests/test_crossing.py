@@ -25,7 +25,7 @@ from gcsdiag import (
     path_ordered_product,
     wall_cross,
 )
-from gcsdiag.scatter import Wall, _events_after
+from gcsdiag.scatter import Wall, _loop_events
 
 from conftest import load_seed
 
@@ -132,7 +132,7 @@ def test_path_ordered_product_matches_the_tuple_reference(case, data):
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_loop_product_matches_the_tuple_reference(case):
     diag = _diagram(case)
-    path = [(w, s) for _, w, s in _events_after(diag, diag.directions[0])]
+    path = [(w, s) for _, w, s in _loop_events(diag.events)]
     for order in range(diag.order + 1):
         for m in diag.basis_exponents() + [diag.grading.generators[0]]:
             series = TruncatedLaurent.monomial(diag.grading, order, m)

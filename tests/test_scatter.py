@@ -43,7 +43,6 @@ from gcsdiag.scatter import (
     _crossed,
     _crossing_sign,
     _dot,
-    _events_after,
     _line_rep,
     _lowest_defects,
     _perp_normal,
@@ -565,7 +564,8 @@ def test_right_companion_printed_variant_inconsistent(g31):
 
 def _defects_from(diag, start):
     """(degree, {(basis index, u): poly}) of the lowest loop defect based at start."""
-    path = [(w, s) for _, w, s in _events_after(diag, start)]
+    i = sum(1 for p, _, _ in diag.events if _ang_cmp(p, start) <= 0)  # events at or before start
+    path = [(w, s) for _, w, s in diag.events[i:] + diag.events[:i]]
     low, found = None, {}
     for bi, m in enumerate(diag.basis_exponents()):
         image = path_ordered_product(
@@ -915,8 +915,8 @@ def test_full_order_loops_run_only_after_a_probe_misses(request, monkeypatch, na
     seen, halves = [], []
     product = scatter._product
 
-    def spy(diag, probe=None, monomials=None):
-        low, terms = _lowest_defects(diag, probe, monomials)
+    def spy(diag, probe=None, monomials=None, events=None):
+        low, terms = _lowest_defects(diag, probe, monomials, events)
         seen.append((diag.order if probe is None else probe, low))
         return low, terms
 
@@ -955,10 +955,12 @@ def test_the_completion_mix_runs_a_fixed_amount_of_work(monkeypatch):
     # change that moves a count says why.  The halves turned the 121 loops into 242 calls
     # and ask for 422 powers where the loops asked for 436; a wall's first power is its own
     # list, which leaves 344 to compute; a rebuilt ray keeps its normal and base and skips
-    # _wall, so the walls built fell from 157 to 113
+    # _wall, so the walls built fell from 157 to 113.  The constructor builds all 34
+    # diagrams, the 17 inputs and the 17 results; the passes share one event list, and
+    # while each pass built a diagram of its own there were 123
     import gcsdiag.scatter as scatter
 
-    counts = {"kernel": 0, "powers": 0, "walls": 0}
+    counts = {"kernel": 0, "powers": 0, "walls": 0, "diagrams": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -970,13 +972,15 @@ def test_the_completion_mix_runs_a_fixed_amount_of_work(monkeypatch):
     monkeypatch.setattr(scatter, "unit_power_coeffs",
                         counted("powers", scatter.unit_power_coeffs))
     monkeypatch.setattr(scatter, "_wall", counted("walls", _wall))
+    monkeypatch.setattr(ScatteringDiagram, "__init__",
+                        counted("diagrams", ScatteringDiagram.__init__))
     for family, variant, order, copies in MIX_JOBS:
         fixed, seed = parse_seed_file(MIX_SEEDS[family])
         build = initial_diagram if variant == "A" else initial_diagram_prin
         for _ in range(copies):
             complete_rank2(build(fixed, seed, order))
     assert sum(copies for *_, copies in MIX_JOBS) == 17
-    assert counts == {"kernel": 242, "powers": 344, "walls": 113}
+    assert counts == {"kernel": 242, "powers": 344, "walls": 113, "diagrams": 34}
 
 
 @pytest.mark.parametrize("direction,expo,single", [
@@ -1059,36 +1063,50 @@ def _table_inputs(request):
         yield "ray %s" % (direction,), _with_ray(g31_diag8, direction, expo)
 
 
+def _event_ids(events):
+    return [(p, id(w), s) for p, w, s in events]
+
+
 def _geometry(diag):
-    return ([id(w) for w in diag.walls], [(p, id(w), s) for p, w, s in diag.events],
-            diag.directions, diag._event_rays, diag._spans)
+    return [id(w) for w in diag.walls], _event_ids(diag.events), diag.directions, diag._spans
+
+
+def _pass_spy(monkeypatch, check):
+    """Spy on completion's _lowest_defects: check(events, pass index) runs once on each pass's
+    event list, and the returned list collects a copy of each."""
+    import gcsdiag.scatter as scatter
+
+    passes = []
+
+    def spy(diag, probe=None, monomials=None, events=None):
+        assert events is not None and events is not diag.events  # the pass's own list
+        if not passes or passes[-1] != events:  # a pass's first call: its events changed
+            check(events, len(passes))
+            passes.append(events[:])
+        return _lowest_defects(diag, probe, monomials, events)
+
+    monkeypatch.setattr(scatter, "_lowest_defects", spy)
+    return passes
 
 
 def test_pass_table_equals_the_sorting_constructor(request, monkeypatch):
-    # completion keeps its walls and events in angular order across passes;
-    # each pass diagram must be the one the constructor sorts from the input's
-    # walls followed by the table's rays, which is how passes were built before
-    import gcsdiag.scatter as scatter
-
-    def rebuilt(init, diag):
+    # completion keeps one event list in angular order across passes; each
+    # pass's list must be the one the constructor sorts from the input's walls
+    # followed by the table's rays, and the returned diagram is built that way
+    def rebuilt(init, events):
         ids = {id(w) for w in init.walls}
-        return ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading,
-                                 init.walls + [w for w in diag.walls if id(w) not in ids],
-                                 diag.proj)
+        rays = [w for p, w, _ in events if p == w.direction and id(w) not in ids]
+        return ScatteringDiagram(init.fixed, init.seed, init.order, init.grading,
+                                 init.walls + rays, init.proj)
 
     for name, init in list(_table_inputs(request)):  # built before the spy goes in
-        passes = []
+        def check(events, i, init=init):
+            assert _event_ids(events) == _event_ids(rebuilt(init, events).events), (name, i)
 
-        def spy(diag, probe=None, monomials=None, init=init):
-            if not passes or passes[-1] is not diag:
-                assert _geometry(diag) == _geometry(rebuilt(init, diag)), (name, len(passes))
-                passes.append(diag)
-            return _lowest_defects(diag, probe, monomials)
-
-        monkeypatch.setattr(scatter, "_lowest_defects", spy)
+        passes = _pass_spy(monkeypatch, check)
         done = complete_rank2(init)
-        assert done is passes[-1] and len(passes) > 1, name
-        assert _geometry(done) == _geometry(rebuilt(init, done)), name
+        assert done.events == passes[-1] and len(passes) > 1, name
+        assert _geometry(done) == _geometry(rebuilt(init, done.events)), name
 
 
 def _angular(walls):
@@ -1100,18 +1118,16 @@ def test_walls_are_their_input_stably_sorted_by_direction(request, monkeypatch):
     # the events are the one stored order and the walls are read off them; every
     # builder's diagram and every completion pass must list its walls once each,
     # in the order a stable sort of its input by direction gives
-    import gcsdiag.scatter as scatter
-
-    def assert_listed(diag, walls, name):
-        assert [id(w) for w in diag.walls] == _angular(walls), name
-        assert len({id(w) for w in diag.walls}) == len(diag.walls), name
+    def assert_listed(listed, walls, name):
+        assert [id(w) for w in listed] == _angular(walls), name
+        assert len({id(w) for w in listed}) == len(listed), name
 
     init = ScatteringDiagram.__init__
 
     def built(self, fixed, seed, order, grading, walls, proj):
         walls = list(walls)
         init(self, fixed, seed, order, grading, walls, proj)
-        assert_listed(self, walls, "constructor")
+        assert_listed(self.walls, walls, "constructor")
 
     monkeypatch.setattr(ScatteringDiagram, "__init__", built)
     seeds = [request.getfixturevalue(name) for name in ("a2", "g31", "kronecker")]
@@ -1126,18 +1142,16 @@ def test_walls_are_their_input_stably_sorted_by_direction(request, monkeypatch):
         ScatteringDiagram(diag.fixed, diag.seed, diag.order, diag.grading, walls, diag.proj)
 
     for name, start in list(_table_inputs(request)):
-        passes = []
+        def check(events, i, start=start):
+            # the pass's walls, each at the event of its own direction
+            listed = [w for p, w, _ in events if p == w.direction]
+            ids = {id(w) for w in start.walls}
+            added = [w for w in listed if id(w) not in ids]  # rays on distinct directions
+            assert_listed(listed, start.walls + added, (name, i))
 
-        def spy(diag, probe=None, monomials=None, start=start):
-            if not passes or passes[-1] is not diag:
-                ids = {id(w) for w in start.walls}
-                added = [w for w in diag.walls if id(w) not in ids]  # rays on distinct directions
-                assert_listed(diag, start.walls + added, (name, len(passes)))
-                passes.append(diag)
-            return _lowest_defects(diag, probe, monomials)
-
-        monkeypatch.setattr(scatter, "_lowest_defects", spy)
-        assert complete_rank2(start) is passes[-1] and len(passes) > 1, name
+        passes = _pass_spy(monkeypatch, check)
+        done = complete_rank2(start)  # the constructor checks its walls
+        assert done.events == passes[-1] and len(passes) > 1, name
 
 
 def test_rays_on_a_line_read_alike_before_and_after_it(g31_diag8):
@@ -1416,13 +1430,13 @@ def test_mutation_invariance_over_the_seed_zoo():
 
 def test_consistency_and_truncation_coherence_over_the_seed_zoo():
     # each zoo seed's completion at order 6, in its variant, passes the loop check, and its
-    # cut at each lower order t has the walls of the completion at t
+    # cut at each order t up to its own has the walls of the completion at t
     for text, _, variant in _zoo(60, random.Random(13)):
         fixed, seed = parse_seed_file(text)
         build = initial_diagram if variant == "A" else initial_diagram_prin
         full = complete_rank2(build(fixed, seed, 6))
         assert check_consistency(full) == (True, None), (text, variant)
-        for t in range(1, 6):
+        for t in range(1, 7):
             assert (_wall_list(_reorder(full, t))
                     == _wall_list(complete_rank2(build(fixed, seed, t)))), (text, variant, t)
 

@@ -854,9 +854,14 @@ def test_theta_Tk_transport(g31_diag8):
         assert out.terms
 
 
-def test_theta_Tk_transport_multiple_inputs(g31_diag8):
+def test_theta_Tk_transport_multiple_inputs(g31_diag8, a2):
     for m0 in [(1, 0), (0, -1), (-1, 1)]:
         theta_Tk_transport(g31_diag8, 1, GEN_Q, m0, order=6)
+    # on a2 at order 3 the sheared theta has terms that the mutated diagram's theta cuts,
+    # so these transports hold only after the truncation filter drops them
+    a2_diag3 = complete_rank2(initial_diagram(*a2, 3))
+    for m0 in [(-1, 1), (-2, 1)]:
+        assert theta_Tk_transport(a2_diag3, 0, (Fraction(3, 2), Fraction(-1, 7)), m0).terms
 
 
 # ---------------------------------------------------------------------------
