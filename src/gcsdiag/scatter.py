@@ -78,7 +78,7 @@ def _ang_cmp(a, b):
     """Counterclockwise angular order starting at the positive x-axis."""
     ha, hb = _half(a), _half(b)
     if ha != hb:
-        return -1 if ha < hb else 1
+        return ha - hb
     c = _cross(a, b)
     return (c < 0) - (c > 0)
 

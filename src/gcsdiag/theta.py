@@ -25,7 +25,6 @@ from .scatter import (
     _dot,
     _point,
     _prim,
-    _rays,
     cone_contains,
     complete_rank2,
     initial_diagram,
@@ -145,12 +144,15 @@ def _chains(diag, m0, order):
     yields each state (parent, wall, d, j, coeff, m), which bends j steps on the wall ray d
     (None at the root) after parent, with final monomial coeff*z^m, together with the wall
     rays (wall, s) that its last segment crosses, in order (all of them at the root)."""
+    # theta's one plane check: every value, witness line and structure constant is searched here
+    if diag.dim != 2:
+        raise ValueError("broken lines need plane exponents")
     g = diag.grading
     top = order * g.den  # the degree budget is in ints, as den * degree
     # each wall's normal, base, degree step and power memo, read once per search
     walls = {w: (w.normal, w.base, g.scaled_degree(w.base), w._powers) for w in diag.walls}
     # the segment from infinity may bend anywhere on a wall (a parallel one has factor 0)
-    root = [(w, s) for w in diag.walls for s in _rays(w)]  # s as stored: _crossed looks it up
+    root = [(w, p) for p, w, _ in diag.events]  # p as stored: _crossed looks it up
     stack = [((None, None, None, 0, 1, m0), root, 0)]
     while stack:
         state, crossings, degree = stack.pop()
@@ -244,8 +246,6 @@ def enumerate_broken_lines(diag, m0, Q, order=None):
     Q must be generic: off the support, and off every line through the origin that a final
     segment could run along; else ValueError.  The lines of the states whose cone holds Q are
     sorted by BrokenLine.sort_key, then the walls met walking back (ties keep search order)."""
-    if diag.dim != 2:
-        raise ValueError("broken lines need plane exponents")
     order = _order(diag, order)
     m0 = _exponent(diag, m0)
     if not any(m0):
@@ -304,8 +304,6 @@ class ThetaResult:
 
 def _value_terms(diag, m0, qi, order):
     """theta_{m0} as {exponent: coefficient} in the chamber of qi, a direction _endpoint passed."""
-    if diag.dim != 2:
-        raise ValueError("broken lines need plane exponents")
     dirs, lo, hi = diag.directions, 0, len(diag.directions)
     while lo < hi:  # the first direction ccw after qi
         mid = (lo + hi) // 2
@@ -325,8 +323,6 @@ def theta(diag, Q, m0, order=None):
     m0, Q = _exponent(diag, m0), _point(Q)
     if not any(m0):
         return ThetaResult(TruncatedLaurent.one(diag.grading, order), [], Q, m0)
-    if diag.dim != 2:
-        raise ValueError("broken lines need plane exponents")
     terms = _value_terms(diag, m0, _endpoint(diag, (m0,), Q, order)[0], order)
     value = TruncatedLaurent.within(diag.grading, order, m0, terms)
     return ThetaResult(value, lambda: enumerate_broken_lines(diag, m0, Q, order), Q, m0)

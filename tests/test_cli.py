@@ -440,6 +440,30 @@ def test_check_reports_failure_with_exit_4(runner, monkeypatch):
     assert "consistency: FAIL at z^(0,1)\n" in res.output
 
 
+def test_mutate_reports_a_failed_exchange_with_exit_4(runner, monkeypatch):
+    def fail(state, k):
+        raise ValueError("non-Laurent cluster variable")
+
+    monkeypatch.setattr(cli, "mutate_cluster", fail)
+    res = runner.invoke(cli.main, ["mutate", G31, "--word", "1,2"])
+    assert (res.exit_code, res.output) == (4, "Error: non-Laurent cluster variable\n")
+
+
+def test_check_reports_a_failed_T_k_and_goes_on_with_exit_4(runner, monkeypatch):
+    def fail(diag, k):
+        raise ValueError("no T_k image")
+
+    monkeypatch.setattr(cli, "apply_Tk", fail)
+    res = runner.invoke(cli.main, ["check", A2, "--order", "2", "--depth", "2"])
+    assert res.exit_code == 4
+    assert res.output == ("consistency: pass\n"
+                          "mutation-equivalence k=1: FAIL (no T_k image)\n"
+                          "mutation-equivalence k=2: FAIL (no T_k image)\n"
+                          "sign-coherence depth=2: pass\n"
+                          "laurent: pass\n"
+                          "Error: verification failed\n")
+
+
 def test_check_reports_the_first_non_laurent_word(runner, monkeypatch):
     mutate_cluster = cli.mutate_cluster
     calls = []
@@ -589,11 +613,14 @@ STRICT_SEED_FAULTS = [
     ("a.2 1 1\n", "a.2 1 1\nfoo 3\n", "unknown field foo"),
     ("a.2 1 1\n", "a.2 1 1\na.3 1 1\n", "field a.3 names a direction outside 1..2"),
     ("a.1 1 a a 1\n", "a.1 1 a b 1\n", "coefficient tuple for direction 1 is not reciprocal"),
+    ("B 0 1 -1 0\n", "", "missing seed file field 'B'"),
+    ("a.2 1 1\n", "", "missing seed file field 'a.2'"),
 ]
 
 
 @pytest.mark.parametrize("line,bad,message", STRICT_SEED_FAULTS,
-                         ids=["rank-extra", "repeated", "unknown", "a-index", "not-reciprocal"])
+                         ids=["rank-extra", "repeated", "unknown", "a-index", "not-reciprocal",
+                              "missing-B", "missing-a2"])
 def test_seed_file_fault_exit_2(runner, tmp_path, line, bad, message):
     with open(G31, encoding="utf-8") as fh:
         text = fh.read()

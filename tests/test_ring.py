@@ -284,6 +284,29 @@ def test_parse_canonical_round_trip():
     assert terms == f.terms
 
 
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: CoeffPoly.symbol("a") ** -1, ValueError,
+     "negative powers of coefficient polynomials"),
+    (lambda: canonical_string(object()), TypeError, "unsupported value <object object at"),
+    (lambda: parse_canonical("2*%"), ValueError, "bad factor '%'"),
+    (lambda: Grading([(0, 1)]), ValueError, "a rank-2 grading needs exactly two generators"),
+    (lambda: Grading([(1, 2), (-2, -4)]), ValueError,
+     "grading generators must be linearly independent"),
+    (lambda: unit({(0, 1): 1}, order=3).truncate(4), ValueError,
+     "cannot extend a truncated series"),
+    (lambda: unit({(0, 1): 1}, order=3) + unit({(0, 1): 1}, order=4), ValueError,
+     "mismatched truncation orders"),
+    (lambda: unit({(0, 1): 1}, order=3) * unit({(0, 1): 1}, order=4), ValueError,
+     "mismatched truncation orders"),
+    (lambda: unit({(0, 1): 1}) * TruncatedLaurent.one(Grading([(0, 1, 0), (-1, 0, 0)]), 6),
+     ValueError, "mismatched lattices"),
+], ids=["negative-power", "unsupported-value", "bad-factor", "one-generator",
+        "dependent-generators", "extend", "add-orders", "mul-orders", "mul-lattices"])
+def test_ring_refuses_malformed_input(build, error, message):
+    with pytest.raises(error, match="^%s" % re.escape(message)):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # truncation
 

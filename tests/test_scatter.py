@@ -131,6 +131,14 @@ def test_wall_step_is_validated(g31_diag8):
         _wall("ray", (1, -1), (1, -1), [1, 1], grading, 8, proj)
 
 
+def test_a_wall_normal_to_its_own_support_is_refused(g31_diag8):
+    # _wall derives every normal from the base; a wall built by hand can get it wrong
+    d = g31_diag8
+    wall = Wall("ray", (1, 1), (1, 1), (1, 1), [1, 1])
+    with pytest.raises(ValueError, match="^wall normal parallel to its own support$"):
+        ScatteringDiagram(d.fixed, d.seed, d.order, d.grading, d.walls + [wall], d.proj)
+
+
 def test_wall_moves_coefficients_of_a_multiple_step(kronecker):
     # kronecker22's grading gives (0, 2) degree 1, so (0, 1) has degree 1/2
     grading, proj = initial_diagram(*kronecker, 2).grading, (0, 1)

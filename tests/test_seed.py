@@ -114,8 +114,10 @@ UNFROZEN = "coefficient tuples must be given for exactly the unfrozen directions
     (lambda f, s: GeneralizedTorusSeed(f, s.e_vectors, s.f_vectors, {0: s.a_tuples[0]}),
      UNFROZEN),
     (lambda f, s: make_initial_seed(f, {5: (1, 1)}), UNFROZEN),
+    (lambda f, s: GeneralizedTorusSeed(f, s.e_vectors, s.f_vectors, {0: (2, 0, 0, 2), 1: (1, 1)}),
+     "coefficient tuple for direction 1 is not monic"),
 ], ids=["short-B-row", "long-B-row", "one-vector", "long-vectors", "missing-a-tuple",
-        "a-tuple-out-of-range"])
+        "a-tuple-out-of-range", "not-monic"])
 def test_constructors_reject_malformed_shapes(g31, build, message):
     # a malformed shape fails where the data are built, not as an IndexError or a
     # KeyError in the mutation or completion that reads them

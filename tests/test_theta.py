@@ -661,6 +661,34 @@ def test_zero_exponent_structure_constants_follow_theta_zero_is_one(g31):
     assert product_expansion_check(d, (0, -1), (0, 0), GEN_Q)[0]
 
 
+@pytest.mark.parametrize("build", [
+    lambda g31: initial_diagram_prin(*g31, 5),
+    lambda g31: initial_diagram(*parse_seed_file(
+        "rank 3\nunfrozen 1 2\nd 1 1 1\nr 2 1 1\nB 0 1 1 -1 0 1 -1 -1 0\n"
+        "a.1 1 a 1\na.2 1 1\n"), 3),
+], ids=["Aprin", "frozen"])
+def test_the_search_alone_refuses_a_diagram_off_the_plane(g31, build):
+    # principal coefficients lift the exponents to four entries; a frozen direction to three
+    diag = complete_rank2(build(g31))
+    zero, m0 = (0,) * diag.dim, (1,) + (0,) * (diag.dim - 1)
+    for query in (lambda: theta(diag, FIG2_Q, m0),
+                  lambda: enumerate_broken_lines(diag, m0, FIG2_Q),
+                  lambda: structure_constant(diag, m0, m0, (2,) + zero[1:], FIG2_Q),
+                  lambda: list(_chains(diag, m0, 3))):
+        with pytest.raises(ValueError, match="^broken lines need plane exponents$"):
+            query()
+    one = theta(diag, FIG2_Q, zero)
+    assert one.value == TruncatedLaurent.one(diag.grading, diag.order)
+    assert one.witness_lines == []
+    assert structure_constant(diag, zero, zero, zero, FIG2_Q) == 1
+    assert diag._thetas == {}
+    # the endpoint's and the initial exponent's own errors come first
+    with pytest.raises(ValueError, match="^endpoint lies on the diagram support; perturb it$"):
+        theta(diag, (1, 0), m0)
+    with pytest.raises(ValueError, match="^initial exponent must be nonzero$"):
+        enumerate_broken_lines(diag, zero, FIG2_Q)
+
+
 @pytest.fixture(scope="module")
 def kronecker_diag10(kronecker):
     fixed, seed = kronecker
